@@ -6,7 +6,6 @@ from .linalg import (
     exact_rank,
     frac_str,
     kernel_basis,
-    linear_solve,
     lincomb_json,
     same_column_space,
     serialize_key,

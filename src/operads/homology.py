@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .linalg import LinComb, exact_rank, mat_mul
+from .linalg import LinComb, coords, exact_rank, mat_mul
 from .models import get_model
 
 
@@ -40,20 +40,17 @@ class BicomplexSlice:
         return (m + 1) * len(self.bases[m]) if m in self.bases else 0
 
 
-def _slot_matrix(src, dst, product, i, sign):
-    """Matrix of (-1)^i (..., a_i * a_{i+1}, ...) on tuple bases."""
-    pos = {t: k for k, t in enumerate(dst)}
-    mat = [[Fraction(0)] * len(src) for _ in dst]
-    for j, tup in enumerate(src):
-        prod = product(LinComb.of(tup[i]), LinComb.of(tup[i + 1]))
-        for key, c in prod.items():
-            target = tup[:i] + (key,) + tup[i + 2:]
-            mat[pos[target]][j] += sign * c
-    return mat
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _differential(src, dst, product, slots):
+    """Matrix of sum over i in slots of (-1)^i (..., a_i * a_{i+1}, ...)."""
+    def image(tup):
+        out = LinComb.zero()
+        for i in slots:
+            prod = product(LinComb.of(tup[i]), LinComb.of(tup[i + 1]))
+            out = out + LinComb(
+                (tup[:i] + (key,) + tup[i + 2:], (-1) ** i * c) for key, c in prod.items()
+            )
+        return out
+    return coords((image(tup) for tup in src), dst)
 
 
 def build_bicomplex(n):
@@ -79,17 +76,10 @@ def build_bicomplex(n):
     for m in range(1, n):
         src = bases[m]
         dst = bases[m - 1]
-        zero = [[Fraction(0)] * len(src) for _ in dst]
         for p in range(m + 1):
             q = m - p
-            h = zero
-            for i in range(p):
-                h = _mat_add(h, _slot_matrix(src, dst, right, i, (-1) ** i))
-            dh[(p, q)] = h
-            v = zero
-            for j in range(p, p + q):
-                v = _mat_add(v, _slot_matrix(src, dst, left, j, (-1) ** j))
-            dv[(p, q)] = v
+            dh[(p, q)] = _differential(src, dst, right, range(p))
+            dv[(p, q)] = _differential(src, dst, left, range(p, p + q))
     return BicomplexSlice(n=n, bases=bases, dh=dh, dv=dv)
 
 
@@ -111,11 +101,9 @@ def check_differentials(slice_or_n):
                 if not _is_zero(mat_mul(bc.dv[(p, q - 1)], bc.dv[(p, q)])):
                     return False
             if p >= 1 and q >= 1:
-                anti = _mat_add(
-                    mat_mul(bc.dh[(p, q - 1)], bc.dv[(p, q)]),
-                    mat_mul(bc.dv[(p - 1, q)], bc.dh[(p, q)]),
-                )
-                if not _is_zero(anti):
+                hv = mat_mul(bc.dh[(p, q - 1)], bc.dv[(p, q)])
+                vh = mat_mul(bc.dv[(p - 1, q)], bc.dh[(p, q)])
+                if hv != [[-x for x in row] for row in vh]:
                     return False
     return True
 

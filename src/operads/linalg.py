@@ -1,14 +1,16 @@
 """Exact rational linear algebra and formal linear combinations.
 
-Everything in this package is built on two primitives: LinComb, a finite
-linear combination of hashable basis keys with Fraction coefficients, and
-fraction-free Gaussian elimination for ranks and kernels.  No floating
-point anywhere.
+Everything in this package is built on LinComb, a finite linear
+combination of hashable basis keys with Fraction coefficients.  `coords`
+is the one way from LinCombs to a matrix, and fraction-free Gaussian
+elimination (`exact_rank`, `kernel_basis`, `in_span`) is the one way to
+ranks, kernels and span membership.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -161,14 +163,6 @@ def matrix_json(m):
     return [[frac_str(c) for c in row] for row in m]
 
 
-def lincomb_add(a, b):
-    return a + b
-
-
-def lincomb_tensor(a, b):
-    return a.tensor(b)
-
-
 def tensor_transpose(a):
     """Switch the two slots of every key: (k1,k2) -> (k2,k1)."""
     out = {}
@@ -179,6 +173,35 @@ def tensor_transpose(a):
     res = LinComb.__new__(LinComb)
     res.terms = out
     return res
+
+
+# --- coordinates ----------------------------------------------------------
+
+def coords(lincombs, basis=None):
+    """Dense Fraction matrix whose j-th column is the j-th LinComb.
+
+    Rows are the keys of `basis` in order, or, when basis is None, the keys
+    in order of first appearance.  A key outside a declared basis raises
+    ValueError.  The LinCombs are consumed one at a time, so a generator
+    works and only the nonzero coordinates are held until the end.
+    """
+    pos = {} if basis is None else {k: i for i, k in enumerate(basis)}
+    cols = []
+    for lc in lincombs:
+        col = []
+        for k, c in lc.items():
+            i = pos.get(k)
+            if i is None:
+                if basis is not None:
+                    raise ValueError("key outside the declared basis: %r" % (k,))
+                i = pos[k] = len(pos)
+            col.append((i, c))
+        cols.append(col)
+    mat = [[Fraction(0)] * len(cols) for _ in range(len(pos))]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            mat[i][j] = c
+    return mat
 
 
 # --- fraction-free elimination -------------------------------------------
@@ -257,38 +280,10 @@ def kernel_basis(m):
     return basis
 
 
-def linear_solve(mat, rhs):
-    """One exact solution of mat @ x = rhs, or None if inconsistent.
-
-    mat is a list of rows; free variables are set to zero.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
-    return x
+def in_span(lincombs, lc):
+    """Is lc a linear combination of the given LinCombs?  Exact ranks."""
+    mat = coords(chain(lincombs, (lc,)))
+    return exact_rank(mat) == exact_rank([row[:-1] for row in mat])
 
 
 def mat_mul(a, b):
@@ -344,28 +339,15 @@ class GradedEndo:
 
     @classmethod
     def from_function(cls, bases, fn):
-        mats = {}
-        for n, basis in bases.items():
-            d = len(basis)
-            pos = {key: i for i, key in enumerate(basis)}
-            mat = [[Fraction(0)] * d for _ in range(d)]
-            for j, key in enumerate(basis):
-                img = fn(LinComb.of(key))
-                for k, c in img.items():
-                    if k not in pos:
-                        raise ValueError("image leaves the declared basis: %r" % (k,))
-                    mat[pos[k]][j] = c
-            mats[n] = mat
+        mats = {
+            n: coords((fn(LinComb.of(key)) for key in basis), basis)
+            for n, basis in bases.items()
+        }
         return cls(bases, mats)
 
     @classmethod
     def identity(cls, bases):
-        mats = {
-            n: [[Fraction(1) if i == j else Fraction(0) for j in range(len(b))]
-                for i in range(len(b))]
-            for n, b in bases.items()
-        }
-        return cls(bases, mats)
+        return cls.from_function(bases, lambda lc: lc)
 
     def apply(self, lc):
         out = LinComb.zero()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .linalg import LinComb, exact_rank
+from .linalg import LinComb, coords, exact_rank, in_span, tensor_transpose
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -299,10 +299,6 @@ def dup_dright(a):
     return a.map_keys(_dup_dright_key)
 
 
-def dup_biduplicial_coproducts(a):
-    return dup_dleft(a), dup_dright(a)
-
-
 # --- Lie inside the tensor algebra -------------------------------------------
 
 def lie_bracket(a, b):
@@ -322,19 +318,10 @@ def lie_subspace(alphabet, n):
     if n < 1:
         raise ValueError("degree must be >= 1")
     all_words = words(alphabet, n)
-    pos = {w: i for i, w in enumerate(all_words)}
     basis = []
-    rows = []  # candidate vectors kept so far, as coordinate lists
     for w in all_words:
         cand = left_nested_bracket(w)
-        if not cand:
-            continue
-        vec = [Fraction(0)] * len(all_words)
-        for k, c in cand.items():
-            vec[pos[k]] = c
-        trial = rows + [vec]
-        if exact_rank(trial) > len(rows):
-            rows = trial
+        if cand and exact_rank(coords(basis + [cand], all_words)) > len(basis):
             basis.append(cand)
     return basis
 
@@ -349,9 +336,19 @@ def lie_cobracket(a):
     variant of the deconcatenation repairs this; see the package tests for
     the exact witnesses.
     """
-    from .linalg import tensor_transpose
     d = as_deconcat(a)
     return d - tensor_transpose(d)
+
+
+def lie_tensor_escape(alphabet, n):
+    """Does the cobracket leave the span of Lie x Lie in degree n?"""
+    span = [
+        a.tensor(b)
+        for i in range(1, n)
+        for a in lie_subspace(alphabet, i)
+        for b in lie_subspace(alphabet, n - i)
+    ]
+    return not all(in_span(span, lie_cobracket(x)) for x in lie_subspace(alphabet, n))
 
 
 # --- model plumbing -----------------------------------------------------------
@@ -367,7 +364,6 @@ class CooperadSpec:
     kind: str
     delta: str = "delta"
     cooperations: Callable[[int], list] | None = None  # n -> [(label, fn)]
-    dims: Callable[[int], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -403,11 +399,8 @@ def _word_degree(key):
     return len(key)
 
 
-def _tree_key_degree_mag(key):
+def _tree_key_degree(key):
     return len(key_parts(key)[1])
-
-
-_tree_key_degree_dup = _tree_key_degree_mag
 
 
 def as_model(alphabet=1):
@@ -420,7 +413,7 @@ def as_model(alphabet=1):
         products={"mul": as_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        cooperad=CooperadSpec(kind="as", dims=lambda n: 1),
+        cooperad=CooperadSpec(kind="as"),
         splitting=SplittingScheme(kind="as_monomial", product="mul"),
     )
 
@@ -524,7 +517,7 @@ def mag_model(alphabet=1):
         name="mag",
         alphabet=alphabet,
         basis=_mag_basis(alphabet),
-        degree=_tree_key_degree_mag,
+        degree=_tree_key_degree,
         products={"mul": mag_product},
         coproducts={
             "delta": mag_dual_coproduct,
@@ -537,7 +530,6 @@ def mag_model(alphabet=1):
             cooperations=lambda n: [
                 (t, mag_tree_cooperation(t)) for t in trees.enumerate_trees(n)
             ],
-            dims=lambda n: trees.catalan(n - 1),
         ),
         splitting=SplittingScheme(kind="dual", pairs=_mag_dual_pairs),
     )
@@ -559,7 +551,7 @@ def dup_model(alphabet=1):
         name="dup",
         alphabet=alphabet,
         basis=_dup_basis(alphabet),
-        degree=_tree_key_degree_dup,
+        degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={
             "delta": dup_coproduct,
@@ -567,7 +559,7 @@ def dup_model(alphabet=1):
             "dright": dup_dright,
         },
         generating_coproducts=("delta",),
-        cooperad=CooperadSpec(kind="as", dims=lambda n: 1),
+        cooperad=CooperadSpec(kind="as"),
         splitting=SplittingScheme(kind="as_monomial", product="right"),
     )
 
@@ -589,7 +581,7 @@ def dup_tree_cooperation(t):
             out = LinComb.zero()
             for key, c in dup_dright(lc).items():
                 ka, km = key
-                if _tree_key_degree_dup(km) == 1:
+                if _tree_key_degree(km) == 1:
                     out = out + fl(LinComb.of(ka)).tensor(LinComb.of(km)).scale(c)
             return out
         return coop
@@ -601,7 +593,7 @@ def dup_tree_cooperation(t):
             out = LinComb.zero()
             for key, c in dup_dleft(lc).items():
                 ku, kb = key
-                if _tree_key_degree_dup(ku) == 1:
+                if _tree_key_degree(ku) == 1:
                     out = out + LinComb.of(ku).tensor(fr(LinComb.of(kb))).scale(c)
             return out
         return coop
@@ -614,7 +606,7 @@ def dup_tree_cooperation(t):
             ku, kb = key
             for key2, c2 in dup_dright(LinComb.of(ku)).items():
                 ka, km = key2
-                if _tree_key_degree_dup(km) != 1:
+                if _tree_key_degree(km) != 1:
                     continue
                 piece = fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(
                     fr(LinComb.of(kb))
@@ -662,7 +654,7 @@ def bidup_model(alphabet=1):
         name="bidup",
         alphabet=alphabet,
         basis=_dup_basis(alphabet),
-        degree=_tree_key_degree_dup,
+        degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
@@ -671,7 +663,6 @@ def bidup_model(alphabet=1):
             cooperations=lambda n: [
                 (t, dup_tree_cooperation(t)) for t in trees.enumerate_trees(n + 1)
             ],
-            dims=lambda n: trees.catalan(n),
         ),
         splitting=SplittingScheme(kind="dual", pairs=_bidup_dual_pairs),
     )

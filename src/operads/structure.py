@@ -10,9 +10,8 @@ the PBW-analogue expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import LinComb, exact_rank, kernel_basis
+from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
 from .models import LETTERS, get_model, key_parts, tree_key
 from .trees import enumerate_trees, leaf_count
 from .idempotents import (
@@ -134,42 +133,21 @@ def _splitting_section_ok(model, max_degree):
     return True
 
 
-def lincombs_to_columns(lincombs, basis):
-    """Matrix whose columns are the given LinCombs in the given basis."""
-    pos = {k: i for i, k in enumerate(basis)}
-    mat = [[Fraction(0)] * len(lincombs) for _ in basis]
-    for j, lc in enumerate(lincombs):
-        for k, c in lc.items():
-            mat[pos[k]][j] = c
-    return mat
-
-
 def primitive_part(model, n):
     """Exact basis of the joint kernel of all generating reduced coproducts."""
     basis = list(model.basis(n))
     if n == 1:
         return [LinComb.of(k) for k in basis]
-    pos = {k: i for i, k in enumerate(basis)}
-    rows = []
-    row_index = {}
-    columns = []
-    for key in basis:
-        col = {}
-        for sym in model.generating_coproducts:
-            img = model.coproducts[sym](LinComb.of(key))
-            for tkey, c in img.items():
-                rkey = (sym, tkey)
-                if rkey not in row_index:
-                    row_index[rkey] = len(row_index)
-                col[row_index[rkey]] = col.get(row_index[rkey], 0) + c
-        columns.append(col)
-    nrows = len(row_index)
-    if nrows == 0:
+    mat = coords(
+        LinComb(
+            ((sym, tkey), c)
+            for sym in model.generating_coproducts
+            for tkey, c in model.coproducts[sym](LinComb.of(key)).items()
+        )
+        for key in basis
+    )
+    if not mat:
         return [LinComb.of(k) for k in basis]
-    mat = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            mat[i][j] = c
     vecs = kernel_basis(mat)
     return [
         LinComb((basis[i], v[i]) for i in range(len(basis)) if v[i])
@@ -185,7 +163,6 @@ class PbwComponent:
 
 
 def _apply_slotwise(fn, tensor_lc):
-    from .linalg import as_slots
     out = LinComb.zero()
     for key, c in tensor_lc.items():
         piece = None
@@ -205,6 +182,8 @@ def pbw_expand(model, a, scheme=None, max_degree=None):
     Reassembling the components through the splitting monomials returns
     the input exactly; see pbw_reassemble.
     """
+    if not a:
+        return []
     if scheme is None:
         scheme = model.splitting
     if max_degree is None:
@@ -251,7 +230,6 @@ def pbw_reassemble(model, comps, scheme=None):
 def composite_dims(c_dim, p_dim, n):
     """dim of (C o P)_n for one-generator nonsymmetric composites."""
     # weighted count of k-tuples with total degree n
-    tuples = {0: {0: 1}}  # k -> degree -> count
     total = 0
     counts = [1] + [0] * n  # counts[d] after k factors
     for k in range(1, n + 1):

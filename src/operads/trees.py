@@ -14,10 +14,6 @@ LEAF = "."
 Y = "(.,.)"  # the unique tree with two leaves
 
 
-def is_leaf(t):
-    return t == LEAF
-
-
 def leaf_count(t):
     return t.count(LEAF)
 

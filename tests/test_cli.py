@@ -72,6 +72,13 @@ def test_exit_two_on_usage_errors():
         ["series", "--check", "triple", "--names", "As"],
         ["idempotent", "--model", "as", "--kind", "nope"],
         ["suite"],
+        ["check", "--model", "as", "--relation", "nui", "--max-degree", "1"],
+        ["check", "--model", "as", "--relation", "nui", "--max-degree", "0"],
+        ["check", "--model", "as", "--relation", "nui", "--max-degree", "-3"],
+        ["check", "--model", "mag", "--coproduct", "liv", "--relation", "nap-colaw",
+         "--max-degree", "0"],
+        ["prim", "--model", "dup", "--degree", "0"],
+        ["prim", "--model", "dup", "--degree", "-1"],
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -105,6 +112,14 @@ def test_prim_and_idempotent_reports():
                    "--max-degree", "4")
     report = json.loads(proc.stdout)
     assert report["ranks"] == {"1": 1, "2": 0, "3": 0, "4": 0}
+
+
+def test_pbw_of_zero_element():
+    proc = run_cli("pbw", "--model", "dup", "--element", "0*(.,.):x")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["components"] == []
+    assert report["matchesInput"] is True
 
 
 def test_series_and_homology_commands():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: LinComb arithmetic, ranks, kernels, solving."""
+"""Exact linear algebra: LinComb arithmetic, coordinates, ranks, kernels, spans."""
 
 import random
 from fractions import Fraction
@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from operads.linalg import (
     GradedEndo,
     LinComb,
+    coords,
     exact_rank,
     frac_str,
+    in_span,
     kernel_basis,
     lincomb_json,
-    linear_solve,
     mat_mul,
     same_column_space,
     serialize_key,
@@ -88,17 +89,59 @@ def test_kernel_basis_annihilates_and_matches_rank_nullity():
             assert exact_rank(ker) == len(ker)
 
 
-def test_linear_solve_roundtrip_and_inconsistency():
-    rng = random.Random(4)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in m]
-        sol = linear_solve(m, rhs)
-        assert sol is not None
-        assert [sum(a * b for a, b in zip(row, sol)) for row in m] == rhs
-    assert linear_solve([[1, 1], [1, 1]], [0, 1]) is None
+def test_coords_in_a_declared_basis():
+    basis = ["x", "y", "z"]
+    cols = [LinComb({"y": 2, "x": Fraction(1, 3)}), LinComb.zero(), LinComb.of("z", -1)]
+    assert coords(cols, basis) == [
+        [Fraction(1, 3), 0, 0],
+        [2, 0, 0],
+        [0, 0, -1],
+    ]
+    assert coords([], basis) == [[], [], []]
+
+
+def test_coords_rows_follow_first_appearance_without_basis():
+    cols = [LinComb({"b": 1}), LinComb({"a": 2, "b": 3}), LinComb({"c": -1, "a": 1})]
+    assert coords(cols) == [  # rows b, a, c
+        [1, 3, 0],
+        [0, 2, 1],
+        [0, 0, -1],
+    ]
+    assert coords([LinComb.zero()]) == []
+
+
+def test_coords_rejects_a_key_outside_the_basis():
+    with pytest.raises(ValueError):
+        coords([LinComb.of("x"), LinComb.of("w")], ["x", "y"])
+
+
+def test_coords_consumes_a_generator():
+    basis = ["x", "y"]
+    seen = []
+
+    def images():
+        for key in basis:
+            seen.append(key)
+            yield LinComb.of(key, 2) + LinComb.of("y")
+
+    assert coords(images(), basis) == [[2, 0], [1, 3]]
+    assert seen == basis
+
+
+def test_in_span_agrees_with_exact_rank():
+    span = [LinComb({"x": 1, "y": 1}), LinComb({"y": 1, "z": -1})]
+    inside = LinComb({"x": 2, "y": 5, "z": -3})
+    outside = LinComb({"x": 1, "z": -1})
+    basis = ["x", "y", "z"]
+    base = exact_rank(coords(span, basis))
+    assert in_span(span, inside)
+    assert exact_rank(coords(span + [inside], basis)) == base
+    assert not in_span(span, outside)
+    assert exact_rank(coords(span + [outside], basis)) == base + 1
+    assert in_span(span, LinComb.zero())
+    assert in_span([], LinComb.zero())
+    assert not in_span([], LinComb.of("x"))
+    assert not in_span(span, LinComb.of("w"))
 
 
 coeffs = st.fractions(

@@ -19,6 +19,7 @@ from operads.models import (
     lie_bracket,
     lie_cobracket,
     lie_subspace,
+    lie_tensor_escape,
     mag_dual_coproduct,
     mag_hopf_coproduct,
     mag_product,
@@ -292,6 +293,12 @@ def test_lie_cobracket_escapes_lie_tensor_lie_in_degree_4():
         }
     )
     assert not lie_tensor_membership(img, 4)
+
+
+def test_lie_tensor_escape_first_happens_in_degree_4():
+    assert not lie_tensor_escape(2, 2)
+    assert not lie_tensor_escape(2, 3)
+    assert lie_tensor_escape(2, 4)
 
 
 # --- registry ------------------------------------------------------------------

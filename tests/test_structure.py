@@ -192,6 +192,13 @@ def test_classical_pbw_degree_2_and_3():
     assert comps[-1].arity == 3
 
 
+def test_pbw_of_zero_has_no_components():
+    for name in ("dup", "mag", "classical"):
+        model = get_model(name)
+        assert pbw_expand(model, LinComb.zero()) == []
+        assert pbw_reassemble(model, []) == LinComb.zero()
+
+
 def test_mag_pbw_roundtrip_with_dual_scheme():
     model = get_model("mag", 2)
     mul = model.products["mul"]
