@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the requested check holds (or for plain computations),
 1 when a mathematical check is falsified (the report carries a witness),
-2 on usage errors.
+2 on usage errors, 3 on an internal error (a bug in this program).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from . import trees
@@ -116,6 +117,19 @@ def _get_model_arg(args):
         )
 
 
+def _atomic_model_arg(args):
+    """The model of args, refused when its basis entries are not atomic keys.
+
+    The lie model's basis entries are LinCombs, which the matrix builders
+    cannot use as coordinates.
+    """
+    model = _get_model_arg(args)
+    if model.name == "lie":
+        raise UsageError("%s does not support model lie (its basis entries are "
+                         "linear combinations, not keys)" % args.command)
+    return model
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_trees(args):
@@ -156,6 +170,8 @@ def cmd_product(args):
 
 def cmd_check(args):
     model = _get_model_arg(args)
+    if args.coproduct not in model.coproducts:
+        raise UsageError("model %s has no coproduct %r" % (model.name, args.coproduct))
     if args.relation == "nap-colaw":
         if args.max_degree < 1:
             raise UsageError("nap-colaw needs --max-degree >= 1")
@@ -168,8 +184,6 @@ def cmd_check(args):
                 "unknown relation %r (choose from %s)"
                 % (args.relation, ", ".join(relation_names() + ["nap-colaw"]))
             )
-        if args.coproduct not in model.coproducts:
-            raise UsageError("model %s has no coproduct %r" % (model.name, args.coproduct))
         if args.product not in model.products:
             raise UsageError("model %s has no product %r" % (model.name, args.product))
         if args.max_degree < 2:
@@ -185,7 +199,7 @@ def cmd_check(args):
 
 
 def cmd_prim(args):
-    model = _get_model_arg(args)
+    model = _atomic_model_arg(args)
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
     basis = primitive_part(model, args.degree)
@@ -218,8 +232,10 @@ def cmd_pbw(args):
 
 
 def cmd_idempotent(args):
-    model = _get_model_arg(args)
+    model = _atomic_model_arg(args)
     n = args.max_degree
+    if n < 1:
+        raise UsageError("--max-degree must be >= 1")
     kind = args.kind
     if kind == "versal":
         if model.splitting is None:
@@ -266,6 +282,8 @@ _STRUCTURE_TRIPLES = {
 def cmd_verify(args):
     model = _get_model_arg(args)
     if args.what == "h2":
+        if args.max_degree < 2:
+            raise UsageError("h2 needs --max-degree >= 2")
         report = check_h2(model, args.max_degree)
         if report.verdict == "unsupported":
             raise UsageError("model %s has no cooperad declaration" % model.name)
@@ -273,6 +291,8 @@ def cmd_verify(args):
         return 0 if report.verdict in ("iso", "epi-with-splitting") else 1
     if model.name not in _STRUCTURE_TRIPLES:
         raise UsageError("no structure-iso dimension data for model %s" % model.name)
+    if args.max_degree < 1:
+        raise UsageError("structure-iso needs --max-degree >= 1")
     c_dim, p_dim = _STRUCTURE_TRIPLES[model.name]
     report = verify_structure_iso(c_dim, model, p_dim, args.max_degree)
     _emit(report.to_json_dict())
@@ -635,6 +655,10 @@ def main(argv=None):
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = 2
+    except Exception as exc:  # a bug in this program, not in its input
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc()
+        code = 3
     sys.exit(code)
 
 

@@ -146,8 +146,7 @@ def total_homology_dims(slice_or_n):
     n = bc.n
     ranks = [0] * (n + 1)  # ranks[m] = rank of D_m: Tot_m -> Tot_{m-1}
     for m in range(1, n):
-        mat = total_matrix(bc, m)
-        ranks[m] = exact_rank(mat) if mat and mat[0] else 0
+        ranks[m] = exact_rank(total_matrix(bc, m))
     return [bc.tot_dim(m) - ranks[m] - ranks[m + 1] for m in range(n)]
 
 

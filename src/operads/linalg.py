@@ -2,16 +2,17 @@
 
 Everything in this package is built on LinComb, a finite linear
 combination of hashable basis keys with Fraction coefficients.  `coords`
-is the one way from LinCombs to a matrix, and fraction-free Gaussian
-elimination (`exact_rank`, `kernel_basis`, `in_span`) is the one way to
-ranks, kernels and span membership.  No floating point anywhere.
+is the one way from LinCombs to a matrix, and one sparse fraction-free
+integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis`,
+`in_span` and `same_column_space`) is the one way to ranks, kernels and
+span membership.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 
 def as_slots(key):
@@ -204,86 +205,125 @@ def coords(lincombs, basis=None):
     return mat
 
 
-# --- fraction-free elimination -------------------------------------------
+# --- sparse fraction-free elimination --------------------------------------
 
-def _integer_rows(m):
-    """Copy of m with each row scaled to integers (kills denominators)."""
+def _echelon(m):
+    """Sparse integer row echelon of a dense rational matrix.
+
+    Returns (rows, pivots): rows[r] is a {column: int} dict whose first
+    column is pivots[r].  Pivot columns are taken left to right and never
+    permuted, so they are the lexicographically first column basis.  Each
+    row has its denominators cleared and is kept divided by its content;
+    within a column the candidate row with the fewest nonzeros is the pivot
+    (ties to the lower index), and a step touches only the rows that have
+    an entry in that column.  Input is not modified.
+    """
     rows = []
     for row in m:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        rows.append([int(f * mult) for f in fr])
-    return rows
-
-
-def _bareiss(m):
-    """Fraction-free (Bareiss) row echelon of an integer matrix.
-
-    Returns (echelon rows, pivot column list).  Input is not modified.
-    """
-    a = _integer_rows(m)
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots = []
-    prev = 1
-    r = 0
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            d = lcm(*(x.denominator for x in nz.values()))
+            rows.append(_primitive({j: x.numerator * (d // x.denominator) for j, x in nz.items()}))
+    nc = len(m[0]) if rows else 0
+    where = [set() for _ in range(nc)]  # column -> active rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    ech, pivots = [], []
+    active = len(rows)
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
+        cands = where[c]
+        if not cands:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for j in prow:
+            where[j].discard(p)
+        active -= 1
+        b = prow[c]
+        for i in list(cands):
+            row = rows[i]
+            a = row[c]
+            g = gcd(a, b)
+            a, bg = a // g, b // g
+            new = {j: bg * x for j, x in row.items()} if bg != 1 else dict(row)
+            for j, y in prow.items():
+                x = new.get(j, 0) - a * y
+                if x:
+                    if j not in new:
+                        where[j].add(i)
+                    new[j] = x
+                elif j in new:
+                    del new[j]
+                    where[j].discard(i)
+            if new:
+                rows[i] = _primitive(new)
+            else:
+                active -= 1
+        ech.append(prow)
         pivots.append(c)
-        r += 1
-        if r == nr:
+        if not active:
             break
-    return a, pivots
+    return ech, pivots
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 def exact_rank(m):
-    if not m or not m[0]:
-        return 0
-    return len(_bareiss(m)[1])
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m):
-    """Basis of the right kernel, one vector per free column.
+    """Basis of the right kernel, one vector per free column, in column order.
 
-    Vectors are Fraction lists; the free coordinate of each is 1.
+    Vectors are Fraction lists; each is 1 at its free column and 0 at every
+    other free column (the reduced-echelon kernel).
     """
-    if not m:
+    if not m or not m[0]:
         return []
     nc = len(m[0])
-    if nc == 0:
-        return []
-    ech, pivots = _bareiss(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
+    ech, pivots = _echelon(m)
+    row_of = {c: r for r, c in enumerate(pivots)}
+    # back-substitute, last pivot first, to the reduced echelon form:
+    # x[pivots[r]] is the sum of solved[r][f] * x[f] over free columns f
+    solved = [None] * len(pivots)
+    for r in range(len(pivots) - 1, -1, -1):
+        acc = {}
+        for j, x in ech[r].items():
+            s = row_of.get(j)
+            if s is None:
+                acc[j] = acc.get(j, 0) + x
+            elif s != r:
+                for f, y in solved[s].items():
+                    acc[f] = acc.get(f, 0) + x * y
+        lead = -ech[r][pivots[r]]
+        solved[r] = {f: Fraction(x) / lead for f, x in acc.items() if x}
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            s = sum(Fraction(ech[r][c]) * v[c] for c in range(p + 1, nc) if v[c])
-            v[p] = -s / ech[r][p]
-        basis.append(v)
+    for f in range(nc):
+        if f not in row_of:
+            v = [zero] * nc
+            v[f] = one
+            for p, sol in zip(pivots, solved):
+                if f in sol:
+                    v[p] = sol[f]
+            basis.append(v)
     return basis
 
 
 def in_span(lincombs, lc):
-    """Is lc a linear combination of the given LinCombs?  Exact ranks."""
+    """Is lc a linear combination of the given LinCombs?
+
+    With pivots taken left to right, exactly when lc's column (the last)
+    is not a pivot column.
+    """
     mat = coords(chain(lincombs, (lc,)))
-    return exact_rank(mat) == exact_rank([row[:-1] for row in mat])
+    pivots = _echelon(mat)[1]
+    return not pivots or pivots[-1] != len(mat[0]) - 1
 
 
 def mat_mul(a, b):
@@ -308,8 +348,8 @@ def same_column_space(a, b):
     """Do the columns of a and b span the same subspace?  Exact ranks."""
     if not a and not b:
         return True
-    ra = exact_rank(a) if a else 0
-    rb = exact_rank(b) if b else 0
+    ra = exact_rank(a)
+    rb = exact_rank(b)
     if ra != rb:
         return False
     if ra == 0:
@@ -381,8 +421,7 @@ class GradedEndo:
         return GradedEndo(self.bases, mats)
 
     def rank(self, n):
-        mat = self.mats[n]
-        return exact_rank(mat) if mat else 0
+        return exact_rank(self.mats[n])
 
     def __eq__(self, other):
         return isinstance(other, GradedEndo) and self.mats == other.mats

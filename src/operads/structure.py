@@ -103,7 +103,7 @@ def check_h2(model, max_degree):
         mat = phi_map(model, n)
         dim_c = len(mat)
         dim_a = len(mat[0]) if mat else 0
-        rank = exact_rank(mat) if mat and mat[0] else 0
+        rank = exact_rank(mat)
         rows.append((n, dim_a, dim_c, rank))
         if not (dim_a == dim_c == rank):
             all_iso = False

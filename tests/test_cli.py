@@ -79,10 +79,41 @@ def test_exit_two_on_usage_errors():
          "--max-degree", "0"],
         ["prim", "--model", "dup", "--degree", "0"],
         ["prim", "--model", "dup", "--degree", "-1"],
+        ["verify", "--model", "dup", "--what", "h2", "--max-degree", "0"],
+        ["verify", "--model", "dup", "--what", "h2", "--max-degree", "1"],
+        ["verify", "--model", "dup", "--what", "structure-iso", "--max-degree", "0"],
+        ["idempotent", "--model", "dup", "--kind", "versal", "--max-degree", "0"],
+        ["prim", "--model", "lie", "--degree", "2"],
+        ["idempotent", "--model", "lie", "--kind", "geometric", "--max-degree", "3"],
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:")
+
+
+def test_nap_colaw_names_a_missing_coproduct():
+    proc = run_cli("check", "--model", "as", "--relation", "nap-colaw",
+                   "--coproduct", "nope", "--max-degree", "3")
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "error: model as has no coproduct 'nope'"
+
+
+def test_exit_three_on_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise TypeError("unhashable type: 'LinComb'")
+
+    monkeypatch.setattr("operads.cli.cmd_prim", broken)
+    with pytest.raises(SystemExit) as exc:
+        main(["prim", "--model", "dup", "--degree", "2"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: TypeError: unhashable type: 'LinComb'")
+
+
+def test_check_on_the_lie_model_still_runs():
+    proc = run_cli("check", "--model", "lie", "--relation", "lily", "--max-degree", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["holds"] is True
 
 
 # --- a few commands end to end ----------------------------------------------

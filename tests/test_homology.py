@@ -58,6 +58,13 @@ def test_homology_is_concentrated_in_the_bottom_degree():
         assert total_homology_dims(n) == [0] * n
 
 
+def test_homology_vanishes_in_degree_6_and_matches_euler_characteristic():
+    bc = build_bicomplex(6)
+    dims = total_homology_dims(bc)
+    assert dims == [0] * 6
+    assert euler_characteristic(bc) == sum((-1) ** m * h for m, h in enumerate(dims))
+
+
 def test_euler_characteristic_matches_alternating_sum():
     for n in range(1, 6):
         dims = total_dims(n)

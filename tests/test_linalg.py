@@ -89,6 +89,72 @@ def test_kernel_basis_annihilates_and_matches_rank_nullity():
             assert exact_rank(ker) == len(ker)
 
 
+def random_sparse(rng, nr, nc):
+    """About 80 % zeros, rational entries, and some all-zero rows and columns."""
+    zero_rows = set(rng.sample(range(nr), rng.randint(0, nr // 3)))
+    zero_cols = set(rng.sample(range(nc), rng.randint(0, nc // 3)))
+    return [
+        [
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            if i not in zero_rows and j not in zero_cols and rng.random() < 0.2
+            else Fraction(0)
+            for j in range(nc)
+        ]
+        for i in range(nr)
+    ]
+
+
+def test_exact_rank_on_sparse_matrices_against_naive_oracle():
+    rng = random.Random(31)
+    for _ in range(400):
+        m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12))
+        assert exact_rank(m) == naive_rank(m)
+    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank([]) == exact_rank([[]]) == 0
+
+
+def test_kernel_basis_is_the_reduced_echelon_kernel():
+    rng = random.Random(5)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 10), rng.randint(1, 10)
+        m = random_sparse(rng, nr, nc)
+        # a column is free when it does not raise the rank of the columns before it
+        free = [
+            c for c in range(nc)
+            if naive_rank([row[:c + 1] for row in m]) == naive_rank([row[:c] for row in m])
+        ]
+        ker = kernel_basis(m)
+        assert len(ker) == len(free)
+        for f, v in zip(free, ker):
+            assert len(v) == nc
+            assert all(isinstance(x, Fraction) for x in v)
+            assert [v[g] for g in free] == [1 if g == f else 0 for g in free]
+            for row in m:
+                assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def test_in_span_agrees_with_two_ranks_on_random_inputs():
+    rng = random.Random(11)
+    basis = ["x", "y", "z", "u", "v", "w"]
+
+    def random_lc():
+        return LinComb(
+            (k, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for k in basis if rng.random() < 0.3
+        )
+
+    for _ in range(300):
+        span = [random_lc() for _ in range(rng.randint(0, 4))]
+        if span and rng.random() < 0.5:
+            lc = LinComb.zero()
+            for s in span:
+                lc = lc + s.scale(rng.randint(-2, 2))
+        else:
+            lc = random_lc()
+        two_ranks = naive_rank(coords(span + [lc], basis)) == naive_rank(coords(span, basis))
+        assert in_span(span, lc) == two_ranks
+
+
 def test_coords_in_a_declared_basis():
     basis = ["x", "y", "z"]
     cols = [LinComb({"y": 2, "x": Fraction(1, 3)}), LinComb.zero(), LinComb.of("z", -1)]

@@ -84,6 +84,29 @@ def test_primitive_dimensions():
     assert [len(primitive_part(cl, n)) for n in range(1, 6)] == [2, 1, 2, 3, 6]
 
 
+def witt(n, k):
+    """Necklace polynomial: the degree-n dimension of the free Lie algebra on k letters."""
+    def mobius(d):
+        sign, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if d > 1 else sign
+
+    return sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_primitive_dimensions_past_the_pinned_degrees():
+    # differential oracles: Catalan numbers for dup, the Witt formula for classical
+    assert [witt(n, 2) for n in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+    assert len(primitive_part(get_model("dup", 1), 7)) == catalan(6) == 132
+    assert len(primitive_part(get_model("classical", 2), 7)) == witt(7, 2) == 18
+
+
 def test_primitives_really_are_primitive():
     model = get_model("dup", 1)
     for n in range(2, 6):
