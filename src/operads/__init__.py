@@ -27,8 +27,6 @@ from .trees import (
 )
 from .models import (
     BialgebraModel,
-    CooperadSpec,
-    SplittingScheme,
     get_model,
     key_parts,
     left_nested_bracket,

@@ -132,18 +132,31 @@ def _atomic_model_arg(args):
 
 # --- subcommand handlers -----------------------------------------------------
 
+def _validate_tree(t):
+    try:
+        trees.validate(t)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def cmd_trees(args):
     if args.action == "enumerate":
+        if args.leaves < 1:
+            raise UsageError("need at least one leaf")
         ts = list(trees.enumerate_trees(args.leaves))
         _emit(ts if args.format == "text" else list(ts), args.format)
         return 0
     if args.action == "graft":
         for t in (args.left, args.right):
-            trees.validate(t)
+            _validate_tree(t)
         fn = {"over": trees.over, "under": trees.under, "vee": trees.vee}[args.kind]
         _emit(fn(args.left, args.right), "text")
         return 0
-    trees.validate(args.tree)
+    _validate_tree(args.tree)
+    leaves = trees.leaf_count(args.tree)
+    if not 1 <= args.index <= leaves - 2:
+        raise UsageError("cut index %d out of range for a tree with %d leaves"
+                         % (args.index, leaves))
     left, right = trees.path_cut(args.tree, args.index)
     _emit([left, right])
     return 0
@@ -186,6 +199,7 @@ def cmd_check(args):
             )
         if args.product not in model.products:
             raise UsageError("model %s has no product %r" % (model.name, args.product))
+        _check_relation_symbols(model, args.relation)
         if args.max_degree < 2:
             raise UsageError("a relation needs --max-degree >= 2")
         report = check_relation(
@@ -196,6 +210,19 @@ def cmd_check(args):
         d.pop("firstFailure", None)
     _emit(d)
     return 0 if report.holds else 1
+
+
+def _check_relation_symbols(model, relation):
+    """Refuse a relation that names a (co)product the model lacks."""
+    for term in get_relation(relation).terms:
+        for sym in term.in_coops:
+            if sym not in ("id", "delta") and sym not in model.coproducts:
+                raise UsageError("relation %s needs coproduct %r, which model %s lacks"
+                                 % (relation, sym, model.name))
+        for sym in term.out_ops:
+            if sym not in ("id", "mu") and sym not in model.products:
+                raise UsageError("relation %s needs product %r, which model %s lacks"
+                                 % (relation, sym, model.name))
 
 
 def cmd_prim(args):
@@ -231,6 +258,16 @@ def cmd_pbw(args):
     return 0 if ok else 1
 
 
+def _convolution_context(model):
+    """The default context (product mul, coproduct delta) of the model."""
+    ctx = ConvolutionContext(model)
+    if ctx.mu not in model.products:
+        raise UsageError("model %s has no product %r" % (model.name, ctx.mu))
+    if ctx.delta not in model.coproducts:
+        raise UsageError("model %s has no coproduct %r" % (model.name, ctx.delta))
+    return ctx
+
+
 def cmd_idempotent(args):
     model = _atomic_model_arg(args)
     n = args.max_degree
@@ -248,13 +285,15 @@ def cmd_idempotent(args):
             raise UsageError("eulerian index must be an integer")
         if i < 1:
             raise UsageError("eulerian index must be >= 1")
-        endo = eulerian(ConvolutionContext(model), i, n)
+        if i > n:
+            raise UsageError("eulerian index must be <= --max-degree")
+        endo = eulerian(_convolution_context(model), i, n)
     elif kind == "dynkin":
         if not model.classical:
             raise UsageError("dynkin is defined on the classical model only")
         endo = dynkin(n, model.alphabet)
     elif kind == "geometric":
-        endo = geometric_idempotent(ConvolutionContext(model), n)
+        endo = geometric_idempotent(_convolution_context(model), n)
     else:
         raise UsageError("unknown idempotent kind %r" % kind)
     report = {"model": model.name, "kind": kind, "maxDegree": n}
@@ -299,8 +338,14 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
+def _check_order(order):
+    if order < 1:
+        raise UsageError("order must be >= 1")
+
+
 def cmd_series(args):
     if args.show:
+        _check_order(args.order)
         try:
             s = gen_series(args.show, args.order)
         except KeyError:
@@ -319,10 +364,12 @@ def cmd_series(args):
     if args.check == "triple":
         if len(names) != 3:
             raise UsageError("--check triple needs --names C,A,P")
+        _check_order(args.order)
         ok = check_triple_identity(names[0], names[1], names[2], args.order)
     elif args.check == "koszul":
         if len(names) != 2:
             raise UsageError("--check koszul needs --names P,PDUAL")
+        _check_order(args.order)
         ok = check_koszul_dual(names[0], names[1], args.order)
     else:
         raise UsageError("unknown series check %r" % args.check)
@@ -331,6 +378,8 @@ def cmd_series(args):
 
 
 def cmd_homology(args):
+    if args.internal_degree < 1:
+        raise UsageError("internal degree must be >= 1")
     report = homology_report(args.internal_degree, check_only=args.check_only)
     _emit(report)
     return 0 if report["differentialChecks"] else 1
@@ -650,9 +699,6 @@ def main(argv=None):
     try:
         code = args.fn(args)
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        code = 2
-    except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = 2
     except Exception as exc:  # a bug in this program, not in its input

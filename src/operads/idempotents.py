@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import GradedEndo, LinComb, as_slots
-from .models import BialgebraModel, left_nested_bracket, words
+from .linalg import GradedEndo, LinComb
+from .models import BialgebraModel, left_nested_bracket
+from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -155,69 +156,16 @@ def geometric_idempotent(ctx, max_degree):
     return materialize(ctx.model, geometric_map(ctx, max_degree), max_degree)
 
 
-def iterated_coproduct(coproduct, k):
-    """The k-iterated reduced coproduct (k+1 output slots); k=0 is Id."""
-    def iterate(lc):
-        cur = lc
-        for step in range(k):
-            nxt = LinComb.zero()
-            for key, c in cur.items():
-                slots = as_slots(key)
-                head = coproduct(LinComb.of(slots[0]))
-                if head:
-                    tail = LinComb.of(slots[1:]) if len(slots) > 1 else None
-                    piece = head if tail is None else head.tensor(tail)
-                    nxt = nxt + piece.scale(c)
-            cur = nxt
-            if not cur:
-                break
-        return cur
-    return iterate
+def omega_map(model, n, max_degree):
+    """omega^[n] = s(n) o Delta^[n]: each n-ary cooperation, then its operation.
 
-
-def fold_product(product, tensor_lc, scalar=Fraction(1)):
-    """Right-nested product of the slots of every tensor key."""
-    out = LinComb.zero()
-    for key, c in tensor_lc.items():
-        slots = as_slots(key)
-        acc = LinComb.of(slots[-1])
-        for s in reversed(slots[:-1]):
-            acc = product(LinComb.of(s), acc)
-        out = out + acc.scale(c * scalar)
-    return out
-
-
-def apply_splitting(model, scheme, k, tensor_lc):
-    """s(k) applied to a k-slot tensor; only monomial-style schemes."""
-    if scheme.kind not in ("as_monomial", "classical"):
-        raise ValueError("splitting scheme %r has no single monomial" % scheme.kind)
-    return fold_product(model.products[scheme.product], tensor_lc, scheme.scalar(k))
-
-
-def omega_map(model, scheme, n, max_degree, ctx=None):
-    """omega^[n]: split after the arity-n cooperation, then multiply back."""
+    On the classical model omega^[n] is the sum of the Eulerian idempotents
+    e^(k), k >= n, which share the cached convolution-log family.
+    """
     if n < 2:
         raise ValueError("omega is defined for arity >= 2")
-    if scheme.kind in ("as_monomial",):
-        coproduct = model.coproducts["delta"]
-        iterate = iterated_coproduct(coproduct, n - 1)
-
-        def omega(lc):
-            return fold_product(model.products[scheme.product], iterate(lc), scheme.scalar(n))
-        return memoized(omega)
-    if scheme.kind == "dual":
-        pairs = scheme.pairs(n)
-
-        def omega(lc):
-            out = LinComb.zero()
-            for coop, op in pairs:
-                out = out + op(coop(lc))
-            return out
-        return memoized(omega)
-    if scheme.kind == "classical":
-        if ctx is None:
-            ctx = ConvolutionContext(model)
-        family = eulerian_family(ctx, max_degree)
+    if model.classical:
+        family = eulerian_family(ConvolutionContext(model), max_degree)
 
         def omega(lc):
             out = LinComb.zero()
@@ -225,20 +173,23 @@ def omega_map(model, scheme, n, max_degree, ctx=None):
                 out = out + family[k - 1](lc)
             return out
         return memoized(omega)
-    raise ValueError("unknown splitting scheme kind %r" % scheme.kind)
+    triples = model.splitting(n)
+
+    def omega(lc):
+        out = LinComb.zero()
+        for _, coop, op in triples:
+            out = out + op(coop(lc))
+        return out
+    return memoized(omega)
 
 
-def omega(model, scheme, n, max_degree):
-    return materialize(model, omega_map(model, scheme, n, max_degree), max_degree)
+def omega(model, n, max_degree):
+    return materialize(model, omega_map(model, n, max_degree), max_degree)
 
 
-def versal_idempotent_map(model, scheme, max_degree):
+def versal_idempotent_map(model, max_degree):
     """e = (Id - omega^[2])(Id - omega^[3]) ... , finite in each degree."""
-    ctx = ConvolutionContext(model) if scheme.kind == "classical" else None
-    omegas = [
-        omega_map(model, scheme, n, max_degree, ctx=ctx)
-        for n in range(2, max_degree + 1)
-    ]
+    omegas = [omega_map(model, n, max_degree) for n in range(2, max_degree + 1)]
 
     def versal(lc):
         cur = lc
@@ -248,9 +199,7 @@ def versal_idempotent_map(model, scheme, max_degree):
     return memoized(versal)
 
 
-def versal_idempotent(model, scheme=None, max_degree=6):
-    if scheme is None:
-        scheme = model.splitting
-    if scheme is None:
+def versal_idempotent(model, max_degree=6):
+    if model.splitting is None:
         raise ValueError("model %s declares no splitting scheme" % model.name)
-    return materialize(model, versal_idempotent_map(model, scheme, max_degree), max_degree)
+    return materialize(model, versal_idempotent_map(model, max_degree), max_degree)

@@ -5,17 +5,20 @@ algebras; planar binary trees decorated with words carry the free
 magmatic and duplicial algebras.  Each model packages its graded basis,
 named products and named reduced coproducts behind one interface so the
 relation checker and the idempotent engine can treat them uniformly.
+A model with a coalgebra splitting also lists, per arity, its labeled
+cooperations paired with their splitting operations; the associative
+cooperad is the one-label case.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .linalg import LinComb, coords, exact_rank, in_span, tensor_transpose
+from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -353,32 +356,49 @@ def lie_tensor_escape(alphabet, n):
 
 # --- model plumbing -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CooperadSpec:
-    """How to present the cooperad side for the map phi.
+def iterated_coproduct(coproduct, k):
+    """The k-iterated reduced coproduct (k+1 output slots); k=0 is Id."""
+    def iterate(lc):
+        cur = lc
+        for step in range(k):
+            nxt = LinComb.zero()
+            for key, c in cur.items():
+                slots = as_slots(key)
+                head = coproduct(LinComb.of(slots[0]))
+                if head:
+                    tail = LinComb.of(slots[1:]) if len(slots) > 1 else None
+                    piece = head if tail is None else head.tensor(tail)
+                    nxt = nxt + piece.scale(c)
+            cur = nxt
+            if not cur:
+                break
+        return cur
+    return iterate
 
-    kind "as": the cooperad is the associative one; the single degree-n
-    cooperation is the (n-1)-iterated reduced coproduct named by `delta`.
-    kind "dual": an explicit dual basis of labeled n-ary cooperations.
+
+def fold_product(product, tensor_lc, scalar):
+    """Right-nested product of the slots of every tensor key, times scalar."""
+    out = LinComb.zero()
+    for key, c in tensor_lc.items():
+        slots = as_slots(key)
+        acc = LinComb.of(slots[-1])
+        for s in reversed(slots[:-1]):
+            acc = product(LinComb.of(s), acc)
+        out = out + acc.scale(c * scalar)
+    return out
+
+
+def _monomial_splitting(coproduct, product, scalar=lambda n: Fraction(1)):
+    """The associative cooperad as a one-label splitting.
+
+    Its one n-ary cooperation is the (n-1)-iterated reduced coproduct,
+    paired with the right-nested n-fold product times scalar(n).
     """
-    kind: str
-    delta: str = "delta"
-    cooperations: Callable[[int], list] | None = None  # n -> [(label, fn)]
-
-
-@dataclass(frozen=True)
-class SplittingScheme:
-    """A coalgebra splitting: one designated n-ary product monomial per n.
-
-    kind "as_monomial": fold the named binary product right-nested, with
-    an optional per-arity scalar.  kind "classical": same fold with the
-    1/n! normalization of the symmetrized case.  kind "dual": dual-basis
-    pairs (cooperation, n-ary operation) per arity.
-    """
-    kind: str
-    product: str = "mul"
-    scalar: Callable[[int], Fraction] = lambda k: Fraction(1)
-    pairs: Callable[[int], list] | None = None  # n -> [(coop fn, nary op fn)]
+    def splitting(n):
+        def operation(tensor_lc):
+            return fold_product(product, tensor_lc, scalar(n))
+        return [(None, iterated_coproduct(coproduct, n - 1), operation)]
+    return splitting
 
 
 @dataclass(frozen=True)
@@ -390,8 +410,9 @@ class BialgebraModel:
     products: dict
     coproducts: dict
     generating_coproducts: tuple
-    cooperad: CooperadSpec | None = None
-    splitting: SplittingScheme | None = None
+    # arity n -> [(label, cooperation, operation)]: the n-ary cooperations
+    # of the cooperad side, each paired with its splitting operation
+    splitting: Callable[[int], list] | None = None
     classical: bool = False
 
 
@@ -413,8 +434,7 @@ def as_model(alphabet=1):
         products={"mul": as_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        cooperad=CooperadSpec(kind="as"),
-        splitting=SplittingScheme(kind="as_monomial", product="mul"),
+        splitting=_monomial_splitting(as_deconcat, as_concat),
     )
 
 
@@ -428,9 +448,8 @@ def classical_model(alphabet=2):
         products={"mul": as_concat},
         coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
-        cooperad=None,
-        splitting=SplittingScheme(
-            kind="classical", product="mul",
+        splitting=_monomial_splitting(
+            as_shuffle_coproduct, as_concat,
             scalar=lambda k: Fraction(1, _factorial(k)),
         ),
         classical=True,
@@ -506,7 +525,7 @@ def _mag_tree_apply(t, slots):
 
 def _mag_dual_pairs(n):
     return [
-        (mag_tree_cooperation(t), mag_tree_operation(t))
+        (t, mag_tree_cooperation(t), mag_tree_operation(t))
         for t in trees.enumerate_trees(n)
     ]
 
@@ -525,13 +544,7 @@ def mag_model(alphabet=1):
             "hopf": mag_hopf_coproduct,
         },
         generating_coproducts=("delta",),
-        cooperad=CooperadSpec(
-            kind="dual",
-            cooperations=lambda n: [
-                (t, mag_tree_cooperation(t)) for t in trees.enumerate_trees(n)
-            ],
-        ),
-        splitting=SplittingScheme(kind="dual", pairs=_mag_dual_pairs),
+        splitting=_mag_dual_pairs,
     )
 
 
@@ -559,8 +572,7 @@ def dup_model(alphabet=1):
             "dright": dup_dright,
         },
         generating_coproducts=("delta",),
-        cooperad=CooperadSpec(kind="as"),
-        splitting=SplittingScheme(kind="as_monomial", product="right"),
+        splitting=_monomial_splitting(dup_coproduct, dup_right),
     )
 
 
@@ -643,7 +655,7 @@ def _dup_tree_apply(t, slots):
 
 def _bidup_dual_pairs(n):
     return [
-        (dup_tree_cooperation(t), dup_tree_operation(t))
+        (t, dup_tree_cooperation(t), dup_tree_operation(t))
         for t in trees.enumerate_trees(n + 1)
     ]
 
@@ -658,13 +670,7 @@ def bidup_model(alphabet=1):
         products={"left": dup_left, "right": dup_right},
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
-        cooperad=CooperadSpec(
-            kind="dual",
-            cooperations=lambda n: [
-                (t, dup_tree_cooperation(t)) for t in trees.enumerate_trees(n + 1)
-            ],
-        ),
-        splitting=SplittingScheme(kind="dual", pairs=_bidup_dual_pairs),
+        splitting=_bidup_dual_pairs,
     )
 
 

@@ -66,11 +66,32 @@ def expr_from_dict(d):
     return expr
 
 
+def _library_text():
+    return resources.files("operads").joinpath("data/relations.json").read_text()
+
+
 def load_library():
-    """The shipped relation library, keyed by name."""
-    text = resources.files("operads").joinpath("data/relations.json").read_text()
-    raw = json.loads(text)
-    return {name: expr_from_dict(entry) for name, entry in raw.items()}
+    """The shipped relation library, keyed by name.
+
+    An entry is a relation body, or a string naming the body it aliases.
+    Two equal bodies and an alias that names no body are errors.
+    """
+    raw = json.loads(_library_text())
+    bodies = {
+        name: expr_from_dict(entry) for name, entry in raw.items() if not isinstance(entry, str)
+    }
+    first = {}
+    for name, expr in bodies.items():
+        other = first.setdefault(expr, name)
+        if other != name:
+            raise ValueError("relations %r and %r have the same body; make one an alias"
+                             % (other, name))
+    library = {}
+    for name, entry in raw.items():
+        if isinstance(entry, str) and entry not in bodies:
+            raise ValueError("alias %r names %r, which is not a relation body" % (name, entry))
+        library[name] = bodies[entry if isinstance(entry, str) else name]
+    return library
 
 
 _LIBRARY = None

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
 from .models import LETTERS, get_model, key_parts, tree_key
 from .trees import enumerate_trees, leaf_count
-from .idempotents import (
-    apply_splitting,
-    iterated_coproduct,
-    versal_idempotent_map,
-)
+from .idempotents import versal_idempotent_map
 
 
 def _word_of(key):
@@ -49,32 +45,17 @@ def generator_key(model, letter):
     return letter
 
 
-def _cooperations(model, n):
-    spec = model.cooperad
-    if spec is None:
-        raise ValueError("model %s declares no cooperad" % model.name)
-    if spec.kind == "as":
-        delta = model.coproducts[spec.delta]
-        return [(None, iterated_coproduct(delta, n - 1))]
-    return list(spec.cooperations(n))
-
-
 def phi_map(model, n):
     """Matrix of phi in degree n: rows = cooperad basis, cols = operations."""
     big = get_model(model.name, n) if model.alphabet < n else model
     cols = multilinear_basis(big, n)
-    coops = _cooperations(big, n)
     target = tuple(generator_key(big, LETTERS[i]) for i in range(n))
     if n == 1:
         target = target[0]
-    mat = []
-    for _, coop in coops:
-        row = []
-        for key in cols:
-            img = coop(LinComb.of(key))
-            row.append(img.coeff(target))
-        mat.append(row)
-    return mat
+    return [
+        [coop(LinComb.of(key)).coeff(target) for key in cols]
+        for _, coop, _ in big.splitting(n)
+    ]
 
 
 @dataclass
@@ -93,8 +74,12 @@ class H2Report:
 
 
 def check_h2(model, max_degree):
-    """Classify phi degreewise: isomorphism, split epimorphism, or failure."""
-    if model.cooperad is None:
+    """Classify phi degreewise: isomorphism, split epimorphism, or failure.
+
+    Unsupported without a splitting, and on the classical model, whose
+    cooperad Com is symmetric while the multilinear basis is not.
+    """
+    if model.splitting is None or model.classical:
         return H2Report(verdict="unsupported")
     rows = []
     all_iso = True
@@ -117,19 +102,20 @@ def check_h2(model, max_degree):
 
 
 def _splitting_section_ok(model, max_degree):
-    """Check phi(s(n)) = id on the cooperad side, exactly, per degree."""
-    scheme = model.splitting
-    if scheme is None or scheme.kind not in ("as_monomial", "classical"):
-        return False
+    """Check phi(s(n)) = id on the cooperad side, exactly, per degree.
+
+    With x = x1 x ... x xn the coefficient of x in coop_i(op_j(x)) must be
+    1 for i = j and 0 otherwise, over every pair of the arity-n triples.
+    """
     for n in range(2, max_degree + 1):
         big = get_model(model.name, n)
-        gens = LinComb.of(tuple(generator_key(big, LETTERS[i]) for i in range(n)))
-        monomial = apply_splitting(big, scheme, n, gens)
-        _, coop = _cooperations(big, n)[0]
-        img = coop(monomial)
         target = tuple(generator_key(big, LETTERS[i]) for i in range(n))
-        if img.coeff(target) != 1:
-            return False
+        triples = big.splitting(n)
+        for j, (_, _, op) in enumerate(triples):
+            monomial = op(LinComb.of(target))
+            for i, (_, coop, _) in enumerate(triples):
+                if coop(monomial).coeff(target) != (1 if i == j else 0):
+                    return False
     return True
 
 
@@ -176,53 +162,32 @@ def _apply_slotwise(fn, tensor_lc):
     return out
 
 
-def pbw_expand(model, a, scheme=None, max_degree=None):
+def pbw_expand(model, a, max_degree=None):
     """Decompose a into primitive tensor components, one per cooperation.
 
-    Reassembling the components through the splitting monomials returns
+    Reassembling the components through the splitting operations returns
     the input exactly; see pbw_reassemble.
     """
     if not a:
         return []
-    if scheme is None:
-        scheme = model.splitting
     if max_degree is None:
         max_degree = max(model.degree(k) for k in a.support())
-    e = versal_idempotent_map(model, scheme, max_degree)
+    e = versal_idempotent_map(model, max_degree)
     comps = []
-    if scheme.kind in ("as_monomial", "classical"):
-        delta = model.coproducts["delta"]
-        for k in range(1, max_degree + 1):
-            tensor = iterated_coproduct(delta, k - 1)(a)
-            comp = _apply_slotwise(e, tensor)
+    for k in range(1, max_degree + 1):
+        for label, coop, _ in model.splitting(k):
+            comp = _apply_slotwise(e, coop(a))
             if comp:
-                comps.append(PbwComponent(arity=k, label=None, tensor=comp))
-    elif scheme.kind == "dual":
-        for k in range(1, max_degree + 1):
-            for label_coop, pair in zip(model.cooperad.cooperations(k), scheme.pairs(k)):
-                label, coop = label_coop
-                comp = _apply_slotwise(e, coop(a))
-                if comp:
-                    comps.append(PbwComponent(arity=k, label=label, tensor=comp))
-    else:
-        raise ValueError("unknown splitting scheme kind %r" % scheme.kind)
+                comps.append(PbwComponent(arity=k, label=label, tensor=comp))
     return comps
 
 
-def pbw_reassemble(model, comps, scheme=None):
-    if scheme is None:
-        scheme = model.splitting
+def pbw_reassemble(model, comps):
     out = LinComb.zero()
-    if scheme.kind in ("as_monomial", "classical"):
-        for comp in comps:
-            out = out + apply_splitting(model, scheme, comp.arity, comp.tensor)
-        return out
     ops = {}
     for comp in comps:
         if comp.arity not in ops:
-            labels = [lbl for lbl, _ in model.cooperad.cooperations(comp.arity)]
-            pair_ops = [op for _, op in scheme.pairs(comp.arity)]
-            ops[comp.arity] = dict(zip(labels, pair_ops))
+            ops[comp.arity] = {label: op for label, _, op in model.splitting(comp.arity)}
         out = out + ops[comp.arity][comp.label](comp.tensor)
     return out
 

@@ -62,7 +62,7 @@ def test_exit_one_on_falsified_check():
     assert "firstFailure" in report
 
 
-def test_exit_two_on_usage_errors():
+def test_exit_two_on_usage_errors(capsys):
     for argv in (
         ["check", "--model", "nope", "--relation", "nui"],
         ["check", "--model", "as", "--relation", "nope"],
@@ -89,6 +89,43 @@ def test_exit_two_on_usage_errors():
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:")
+    # checked in the handlers, so each names what is wrong with the input
+    for argv, message in (
+        (["idempotent", "--model", "dup", "--kind", "geometric"],
+         "model dup has no product 'mul'"),
+        (["idempotent", "--model", "bidup", "--kind", "geometric"],
+         "model bidup has no product 'mul'"),
+        (["idempotent", "--model", "zinb", "--kind", "geometric"],
+         "model zinb has no product 'mul'"),
+        (["idempotent", "--model", "dup", "--kind", "eulerian:1"],
+         "model dup has no product 'mul'"),
+        (["idempotent", "--model", "bidup", "--kind", "eulerian:1"],
+         "model bidup has no product 'mul'"),
+        (["idempotent", "--model", "zinb", "--kind", "eulerian:1"],
+         "model zinb has no product 'mul'"),
+        (["idempotent", "--model", "classical", "--kind", "eulerian:4", "--max-degree", "3"],
+         "eulerian index must be <= --max-degree"),
+        (["check", "--model", "as", "--relation", "semi_hopf_left"],
+         "relation semi_hopf_left needs product 'star', which model as lacks"),
+        (["trees", "enumerate", "--leaves", "0"], "need at least one leaf"),
+        (["trees", "graft", "--kind", "over", "--left", "(.,.", "--right", "."],
+         "malformed tree: '(.,.'"),
+        (["trees", "cut", "--tree", "(.,.", "--index", "1"], "malformed tree: '(.,.'"),
+        (["trees", "cut", "--tree", "((.,.),.)", "--index", "2"],
+         "cut index 2 out of range for a tree with 3 leaves"),
+        (["trees", "cut", "--tree", "((.,.),.)", "--index", "0"],
+         "cut index 0 out of range for a tree with 3 leaves"),
+        (["series", "--show", "Dup", "--order", "0"], "order must be >= 1"),
+        (["series", "--check", "triple", "--names", "Com,As,Lie", "--order", "0"],
+         "order must be >= 1"),
+        (["series", "--check", "koszul", "--names", "Dup,Nil", "--order", "-1"],
+         "order must be >= 1"),
+        (["homology", "--internal-degree", "0"], "internal degree must be >= 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err == "error: %s\n" % message, argv
 
 
 def test_nap_colaw_names_a_missing_coproduct():
@@ -108,6 +145,20 @@ def test_exit_three_on_internal_error(monkeypatch, capsys):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: TypeError: unhashable type: 'LinComb'")
+
+
+def test_exit_three_when_a_computation_raises(monkeypatch, capsys):
+    # a ValueError or KeyError from inside a computation is a bug, not a usage error
+    for error in (ValueError("empty sequence"), KeyError("mul")):
+        def broken(model, n, error=error):
+            raise error
+
+        monkeypatch.setattr("operads.cli.primitive_part", broken)
+        with pytest.raises(SystemExit) as exc:
+            main(["prim", "--model", "dup", "--degree", "2"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: %s: " % type(error).__name__)
 
 
 def test_check_on_the_lie_model_still_runs():

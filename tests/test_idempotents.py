@@ -15,6 +15,7 @@ from operads.idempotents import (
     identity_map,
     materialize,
     model_bases,
+    omega,
     versal_idempotent,
 )
 from operads.linalg import GradedEndo, LinComb, same_column_space
@@ -58,6 +59,19 @@ def test_versal_rank_equals_primitive_dimension(name, deg):
     e = versal_idempotent(model, max_degree=deg)
     for n in range(1, deg + 1):
         assert e.rank(n) == len(primitive_part(model, n)), (name, n)
+
+
+@pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup", "classical"])
+def test_omega_matrices_compose_to_the_versal_idempotent(name):
+    model = get_model(name)
+    deg = 5
+    ident = GradedEndo.identity(model_bases(model, deg))
+    e = ident
+    for n in range(2, deg + 1):
+        e = e.compose(ident - omega(model, n, deg))
+    assert e == versal_idempotent(model, max_degree=deg)
+    with pytest.raises(ValueError):
+        omega(model, 1, deg)
 
 
 def test_dup_primitive_dimensions_are_shifted_catalan():

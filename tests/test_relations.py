@@ -1,9 +1,11 @@
 """Compatibility relation DSL: library entries, the checker, controls."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from operads import relations
 from operads.linalg import LinComb
 from operads.models import get_model
 from operads.relations import (
@@ -35,6 +37,31 @@ def test_library_loads_all_expected_entries():
     assert set(relation_names()) == set(lib)
     with pytest.raises(KeyError):
         get_relation("unknown")
+
+
+def test_identical_bodies_are_aliases():
+    lib = load_library()
+    assert lib["bidup_dleft_left"] == lib["bidup_dright_right"] == lib["nui"]
+
+
+_BODY = {
+    "arity": 2,
+    "terms": [{"coeff": "1", "inCoops": ["id", "id"], "perm": [0, 1], "outOps": ["id", "id"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ({"a": _BODY, "b": _BODY}, "same body"),
+        ({"a": _BODY, "b": "c"}, "not a relation body"),
+        ({"a": _BODY, "b": "a", "c": "b"}, "not a relation body"),
+    ],
+)
+def test_library_rejects_duplicate_bodies_and_dangling_aliases(monkeypatch, raw, message):
+    monkeypatch.setattr(relations, "_library_text", lambda: json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        load_library()
 
 
 def test_lily_coefficients():

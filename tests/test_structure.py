@@ -1,12 +1,15 @@
 """The map phi, primitives, PBW expansions, composite dimension counts."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from operads import structure
 from operads.linalg import LinComb, exact_rank
 from operads.models import get_model, lie_subspace, tree_key
 from operads.structure import (
+    _splitting_section_ok,
     check_h2,
     composite_dims,
     generator_key,
@@ -71,6 +74,37 @@ def test_h2_verdicts(name, verdict):
 
 def test_h2_unsupported_without_cooperad():
     assert check_h2(get_model("classical", 2), 3).verdict == "unsupported"
+
+
+@pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup"])
+def test_splitting_is_a_section_of_phi(name):
+    # phi o s = id: coop_i(op_j(x1 x ... x xn)) has coefficient delta_ij at x1 x ... x xn
+    assert _splitting_section_ok(get_model(name), 5)
+
+
+def _with_splitting(change):
+    def build(name, alphabet=None):
+        model = get_model(name, alphabet)
+        return dataclasses.replace(model, splitting=lambda n: change(model.splitting(n)))
+    return build
+
+
+def test_section_check_rejects_wrong_splittings(monkeypatch):
+    def doubled(triples):
+        return [(label, coop, lambda t, op=op: op(t).scale(2)) for label, coop, op in triples]
+
+    def mixed(triples):
+        # the first operation picks up the second one: the diagonal stays 1
+        if len(triples) < 2:
+            return triples
+        (label, coop, op), other = triples[0], triples[1][2]
+        return [(label, coop, lambda t: op(t) + other(t))] + triples[1:]
+
+    monkeypatch.setattr(structure, "get_model", _with_splitting(doubled))
+    assert not _splitting_section_ok(get_model("dup"), 3)
+    # mag has two trees with three leaves, so the mixture leaves the dual basis
+    monkeypatch.setattr(structure, "get_model", _with_splitting(mixed))
+    assert not _splitting_section_ok(get_model("mag"), 3)
 
 
 def test_primitive_dimensions():
