@@ -43,13 +43,11 @@ class BicomplexSlice:
 def _differential(src, dst, product, slots):
     """Matrix of sum over i in slots of (-1)^i (..., a_i * a_{i+1}, ...)."""
     def image(tup):
-        out = LinComb.zero()
-        for i in slots:
-            prod = product(LinComb.of(tup[i]), LinComb.of(tup[i + 1]))
-            out = out + LinComb(
-                (tup[:i] + (key,) + tup[i + 2:], (-1) ** i * c) for key, c in prod.items()
-            )
-        return out
+        return LinComb(
+            (tup[:i] + (key,) + tup[i + 2:], (-1) ** i * c)
+            for i in slots
+            for key, c in product(LinComb.of(tup[i]), LinComb.of(tup[i + 1])).items()
+        )
     return coords((image(tup) for tup in src), dst)
 
 

@@ -33,13 +33,14 @@ class ConvolutionContext:
 def memoized(fn):
     cache = {}
 
+    def image(key):
+        img = cache.get(key)
+        if img is None:
+            img = cache[key] = fn(LinComb.of(key))
+        return img
+
     def wrapped(lc):
-        out = LinComb.zero()
-        for key, c in lc.items():
-            if key not in cache:
-                cache[key] = fn(LinComb.of(key))
-            out = out + cache[key].scale(c)
-        return out
+        return LinComb.sum((image(key), c) for key, c in lc.items())
     return wrapped
 
 
@@ -53,11 +54,10 @@ def convolve(ctx, f, g):
     coproduct = ctx.coproduct
 
     def conv(lc):
-        out = LinComb.zero()
-        for key, c in coproduct(lc).items():
-            k1, k2 = key
-            out = out + product(f(LinComb.of(k1)), g(LinComb.of(k2))).scale(c)
-        return out
+        return LinComb.sum(
+            (product(f(LinComb.of(k1)), g(LinComb.of(k2))), c)
+            for (k1, k2), c in coproduct(lc).items()
+        )
     return memoized(conv)
 
 
@@ -91,11 +91,9 @@ def eulerian_family(ctx, max_degree):
         powers.append(convolve(ctx, identity_map, powers[-1]))
 
     def e1(lc):
-        out = LinComb.zero()
-        for n, p in enumerate(powers, start=1):
-            sign = Fraction((-1) ** (n - 1), n)
-            out = out + p(lc).scale(sign)
-        return out
+        return LinComb.sum(
+            (p(lc), Fraction((-1) ** (n - 1), n)) for n, p in enumerate(powers, start=1)
+        )
 
     family = [memoized(e1)]
     fact = 1
@@ -127,10 +125,7 @@ def eulerian(ctx, i, max_degree):
 
 def dynkin_map(lc):
     """word -> (1/n) [..[[x1,x2],x3]..,xn]."""
-    out = LinComb.zero()
-    for w, c in lc.items():
-        out = out + left_nested_bracket(w).scale(Fraction(c, len(w)))
-    return out
+    return LinComb.sum((left_nested_bracket(w), Fraction(c, len(w))) for w, c in lc.items())
 
 
 def dynkin(max_degree, alphabet=2):
@@ -145,10 +140,7 @@ def geometric_map(ctx, max_degree):
         powers.append(convolve(ctx, identity_map, powers[-1]))
 
     def geo(lc):
-        out = LinComb.zero()
-        for n, p in enumerate(powers, start=1):
-            out = out + p(lc).scale((-1) ** (n - 1))
-        return out
+        return LinComb.sum((p(lc), (-1) ** (n - 1)) for n, p in enumerate(powers, start=1))
     return memoized(geo)
 
 
@@ -168,18 +160,12 @@ def omega_map(model, n, max_degree):
         family = eulerian_family(ConvolutionContext(model), max_degree)
 
         def omega(lc):
-            out = LinComb.zero()
-            for k in range(n, max_degree + 1):
-                out = out + family[k - 1](lc)
-            return out
+            return LinComb.sum((e(lc), 1) for e in family[n - 1:])
         return memoized(omega)
     triples = model.splitting(n)
 
     def omega(lc):
-        out = LinComb.zero()
-        for _, coop, op in triples:
-            out = out + op(coop(lc))
-        return out
+        return LinComb.sum((op(coop(lc)), 1) for _, coop, op in triples)
     return memoized(omega)
 
 

@@ -1,11 +1,13 @@
 """Exact rational linear algebra and formal linear combinations.
 
 Everything in this package is built on LinComb, a finite linear
-combination of hashable basis keys with Fraction coefficients.  `coords`
-is the one way from LinCombs to a matrix, and one sparse fraction-free
-integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis`,
-`in_span` and `same_column_space`) is the one way to ranks, kernels and
-span membership.  No floating point anywhere.
+combination of hashable basis keys with exact coefficients: an int, or a
+Fraction once a denominator other than 1 appears.  `LinComb.sum` is the
+one accumulator of linear combinations.  `coords` is the one way from
+LinCombs to a matrix, and one sparse fraction-free integer elimination
+(`_echelon`, behind `exact_rank`, `kernel_basis`, `in_span` and
+`same_column_space`) is the one way to ranks, kernels and span
+membership.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,11 +32,33 @@ def serialize_key(key):
     return str(key)
 
 
-class LinComb:
-    """A finite map basis key -> nonzero Fraction.
+def _coef(c):
+    """The stored form of an exact coefficient: an int, else a Fraction.
 
-    Instances are treated as immutable values; all arithmetic returns new
-    objects and never stores a zero coefficient.
+    A Fraction whose denominator is 1 becomes its numerator; a float is
+    converted exactly, so none is ever stored.
+    """
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reduced(terms):
+    """Replace, in place, each Fraction value with denominator 1 by its numerator."""
+    for k, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
+
+
+class LinComb:
+    """A finite map basis key -> nonzero exact coefficient.
+
+    A coefficient is stored as an int, or as a Fraction when its
+    denominator is not 1; never as a float.  Instances are treated as
+    immutable values; all arithmetic returns new objects and never stores
+    a zero coefficient.
     """
 
     __slots__ = ("terms",)
@@ -44,15 +68,15 @@ class LinComb:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
-                c = Fraction(c)
+                c = _coef(c)
                 if not c:
                     continue
                 acc = clean.get(k, 0) + c
                 if acc:
                     clean[k] = acc
-                elif k in clean:
+                else:
                     del clean[k]
-        self.terms = clean
+        self.terms = _reduced(clean)
 
     @classmethod
     def zero(cls):
@@ -60,13 +84,43 @@ class LinComb:
 
     @classmethod
     def of(cls, key, coeff=1):
-        return cls({key: Fraction(coeff)})
+        res = cls.__new__(cls)
+        c = _coef(coeff)
+        res.terms = {key: c} if c else {}
+        return res
+
+    @classmethod
+    def sum(cls, pairs):
+        """The sum of scalar * lc over (lc, scalar) pairs, built in one dict.
+
+        Terms that cancel are dropped.  The first nonzero summand is copied
+        (or scaled) whole; every later term is added in place.
+        """
+        out = None
+        for lc, s in pairs:
+            s = _coef(s)
+            if not s or not lc.terms:
+                continue
+            if out is None:
+                out = dict(lc.terms) if s == 1 else {k: c * s for k, c in lc.terms.items()}
+                get = out.get
+                continue
+            for k, c in lc.terms.items():
+                x = get(k, 0) + c * s
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        res = cls.__new__(cls)
+        res.terms = {} if out is None else _reduced(out)
+        return res
 
     def items(self):
         return self.terms.items()
 
     def coeff(self, key):
-        return self.terms.get(key, Fraction(0))
+        """The coefficient of key, always as a Fraction."""
+        return Fraction(self.terms.get(key, 0))
 
     def support(self):
         return set(self.terms)
@@ -85,30 +139,16 @@ class LinComb:
         return NotImplemented
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, 0) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        res = LinComb.__new__(LinComb)
-        res.terms = out
-        return res
+        return LinComb.sum(((self, 1), (other, 1)))
 
     def __neg__(self):
-        res = LinComb.__new__(LinComb)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return LinComb.sum(((self, 1), (other, -1)))
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
-        res = LinComb.__new__(LinComb)
-        res.terms = {} if not scalar else {k: c * scalar for k, c in self.terms.items()}
-        return res
+        return LinComb.sum(((self, scalar),))
 
     __rmul__ = scale
     __mul__ = scale
@@ -125,15 +165,12 @@ class LinComb:
                 elif key in out:
                     del out[key]
         res = LinComb.__new__(LinComb)
-        res.terms = out
+        res.terms = _reduced(out)
         return res
 
     def map_keys(self, fn):
         """Linear extension of a key -> LinComb map."""
-        out = LinComb.zero()
-        for k, c in self.terms.items():
-            out = out + fn(k).scale(c)
-        return out
+        return LinComb.sum((fn(k), c) for k, c in self.terms.items())
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kc: serialize_key(kc[0]))
@@ -390,12 +427,10 @@ class GradedEndo:
         return cls.from_function(bases, lambda lc: lc)
 
     def apply(self, lc):
-        out = LinComb.zero()
-        for key, c in lc.items():
+        def column(key):
             n, j = self._index[key]
-            col = [(self.mats[n][i][j], self.bases[n][i]) for i in range(len(self.bases[n]))]
-            out = out + LinComb((k, x * c) for x, k in col if x)
-        return out
+            return LinComb((k, row[j]) for k, row in zip(self.bases[n], self.mats[n]) if row[j])
+        return LinComb.sum((column(key), c) for key, c in lc.items())
 
     def compose(self, other):
         mats = {n: mat_mul(self.mats[n], other.mats[n]) for n in self.mats}

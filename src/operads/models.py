@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Callable
 
 from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
@@ -27,17 +28,17 @@ LETTERS = "xyzuvwabcdefghij"
 
 def words(alphabet, n):
     """All words of length n over the first `alphabet` letters."""
+    if alphabet > len(LETTERS):
+        raise ValueError("alphabet size must be <= %d" % len(LETTERS))
     return ["".join(w) for w in itertools.product(LETTERS[:alphabet], repeat=n)]
 
 
 def bilinear(key_fn):
     """Extend a key-level binary map returning LinCombs to LinComb pairs."""
     def ext(a, b):
-        out = LinComb.zero()
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                out = out + key_fn(k1, k2).scale(c1 * c2)
-        return out
+        return LinComb.sum(
+            (key_fn(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
+        )
     return ext
 
 
@@ -154,11 +155,10 @@ def _mag_liv_key(key):
     if t == LEAF:
         return LinComb.zero()
     ka, kb = mag_split(key)
-    out = LinComb.of((ka, kb))
+    terms = [((ka, kb), 1)]
     for (a1, a2), c in _mag_liv_key(ka).items():
-        out = out + LinComb.of((a1, _vee_keys(a2, kb)), c)
-        out = out + LinComb.of((_vee_keys(a1, kb), a2), c)
-    return out
+        terms += [((a1, _vee_keys(a2, kb)), c), ((_vee_keys(a1, kb), a2), c)]
+    return LinComb(terms)
 
 
 def _vee_keys(k1, k2):
@@ -180,17 +180,15 @@ def _mag_hopf_key(key):
     ka, kb = mag_split(key)
     da = _mag_hopf_key(ka)
     db = _mag_hopf_key(kb)
-    out = LinComb.of((ka, kb)) + LinComb.of((kb, ka))
+    terms = [((ka, kb), 1), ((kb, ka), 1)]
     for (a1, a2), c in da.items():
-        out = out + LinComb.of((a1, _vee_keys(a2, kb)), c)
-        out = out + LinComb.of((_vee_keys(a1, kb), a2), c)
+        terms += [((a1, _vee_keys(a2, kb)), c), ((_vee_keys(a1, kb), a2), c)]
     for (b1, b2), c in db.items():
-        out = out + LinComb.of((_vee_keys(ka, b1), b2), c)
-        out = out + LinComb.of((b1, _vee_keys(ka, b2)), c)
+        terms += [((_vee_keys(ka, b1), b2), c), ((b1, _vee_keys(ka, b2)), c)]
     for (a1, a2), c1 in da.items():
         for (b1, b2), c2 in db.items():
-            out = out + LinComb.of((_vee_keys(a1, b1), _vee_keys(a2, b2)), c1 * c2)
-    return out
+            terms.append(((_vee_keys(a1, b1), _vee_keys(a2, b2)), c1 * c2))
+    return LinComb(terms)
 
 
 def mag_hopf_coproduct(a):
@@ -358,18 +356,15 @@ def lie_tensor_escape(alphabet, n):
 
 def iterated_coproduct(coproduct, k):
     """The k-iterated reduced coproduct (k+1 output slots); k=0 is Id."""
+    def on_first(key):
+        slots = as_slots(key)
+        head = coproduct(LinComb.of(slots[0]))
+        return head.tensor(LinComb.of(slots[1:])) if len(slots) > 1 else head
+
     def iterate(lc):
         cur = lc
-        for step in range(k):
-            nxt = LinComb.zero()
-            for key, c in cur.items():
-                slots = as_slots(key)
-                head = coproduct(LinComb.of(slots[0]))
-                if head:
-                    tail = LinComb.of(slots[1:]) if len(slots) > 1 else None
-                    piece = head if tail is None else head.tensor(tail)
-                    nxt = nxt + piece.scale(c)
-            cur = nxt
+        for _ in range(k):
+            cur = LinComb.sum((on_first(key), c) for key, c in cur.items())
             if not cur:
                 break
         return cur
@@ -378,17 +373,16 @@ def iterated_coproduct(coproduct, k):
 
 def fold_product(product, tensor_lc, scalar):
     """Right-nested product of the slots of every tensor key, times scalar."""
-    out = LinComb.zero()
-    for key, c in tensor_lc.items():
+    def fold(key):
         slots = as_slots(key)
         acc = LinComb.of(slots[-1])
         for s in reversed(slots[:-1]):
             acc = product(LinComb.of(s), acc)
-        out = out + acc.scale(c * scalar)
-    return out
+        return acc
+    return LinComb.sum((fold(key), c * scalar) for key, c in tensor_lc.items())
 
 
-def _monomial_splitting(coproduct, product, scalar=lambda n: Fraction(1)):
+def _monomial_splitting(coproduct, product, scalar=lambda n: 1):
     """The associative cooperad as a one-label splitting.
 
     Its one n-ary cooperation is the (n-1)-iterated reduced coproduct,
@@ -450,17 +444,10 @@ def classical_model(alphabet=2):
         generating_coproducts=("delta",),
         splitting=_monomial_splitting(
             as_shuffle_coproduct, as_concat,
-            scalar=lambda k: Fraction(1, _factorial(k)),
+            scalar=lambda k: Fraction(1, factorial(k)),
         ),
         classical=True,
     )
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def zinbiel_model(alphabet=2):
@@ -495,23 +482,19 @@ def mag_tree_cooperation(t):
     fr = mag_tree_cooperation(r)
 
     def coop(lc):
-        out = LinComb.zero()
-        for key, c in mag_dual_coproduct(lc).items():
-            k1, k2 = key
-            piece = fl(LinComb.of(k1)).tensor(fr(LinComb.of(k2)))
-            out = out + piece.scale(c)
-        return out
+        return LinComb.sum(
+            (fl(LinComb.of(k1)).tensor(fr(LinComb.of(k2))), c)
+            for (k1, k2), c in mag_dual_coproduct(lc).items()
+        )
     return coop
 
 
 def mag_tree_operation(t):
     """The n-ary product indexed by a tree with n leaves."""
     def op(tensor_lc):
-        out = LinComb.zero()
-        for key, c in tensor_lc.items():
-            slots = key if isinstance(key, tuple) else (key,)
-            out = out + _mag_tree_apply(t, list(slots)).scale(c)
-        return out
+        return LinComb.sum(
+            (_mag_tree_apply(t, as_slots(key)), c) for key, c in tensor_lc.items()
+        )
     return op
 
 
@@ -590,52 +573,40 @@ def dup_tree_cooperation(t):
         fl = dup_tree_cooperation(l)
 
         def coop(lc):
-            out = LinComb.zero()
-            for key, c in dup_dright(lc).items():
-                ka, km = key
-                if _tree_key_degree(km) == 1:
-                    out = out + fl(LinComb.of(ka)).tensor(LinComb.of(km)).scale(c)
-            return out
+            return LinComb.sum(
+                (fl(LinComb.of(ka)).tensor(LinComb.of(km)), c)
+                for (ka, km), c in dup_dright(lc).items() if _tree_key_degree(km) == 1
+            )
         return coop
 
     fr = dup_tree_cooperation(r)
 
     if l == LEAF:
         def coop(lc):
-            out = LinComb.zero()
-            for key, c in dup_dleft(lc).items():
-                ku, kb = key
-                if _tree_key_degree(ku) == 1:
-                    out = out + LinComb.of(ku).tensor(fr(LinComb.of(kb))).scale(c)
-            return out
+            return LinComb.sum(
+                (LinComb.of(ku).tensor(fr(LinComb.of(kb))), c)
+                for (ku, kb), c in dup_dleft(lc).items() if _tree_key_degree(ku) == 1
+            )
         return coop
 
     fl = dup_tree_cooperation(l)
 
     def coop(lc):
-        out = LinComb.zero()
-        for key, c in dup_dleft(lc).items():
-            ku, kb = key
-            for key2, c2 in dup_dright(LinComb.of(ku)).items():
-                ka, km = key2
-                if _tree_key_degree(km) != 1:
-                    continue
-                piece = fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(
-                    fr(LinComb.of(kb))
-                )
-                out = out + piece.scale(c * c2)
-        return out
+        return LinComb.sum(
+            (fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(fr(LinComb.of(kb))), c * c2)
+            for (ku, kb), c in dup_dleft(lc).items()
+            for (ka, km), c2 in dup_dright(LinComb.of(ku)).items()
+            if _tree_key_degree(km) == 1
+        )
     return coop
 
 
 def dup_tree_operation(t):
     """The n-ary duplicial monomial indexed by a tree with n+1 leaves."""
     def op(tensor_lc):
-        out = LinComb.zero()
-        for key, c in tensor_lc.items():
-            slots = key if isinstance(key, tuple) else (key,)
-            out = out + _dup_tree_apply(t, list(slots)).scale(c)
-        return out
+        return LinComb.sum(
+            (_dup_tree_apply(t, as_slots(key)), c) for key, c in tensor_lc.items()
+        )
     return op
 
 

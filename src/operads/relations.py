@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import LinComb, as_slots
+from .linalg import LinComb, _coef
+from .models import iterated_coproduct
 
 
 @dataclass(frozen=True)
 class Term:
-    coeff: Fraction
+    coeff: int | Fraction
     in_coops: tuple   # one symbol per input: "id", "delta", or a model symbol
     perm: tuple       # output slot j reads input slot perm[j]
     out_ops: tuple    # "id" (1 slot), "mu" or a model symbol (2 slots)
@@ -46,7 +47,7 @@ def _op_arity(sym):
 
 def term_from_dict(d):
     return Term(
-        coeff=Fraction(d["coeff"]),
+        coeff=_coef(d["coeff"]),
         in_coops=tuple(d["inCoops"]),
         perm=tuple(d["perm"]),
         out_ops=tuple(d["outOps"]),
@@ -129,38 +130,34 @@ def eval_compat(expr, model, args, mu="mul", delta="delta"):
     """Evaluate the relation right-hand side on a tuple of LinCombs."""
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
-    total = LinComb.zero()
-    for term in expr.terms:
-        # tensor of per-input (co)products, keys as flat slot tuples
-        inter = LinComb.of(())
-        for sym, arg in zip(term.in_coops, args):
-            piece = arg if sym == "id" else _resolve_coop(model, sym, delta)(arg)
-            inter = inter.tensor(piece)
-            if not inter:
-                break
+    return LinComb.sum(
+        piece for term in expr.terms for piece in _term_pieces(term, model, args, mu, delta)
+    )
+
+
+def _term_pieces(term, model, args, mu, delta):
+    """(composite, coefficient) for every key of one term's permuted tensor."""
+    # tensor of per-input (co)products, keys as flat slot tuples
+    inter = LinComb.of(())
+    for sym, arg in zip(term.in_coops, args):
+        piece = arg if sym == "id" else _resolve_coop(model, sym, delta)(arg)
+        inter = inter.tensor(piece)
         if not inter:
-            continue
-        permuted = LinComb(
-            (tuple(key[p] for p in term.perm), c) for key, c in inter.items()
-        )
-        for key, c in permuted.items():
-            slots = as_slots(key)
-            blocks = []
-            pos = 0
-            for sym in term.out_ops:
-                k = _op_arity(sym)
-                chunk = slots[pos:pos + k]
-                pos += k
-                if sym == "id":
-                    blocks.append(LinComb.of(chunk[0]))
-                else:
-                    op = _resolve_op(model, sym, mu)
-                    blocks.append(op(LinComb.of(chunk[0]), LinComb.of(chunk[1])))
-            out = blocks[0]
-            for b in blocks[1:]:
-                out = out.tensor(b)
-            total = total + out.scale(c * term.coeff)
-    return total
+            return
+    ops = [None if sym == "id" else _resolve_op(model, sym, mu) for sym in term.out_ops]
+    for key, c in inter.items():
+        slots = tuple(key[p] for p in term.perm)
+        out = None
+        pos = 0
+        for op in ops:
+            if op is None:
+                block = LinComb.of(slots[pos])
+                pos += 1
+            else:
+                block = op(LinComb.of(slots[pos]), LinComb.of(slots[pos + 1]))
+                pos += 2
+            out = block if out is None else out.tensor(block)
+        yield out, c * term.coeff
 
 
 @dataclass
@@ -186,23 +183,14 @@ def _as_lincomb(entry):
     return entry if isinstance(entry, LinComb) else LinComb.of(entry)
 
 
-def _coproduct_on_first(coproduct, two_slot_lc):
-    out = LinComb.zero()
-    for (k1, k2), c in two_slot_lc.items():
-        head = coproduct(LinComb.of(k1))
-        if head:
-            out = out + head.tensor(LinComb.of(k2)).scale(c)
-    return out
-
-
 def check_nap_colaw(model, delta_sym, max_degree):
     """(delta x Id) delta = (Id x tau)(delta x Id) delta on every basis key."""
-    coproduct = model.coproducts[delta_sym]
+    twice = iterated_coproduct(model.coproducts[delta_sym], 2)
     checked = 0
     for n in range(1, max_degree + 1):
         for key in model.basis(n):
             lc = _as_lincomb(key)
-            lhs = _coproduct_on_first(coproduct, coproduct(lc))
+            lhs = twice(lc)
             rhs = LinComb(
                 ((k[0], k[2], k[1]), c) for k, c in lhs.items()
             )

@@ -94,16 +94,7 @@ class TruncatedSeries:
     def compose(self, inner):
         """self(inner(t)); inner has zero constant term by construction."""
         self._match(inner)
-        n = self.order
-        out = TruncatedSeries.zero(n)
-        power = inner
-        for k in range(1, n + 1):
-            a = self.coeffs[k - 1]
-            if a:
-                out = out + power.scale(a)
-            if k < n:
-                power = power * inner
-        return out
+        return _apply_tail(lambda k: self.coeffs[k - 1], inner)
 
     def _match(self, other):
         if self.order != other.order:
@@ -118,16 +109,18 @@ class TruncatedSeries:
 
 
 def _apply_tail(tail_coeff, u):
-    """sum_{k>=1} tail_coeff(k) u^k, truncated at u.order."""
-    out = TruncatedSeries.zero(u.order)
+    """sum_{k>=1} tail_coeff(k) u^k, truncated at u.order, summed in place."""
+    n = u.order
+    out = [Fraction(0)] * n
     power = u
-    for k in range(1, u.order + 1):
+    for k in range(1, n + 1):
         c = tail_coeff(k)
         if c:
-            out = out + power.scale(c)
-        if k < u.order:
+            for i, p in enumerate(power.coeffs):
+                out[i] += c * p
+        if k < n:
             power = power * u
-    return out
+    return TruncatedSeries(n, out)
 
 
 def sqrt1m(u):

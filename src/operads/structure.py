@@ -149,17 +149,15 @@ class PbwComponent:
 
 
 def _apply_slotwise(fn, tensor_lc):
-    out = LinComb.zero()
-    for key, c in tensor_lc.items():
+    def image(key):
         piece = None
         for slot in as_slots(key):
             img = fn(LinComb.of(slot))
             piece = img if piece is None else piece.tensor(img)
             if not piece:
                 break
-        if piece:
-            out = out + piece.scale(c)
-    return out
+        return piece
+    return LinComb.sum((image(key), c) for key, c in tensor_lc.items())
 
 
 def pbw_expand(model, a, max_degree=None):
@@ -183,13 +181,11 @@ def pbw_expand(model, a, max_degree=None):
 
 
 def pbw_reassemble(model, comps):
-    out = LinComb.zero()
-    ops = {}
-    for comp in comps:
-        if comp.arity not in ops:
-            ops[comp.arity] = {label: op for label, _, op in model.splitting(comp.arity)}
-        out = out + ops[comp.arity][comp.label](comp.tensor)
-    return out
+    ops = {
+        n: {label: op for label, _, op in model.splitting(n)}
+        for n in {comp.arity for comp in comps}
+    }
+    return LinComb.sum((ops[comp.arity][comp.label](comp.tensor), 1) for comp in comps)
 
 
 def composite_dims(c_dim, p_dim, n):

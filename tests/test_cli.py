@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, grammar, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -121,6 +122,8 @@ def test_exit_two_on_usage_errors(capsys):
         (["series", "--check", "koszul", "--names", "Dup,Nil", "--order", "-1"],
          "order must be >= 1"),
         (["homology", "--internal-degree", "0"], "internal degree must be >= 1"),
+        (["prim", "--model", "as", "--alphabet", "20", "--degree", "1"],
+         "alphabet size must be <= 16"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -159,6 +162,25 @@ def test_exit_three_when_a_computation_raises(monkeypatch, capsys):
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: %s: " % type(error).__name__)
+
+
+@pytest.mark.parametrize("argv", [
+    # small output: the pipe breaks when stdout is flushed at the end
+    ("verify", "--model", "as", "--alphabet", "2", "--what", "structure-iso",
+     "--max-degree", "3"),
+    # large output: the pipe breaks in the middle of printing
+    ("trees", "enumerate", "--leaves", "10"),
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "operads.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_check_on_the_lie_model_still_runs():

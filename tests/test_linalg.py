@@ -291,3 +291,86 @@ def test_graded_endo_rejects_images_outside_basis():
     bases = {1: ["x"]}
     with pytest.raises(ValueError):
         GradedEndo.from_function(bases, lambda lc: LinComb.of("zz"))
+
+
+# --- the coefficient contract: int-first, exact, against a Fraction oracle ----
+
+exact = st.one_of(st.integers(-6, 6), coeffs)  # ints, and Fractions (some of denominator 1)
+raw_terms = st.dictionaries(keys, exact, max_size=4)
+
+
+def stored_ok(lc):
+    """Every stored coefficient is a nonzero int or a Fraction with a real denominator."""
+    for c in lc.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    return True
+
+
+def oracle_sum(pairs):
+    """sum of scalar * terms over (terms, scalar), all in Fraction, zeros dropped."""
+    out = {}
+    for terms, s in pairs:
+        for k, c in terms.items():
+            out[k] = out.get(k, Fraction(0)) + Fraction(c) * Fraction(s)
+    return {k: c for k, c in out.items() if c}
+
+
+@given(st.lists(st.tuples(raw_terms, exact), max_size=5))
+def test_sum_matches_the_fraction_oracle(pairs):
+    lc = LinComb.sum((LinComb(terms), s) for terms, s in pairs)
+    assert stored_ok(lc)
+    assert lc.terms == oracle_sum(pairs)
+
+
+@given(raw_terms, raw_terms, exact)
+def test_add_scale_tensor_and_map_keys_match_the_fraction_oracle(a, b, s):
+    la, lb = LinComb(a), LinComb(b)
+    assert stored_ok(la) and la.terms == oracle_sum([(a, 1)])
+    for got, want in (
+        (la + lb, oracle_sum([(a, 1), (b, 1)])),
+        (la - lb, oracle_sum([(a, 1), (b, -1)])),
+        (-la, oracle_sum([(a, -1)])),
+        (la.scale(s), oracle_sum([(a, s)])),
+    ):
+        assert stored_ok(got)
+        assert got.terms == want
+    tensor = la.tensor(lb)
+    assert stored_ok(tensor)
+    assert tensor.terms == oracle_sum(
+        [({(k1, k2): Fraction(c1) * Fraction(c2)}, 1) for k1, c1 in a.items() for k2, c2 in b.items()]
+    )
+
+    def image(k):
+        return {k + "x": Fraction(1, 2), k[::-1]: Fraction(3), "y": -2}
+
+    mapped = la.map_keys(lambda k: LinComb(image(k)))
+    assert stored_ok(mapped)
+    assert mapped.terms == oracle_sum([(image(k), c) for k, c in oracle_sum([(a, 1)]).items()])
+
+
+@given(raw_terms, keys)
+def test_coeff_is_always_a_fraction(a, key):
+    c = LinComb(a).coeff(key)
+    assert type(c) is Fraction
+    assert c == oracle_sum([(a, 1)]).get(key, 0)
+
+
+def test_no_float_is_ever_stored():
+    lc = LinComb({"x": 0.5, "y": 2.0, "z": Fraction(4, 2)})
+    assert lc.terms == {"x": Fraction(1, 2), "y": 2, "z": 2}
+    assert stored_ok(lc)
+    assert stored_ok(LinComb.of("x", 3.0).scale(0.5)) and LinComb.of("x", 3.0).scale(0.5).terms == {
+        "x": Fraction(3, 2)
+    }
+    assert type(LinComb.of("x", Fraction(6, 3)).terms["x"]) is int
+    assert type(LinComb.of("x", Fraction(1, 2)).scale(2).terms["x"]) is int
+
+
+@given(raw_terms, raw_terms, exact)
+def test_sum_drops_terms_that_cancel(a, b, s):
+    la, lb = LinComb(a), LinComb(b)
+    assert LinComb.sum([(la, s), (la, -s)]).terms == {}
+    assert LinComb.sum([(la, s), (lb, 1), (la, -s)]).terms == lb.terms
+    half = LinComb.sum([(la, Fraction(1, 2)), (la, Fraction(1, 2))])
+    assert stored_ok(half) and half.terms == la.terms

@@ -79,6 +79,14 @@ def test_word_model_dimensions():
     assert all(model.degree(k) == 3 for k in model.basis(3))
 
 
+def test_words_refuse_an_alphabet_past_the_letters():
+    assert len(words(16, 1)) == 16
+    with pytest.raises(ValueError, match="alphabet size must be <= 16"):
+        words(17, 1)
+    with pytest.raises(ValueError):
+        get_model("as", 20).basis(1)
+
+
 def test_lie_dimensions_follow_witt_numbers():
     # necklace polynomial values for a 2-letter alphabet
     assert [len(lie_subspace(2, n)) for n in range(1, 6)] == [2, 1, 2, 3, 6]
