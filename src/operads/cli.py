@@ -328,9 +328,12 @@ def cmd_verify(args):
     if args.what == "h2":
         if args.max_degree < 2:
             raise UsageError("h2 needs --max-degree >= 2")
+        if model.splitting is None:
+            raise UsageError("model %s has no splitting scheme" % model.name)
+        if model.classical:
+            raise UsageError(
+                "h2 is unsupported on model %s: its cooperad Com is symmetric" % model.name)
         report = check_h2(model, args.max_degree)
-        if report.verdict == "unsupported":
-            raise UsageError("model %s has no cooperad declaration" % model.name)
         _emit(report.to_json_dict())
         return 0 if report.verdict in ("iso", "epi-with-splitting") else 1
     if model.name not in _STRUCTURE_TRIPLES:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import GradedEndo, LinComb
+from .linalg import GradedEndo, LinComb, memoized
 from .models import BialgebraModel, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
@@ -28,20 +28,6 @@ class ConvolutionContext:
     @property
     def coproduct(self):
         return self.model.coproducts[self.delta]
-
-
-def memoized(fn):
-    cache = {}
-
-    def image(key):
-        img = cache.get(key)
-        if img is None:
-            img = cache[key] = fn(LinComb.of(key))
-        return img
-
-    def wrapped(lc):
-        return LinComb.sum((image(key), c) for key, c in lc.items())
-    return wrapped
 
 
 def identity_map(lc):

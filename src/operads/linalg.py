@@ -182,6 +182,26 @@ class LinComb:
         return " + ".join(parts)
 
 
+def memoized(fn):
+    """The linear map fn, evaluated at most once per basis key.
+
+    The image of each key is kept for as long as the returned function
+    lives; results are sums built from it, so a kept image is never handed
+    out to be changed.
+    """
+    cache = {}
+
+    def image(key):
+        img = cache.get(key)
+        if img is None:
+            img = cache[key] = fn(LinComb.of(key))
+        return img
+
+    def wrapped(lc):
+        return LinComb.sum((image(key), c) for key, c in lc.items())
+    return wrapped
+
+
 def frac_str(c):
     """Rationals render as "p/q", or "p" when the denominator is 1."""
     c = Fraction(c)

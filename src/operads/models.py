@@ -7,7 +7,9 @@ named products and named reduced coproducts behind one interface so the
 relation checker and the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting also lists, per arity, its labeled
 cooperations paired with their splitting operations; the associative
-cooperad is the one-label case.
+cooperad is the one-label case.  All of one model's cooperations, of every
+arity, read its generating coproducts through one key-level memo per
+coproduct, so each basis key is cut at most once while the model lives.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
+from .linalg import LinComb, as_slots, coords, exact_rank, in_span, memoized, tensor_transpose
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -386,12 +388,15 @@ def _monomial_splitting(coproduct, product, scalar=lambda n: 1):
     """The associative cooperad as a one-label splitting.
 
     Its one n-ary cooperation is the (n-1)-iterated reduced coproduct,
-    paired with the right-nested n-fold product times scalar(n).
+    paired with the right-nested n-fold product times scalar(n).  Every
+    arity iterates the same memoized coproduct.
     """
+    delta = memoized(coproduct)
+
     def splitting(n):
         def operation(tensor_lc):
             return fold_product(product, tensor_lc, scalar(n))
-        return [(None, iterated_coproduct(coproduct, n - 1), operation)]
+        return [(None, iterated_coproduct(delta, n - 1), operation)]
     return splitting
 
 
@@ -405,7 +410,9 @@ class BialgebraModel:
     coproducts: dict
     generating_coproducts: tuple
     # arity n -> [(label, cooperation, operation)]: the n-ary cooperations
-    # of the cooperad side, each paired with its splitting operation
+    # of the cooperad side, each paired with its splitting operation; the
+    # cooperations of all arities share one key-level memo per generating
+    # coproduct for the model's lifetime
     splitting: Callable[[int], list] | None = None
     classical: bool = False
 
@@ -473,18 +480,21 @@ def _mag_basis(alphabet):
     return basis
 
 
-def mag_tree_cooperation(t):
-    """The cooperation dual to the tree t in the comagmatic cooperad."""
+def mag_tree_cooperation(t, delta):
+    """The cooperation dual to the tree t in the comagmatic cooperad.
+
+    delta is the dual coproduct (mag_dual_coproduct, possibly memoized).
+    """
     if t == LEAF:
         return lambda lc: lc
     l, r = trees.split(t)
-    fl = mag_tree_cooperation(l)
-    fr = mag_tree_cooperation(r)
+    fl = mag_tree_cooperation(l, delta)
+    fr = mag_tree_cooperation(r, delta)
 
     def coop(lc):
         return LinComb.sum(
             (fl(LinComb.of(k1)).tensor(fr(LinComb.of(k2))), c)
-            for (k1, k2), c in mag_dual_coproduct(lc).items()
+            for (k1, k2), c in delta(lc).items()
         )
     return coop
 
@@ -506,11 +516,16 @@ def _mag_tree_apply(t, slots):
     return mag_product(_mag_tree_apply(l, slots[:nl]), _mag_tree_apply(r, slots[nl:]))
 
 
-def _mag_dual_pairs(n):
-    return [
-        (t, mag_tree_cooperation(t), mag_tree_operation(t))
-        for t in trees.enumerate_trees(n)
-    ]
+def _mag_dual_pairs():
+    """The comagmatic splitting: one tree-indexed pair per tree with n leaves."""
+    delta = memoized(mag_dual_coproduct)
+
+    def splitting(n):
+        return [
+            (t, mag_tree_cooperation(t, delta), mag_tree_operation(t))
+            for t in trees.enumerate_trees(n)
+        ]
+    return splitting
 
 
 def mag_model(alphabet=1):
@@ -527,7 +542,7 @@ def mag_model(alphabet=1):
             "hopf": mag_hopf_coproduct,
         },
         generating_coproducts=("delta",),
-        splitting=_mag_dual_pairs,
+        splitting=_mag_dual_pairs(),
     )
 
 
@@ -559,43 +574,44 @@ def dup_model(alphabet=1):
     )
 
 
-def dup_tree_cooperation(t):
+def dup_tree_cooperation(t, dleft, dright):
     """The cooperation dual to the duplicial monomial of the tree t.
 
     Mirrors the unique writing of t with n+1 leaves as
-    (m(t_left) > x) < m(t_right) at the root.
+    (m(t_left) > x) < m(t_right) at the root.  dleft and dright are the
+    edge-cutting coproducts (dup_dleft and dup_dright, possibly memoized).
     """
     if t == Y:
         return lambda lc: lc
     l, r = trees.split(t)
 
     if r == LEAF:
-        fl = dup_tree_cooperation(l)
+        fl = dup_tree_cooperation(l, dleft, dright)
 
         def coop(lc):
             return LinComb.sum(
                 (fl(LinComb.of(ka)).tensor(LinComb.of(km)), c)
-                for (ka, km), c in dup_dright(lc).items() if _tree_key_degree(km) == 1
+                for (ka, km), c in dright(lc).items() if _tree_key_degree(km) == 1
             )
         return coop
 
-    fr = dup_tree_cooperation(r)
+    fr = dup_tree_cooperation(r, dleft, dright)
 
     if l == LEAF:
         def coop(lc):
             return LinComb.sum(
                 (LinComb.of(ku).tensor(fr(LinComb.of(kb))), c)
-                for (ku, kb), c in dup_dleft(lc).items() if _tree_key_degree(ku) == 1
+                for (ku, kb), c in dleft(lc).items() if _tree_key_degree(ku) == 1
             )
         return coop
 
-    fl = dup_tree_cooperation(l)
+    fl = dup_tree_cooperation(l, dleft, dright)
 
     def coop(lc):
         return LinComb.sum(
             (fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(fr(LinComb.of(kb))), c * c2)
-            for (ku, kb), c in dup_dleft(lc).items()
-            for (ka, km), c2 in dup_dright(LinComb.of(ku)).items()
+            for (ku, kb), c in dleft(lc).items()
+            for (ka, km), c2 in dright(LinComb.of(ku)).items()
             if _tree_key_degree(km) == 1
         )
     return coop
@@ -624,11 +640,16 @@ def _dup_tree_apply(t, slots):
     return dup_left(u, right)
 
 
-def _bidup_dual_pairs(n):
-    return [
-        (t, dup_tree_cooperation(t), dup_tree_operation(t))
-        for t in trees.enumerate_trees(n + 1)
-    ]
+def _bidup_dual_pairs():
+    """The biduplicial splitting: one tree-indexed pair per tree with n+1 leaves."""
+    dleft, dright = memoized(dup_dleft), memoized(dup_dright)
+
+    def splitting(n):
+        return [
+            (t, dup_tree_cooperation(t, dleft, dright), dup_tree_operation(t))
+            for t in trees.enumerate_trees(n + 1)
+        ]
+    return splitting
 
 
 def bidup_model(alphabet=1):
@@ -641,7 +662,7 @@ def bidup_model(alphabet=1):
         products={"left": dup_left, "right": dup_right},
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
-        splitting=_bidup_dual_pairs,
+        splitting=_bidup_dual_pairs(),
     )
 
 

@@ -17,10 +17,6 @@ from .trees import enumerate_trees, leaf_count
 from .idempotents import versal_idempotent_map
 
 
-def _word_of(key):
-    return key_parts(key)[1] if ":" in key else key
-
-
 def multilinear_basis(model, n):
     """Degree-n basis keys decorated with the identity word x1...xn.
 

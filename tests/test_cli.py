@@ -124,6 +124,10 @@ def test_exit_two_on_usage_errors(capsys):
         (["homology", "--internal-degree", "0"], "internal degree must be >= 1"),
         (["prim", "--model", "as", "--alphabet", "20", "--degree", "1"],
          "alphabet size must be <= 16"),
+        (["verify", "--model", "zinb", "--what", "h2", "--max-degree", "3"],
+         "model zinb has no splitting scheme"),
+        (["verify", "--model", "classical", "--what", "h2", "--max-degree", "3"],
+         "h2 is unsupported on model classical: its cooperad Com is symmetric"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

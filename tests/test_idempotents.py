@@ -52,13 +52,14 @@ def test_versal_idempotent_squares_to_itself(name, deg):
 
 @pytest.mark.parametrize(
     "name,deg",
-    [("dup", 6), ("as", 6), ("mag", 6), ("classical", 5)],
+    [("dup", 6), ("as", 6), ("mag", 6), ("classical", 5), ("bidup", 6), ("dup", 7)],
 )
 def test_versal_rank_equals_primitive_dimension(name, deg):
     model = get_model(name)
     e = versal_idempotent(model, max_degree=deg)
     for n in range(1, deg + 1):
         assert e.rank(n) == len(primitive_part(model, n)), (name, n)
+
 
 
 @pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup", "classical"])

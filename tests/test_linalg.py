@@ -16,6 +16,7 @@ from operads.linalg import (
     kernel_basis,
     lincomb_json,
     mat_mul,
+    memoized,
     same_column_space,
     serialize_key,
     tensor_transpose,
@@ -374,3 +375,27 @@ def test_sum_drops_terms_that_cancel(a, b, s):
     assert LinComb.sum([(la, s), (lb, 1), (la, -s)]).terms == lb.terms
     half = LinComb.sum([(la, Fraction(1, 2)), (la, Fraction(1, 2))])
     assert stored_ok(half) and half.terms == la.terms
+
+
+def test_memoized_images_survive_the_sums_built_from_them():
+    images = {}
+
+    def double_and_tag(lc):
+        key, = lc.support()
+        img = images[key] = LinComb({key + key: 1, "t": 1})
+        return img
+
+    fn = memoized(double_and_tag)
+    x, y = LinComb.of("x"), LinComb.of("y")
+    first = fn(x)
+    assert first == LinComb({"xx": 1, "t": 1})
+    # the cached image of x is the first summand, with scalar 1, of this sum
+    assert fn(x + y.scale(2)) == LinComb({"xx": 1, "yy": 2, "t": 3})
+    assert fn(x - x) == LinComb.zero()
+    assert images["x"].terms == {"xx": 1, "t": 1}
+    assert fn(x) == first and fn(x) is not images["x"]
+    # the plain sum never writes into its first summand either
+    kept = LinComb({"a": 1, "b": 2})
+    LinComb.sum([(kept, 1), (LinComb({"a": -1, "c": 5}), 1)])
+    assert kept.terms == {"a": 1, "b": 2}
+    assert sorted(images) == ["x", "y"]

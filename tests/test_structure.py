@@ -1,11 +1,13 @@
 """The map phi, primitives, PBW expansions, composite dimension counts."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from operads import structure
+from operads import models, structure
+from operads.idempotents import versal_idempotent
 from operads.linalg import LinComb, exact_rank
 from operads.models import get_model, lie_subspace, tree_key
 from operads.structure import (
@@ -265,6 +267,63 @@ def test_mag_pbw_roundtrip_with_dual_scheme():
         comps = pbw_expand(model, elt)
         assert pbw_reassemble(model, comps) == elt
         assert all(c.label is not None for c in comps)
+
+
+# --- one coproduct memo per model ------------------------------------------------
+
+def count_cuts(monkeypatch, kernel):
+    """Count, per key, the calls of a key-level coproduct kernel of models."""
+    seen = Counter()
+    cut = getattr(models, kernel)
+
+    def counted(key):
+        seen[key] += 1
+        return cut(key)
+    monkeypatch.setattr(models, kernel, counted)
+    return seen
+
+
+def test_versal_idempotent_cuts_each_key_once(monkeypatch):
+    # every arity and every omega^[n] of one model read one coproduct memo
+    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    versal_idempotent(get_model("dup", 1), 6)
+    assert seen and set(seen.values()) == {1}
+
+
+def test_pbw_expand_cuts_each_key_once(monkeypatch):
+    seen = [count_cuts(monkeypatch, k) for k in ("_dup_dleft_key", "_dup_dright_key")]
+    model = get_model("bidup", 1)
+    a = LinComb((k, i % 3 - 1) for i, k in enumerate(model.basis(5)))
+    comps = pbw_expand(model, a)
+    assert pbw_reassemble(model, comps) == a
+    for counts in seen:
+        assert counts and set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["dup", "bidup", "mag"])
+def test_memoized_cooperations_match_a_fresh_model(name):
+    model = get_model(name, 2)
+    x, y = (LinComb.of(k) for k in model.basis(4)[5:7])
+    for n in range(2, 5):
+        for i, (label, coop, _) in enumerate(model.splitting(n)):
+            for elt in (x, x + y.scale(2), x):
+                fresh_label, fresh_coop, _ = get_model(name, 2).splitting(n)[i]
+                assert fresh_label == label
+                assert coop(elt) == fresh_coop(elt), (name, n, label)
+
+
+def test_models_do_not_share_a_memo(monkeypatch):
+    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    key = tree_key("((.,.),(.,.))", "xxx")
+    one, two = get_model("dup", 1), get_model("dup", 2)
+    (_, coop_one, _), = one.splitting(2)
+    (_, coop_two, _), = two.splitting(3)
+    coop_one(LinComb.of(key))
+    assert seen[key] == 1
+    coop_two(LinComb.of(key))
+    assert seen[key] == 2
+    one.splitting(3)[0][1](LinComb.of(key))
+    assert seen[key] == 2
 
 
 # --- composite dimensions --------------------------------------------------------
