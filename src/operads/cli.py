@@ -88,12 +88,7 @@ def parse_element(model, text):
 
 
 def _validate_key(model, key):
-    try:
-        n = model.degree(key)
-        ok = n >= 1 and key in model.basis(n)
-    except Exception:
-        ok = False
-    if not ok:
+    if not model.is_key(key):
         raise UsageError("key %r is not a basis element of model %s" % (key, model.name))
 
 

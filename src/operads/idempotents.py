@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import GradedEndo, LinComb, memoized
-from .models import BialgebraModel, left_nested_bracket
+from .models import BialgebraModel, by_label, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -134,25 +135,41 @@ def geometric_idempotent(ctx, max_degree):
     return materialize(ctx.model, geometric_map(ctx, max_degree), max_degree)
 
 
-def omega_map(model, n, max_degree):
-    """omega^[n] = s(n) o Delta^[n]: each n-ary cooperation, then its operation.
+def _omega_table(model, max_degree):
+    """key -> {n: omega^[n](key)}, built once per key from one decomposition.
 
     On the classical model omega^[n] is the sum of the Eulerian idempotents
     e^(k), k >= n, which share the cached convolution-log family.
     """
-    if n < 2:
-        raise ValueError("omega is defined for arity >= 2")
     if model.classical:
         family = eulerian_family(ConvolutionContext(model), max_degree)
 
-        def omega(lc):
-            return LinComb.sum((e(lc), 1) for e in family[n - 1:])
-        return memoized(omega)
-    triples = model.splitting(n)
+        def table(key):
+            lc, tail, out = LinComb.of(key), LinComb.zero(), {}
+            for n in range(max_degree, 1, -1):
+                out[n] = tail = tail + family[n - 1](lc)
+            return out
+    else:
+        splitting = model.splitting
 
-    def omega(lc):
-        return LinComb.sum((op(coop(lc)), 1) for _, coop, op in triples)
-    return memoized(omega)
+        def table(key):
+            return {
+                n: LinComb.sum((splitting.operation(label)(t), 1) for label, t in group.items())
+                for n, group in by_label(splitting.decompose(key)).items() if n > 1
+            }
+    return lru_cache(maxsize=None)(table)
+
+
+def _read_omega(table, n):
+    zero = LinComb.zero()
+    return lambda lc: LinComb.sum((table(key).get(n, zero), c) for key, c in lc.items())
+
+
+def omega_map(model, n, max_degree):
+    """omega^[n] = s(n) o Delta^[n]: the arity-n labels of each key, through their operations."""
+    if n < 2:
+        raise ValueError("omega is defined for arity >= 2")
+    return _read_omega(_omega_table(model, max_degree), n)
 
 
 def omega(model, n, max_degree):
@@ -160,12 +177,13 @@ def omega(model, n, max_degree):
 
 
 def versal_idempotent_map(model, max_degree):
-    """e = (Id - omega^[2])(Id - omega^[3]) ... , finite in each degree."""
-    omegas = [omega_map(model, n, max_degree) for n in range(2, max_degree + 1)]
+    """e = (Id - omega^[2])(Id - omega^[3]) ..., each omega^[n] read off one per-key table."""
+    table = _omega_table(model, max_degree)
+    omegas = [_read_omega(table, n) for n in range(max_degree, 1, -1)]
 
     def versal(lc):
         cur = lc
-        for om in reversed(omegas):
+        for om in omegas:
             cur = cur - om(cur)
         return cur
     return memoized(versal)

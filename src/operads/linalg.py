@@ -13,6 +13,7 @@ membership.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -189,17 +190,8 @@ def memoized(fn):
     lives; results are sums built from it, so a kept image is never handed
     out to be changed.
     """
-    cache = {}
-
-    def image(key):
-        img = cache.get(key)
-        if img is None:
-            img = cache[key] = fn(LinComb.of(key))
-        return img
-
-    def wrapped(lc):
-        return LinComb.sum((image(key), c) for key, c in lc.items())
-    return wrapped
+    image = lru_cache(maxsize=None)(lambda key: fn(LinComb.of(key)))
+    return lambda lc: LinComb.sum((image(key), c) for key, c in lc.items())
 
 
 def frac_str(c):

@@ -5,11 +5,10 @@ algebras; planar binary trees decorated with words carry the free
 magmatic and duplicial algebras.  Each model packages its graded basis,
 named products and named reduced coproducts behind one interface so the
 relation checker and the idempotent engine can treat them uniformly.
-A model with a coalgebra splitting also lists, per arity, its labeled
-cooperations paired with their splitting operations; the associative
-cooperad is the one-label case.  All of one model's cooperations, of every
-arity, read its generating coproducts through one key-level memo per
-coproduct, so each basis key is cut at most once while the model lives.
+A model with a coalgebra splitting decomposes each key into all of its
+labeled cooperations of every arity in one pass, and looks up the
+splitting operation of each label; the associative cooperad is the case
+of one label.  Each key is cut at most once per model.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .linalg import LinComb, as_slots, coords, exact_rank, in_span, memoized, tensor_transpose
+from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -356,52 +355,88 @@ def lie_tensor_escape(alphabet, n):
 
 # --- model plumbing -----------------------------------------------------------
 
+def _cut_first(image, lc):
+    """Delta x id x ... x id on tensor keys, with image(key) = Delta(key)."""
+    out = {}
+    for key, c in lc.items():
+        slots = as_slots(key)
+        for pair, d in image(slots[0]).items():
+            cut = pair + slots[1:]
+            out[cut] = out.get(cut, 0) + c * d
+    return LinComb(out)
+
+
 def iterated_coproduct(coproduct, k):
     """The k-iterated reduced coproduct (k+1 output slots); k=0 is Id."""
-    def on_first(key):
-        slots = as_slots(key)
-        head = coproduct(LinComb.of(slots[0]))
-        return head.tensor(LinComb.of(slots[1:])) if len(slots) > 1 else head
+    def image(key):
+        return coproduct(LinComb.of(key))
 
     def iterate(lc):
-        cur = lc
         for _ in range(k):
-            cur = LinComb.sum((on_first(key), c) for key, c in cur.items())
-            if not cur:
-                break
-        return cur
+            lc = _cut_first(image, lc)
+        return lc
     return iterate
 
 
-def fold_product(product, tensor_lc, scalar):
-    """Right-nested product of the slots of every tensor key, times scalar."""
-    def fold(key):
-        slots = as_slots(key)
+@dataclass(frozen=True)
+class Splitting:
+    """The cooperad side C of a model, with its splitting s: C -> A.
+
+    decompose sends a basis key to all of its labeled cooperations of every
+    arity at once: a LinComb over keys (label, slot_1, ..., slot_n), whose
+    arity is the number of slots.  labels(n) is a basis of C_n, and
+    operation(label) the splitting operation s(label) on tensor LinCombs.
+    """
+    decompose: Callable[[object], LinComb]
+    labels: Callable[[int], list]
+    operation: Callable[[object], Callable]
+
+
+def by_label(decomposition):
+    """{arity: {label: tensor LinComb}} of a decomposition; arity 1 keeps plain keys."""
+    parts = {}
+    for key, c in decomposition.items():
+        slots = key[1] if len(key) == 2 else key[1:]
+        parts.setdefault(len(key) - 1, {}).setdefault(key[0], {})[slots] = c
+    return {n: {label: LinComb(t) for label, t in group.items()} for n, group in parts.items()}
+
+
+def _operations(apply):
+    """label -> the operation sending each tensor key to apply(label, slots)."""
+    def operation(label):
+        def op(tensor_lc):
+            return LinComb.sum((apply(label, as_slots(key)), c) for key, c in tensor_lc.items())
+        return op
+    return operation
+
+
+def _associative_splitting(coproduct, product, scalar=lambda n: 1):
+    """The associative cooperad: the one label None in every arity.
+
+    Its arity-n part is the tower Delta^[n-1] = (Delta x id) Delta^[n-2],
+    walked once per key through one memo of the coproduct per model; the
+    operation is the right-nested n-fold product times scalar(n).
+    """
+    delta = lru_cache(maxsize=None)(lambda key: coproduct(LinComb.of(key)))
+
+    def decompose(key):
+        terms, level = {}, LinComb.of(key)
+        while level:
+            terms.update(((None,) + as_slots(k), c) for k, c in level.items())
+            level = _cut_first(delta, level)
+        return LinComb(terms)
+
+    def fold(_, slots):
         acc = LinComb.of(slots[-1])
         for s in reversed(slots[:-1]):
             acc = product(LinComb.of(s), acc)
-        return acc
-    return LinComb.sum((fold(key), c * scalar) for key, c in tensor_lc.items())
-
-
-def _monomial_splitting(coproduct, product, scalar=lambda n: 1):
-    """The associative cooperad as a one-label splitting.
-
-    Its one n-ary cooperation is the (n-1)-iterated reduced coproduct,
-    paired with the right-nested n-fold product times scalar(n).  Every
-    arity iterates the same memoized coproduct.
-    """
-    delta = memoized(coproduct)
-
-    def splitting(n):
-        def operation(tensor_lc):
-            return fold_product(product, tensor_lc, scalar(n))
-        return [(None, iterated_coproduct(delta, n - 1), operation)]
-    return splitting
+        return acc.scale(scalar(len(slots)))
+    return Splitting(decompose, lambda n: [None], _operations(fold))
 
 
 @dataclass(frozen=True)
 class BialgebraModel:
+    """A graded basis, named products and coproducts, and an optional Splitting."""
     name: str
     alphabet: int
     basis: Callable[[int], list]
@@ -409,12 +444,27 @@ class BialgebraModel:
     products: dict
     coproducts: dict
     generating_coproducts: tuple
-    # arity n -> [(label, cooperation, operation)]: the n-ary cooperations
-    # of the cooperad side, each paired with its splitting operation; the
-    # cooperations of all arities share one key-level memo per generating
-    # coproduct for the model's lifetime
-    splitting: Callable[[int], list] | None = None
+    # structural basis membership of a key string, without listing a basis
+    is_key: Callable[[str], bool]
+    splitting: Splitting | None = None
     classical: bool = False
+
+
+def _is_key(alphabet, extra_leaves=None, top_degree=None):
+    """Keys: words over the alphabet, or tree:word with len(word) + extra_leaves leaves."""
+    letters = set(LETTERS[:alphabet])
+
+    def is_key(key):
+        t, sep, w = key.partition(":") if extra_leaves is not None else ("", ":", key)
+        ok = bool(sep) and 0 < len(w) <= (top_degree or len(w)) and set(w) <= letters
+        if ok and extra_leaves is not None:
+            try:
+                trees.validate(t)
+            except (ValueError, RecursionError):
+                return False
+            return leaf_count(t) == len(w) + extra_leaves
+        return ok
+    return is_key
 
 
 def _word_degree(key):
@@ -435,7 +485,8 @@ def as_model(alphabet=1):
         products={"mul": as_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        splitting=_monomial_splitting(as_deconcat, as_concat),
+        is_key=_is_key(alphabet),
+        splitting=_associative_splitting(as_deconcat, as_concat),
     )
 
 
@@ -449,7 +500,8 @@ def classical_model(alphabet=2):
         products={"mul": as_concat},
         coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
-        splitting=_monomial_splitting(
+        is_key=_is_key(alphabet),
+        splitting=_associative_splitting(
             as_shuffle_coproduct, as_concat,
             scalar=lambda k: Fraction(1, factorial(k)),
         ),
@@ -467,48 +519,23 @@ def zinbiel_model(alphabet=2):
         products={"left": zinb_half_shuffle, "star": shuffle_product},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
+        is_key=_is_key(alphabet),
     )
 
 
-def _mag_basis(alphabet):
+def _tree_basis(alphabet, extra_leaves):
+    """Degree-n keys: trees with n + extra_leaves leaves decorated with words."""
     def basis(n):
         return [
             tree_key(t, w)
-            for t in trees.enumerate_trees(n)
+            for t in trees.enumerate_trees(n + extra_leaves)
             for w in words(alphabet, n)
         ]
     return basis
 
 
-def mag_tree_cooperation(t, delta):
-    """The cooperation dual to the tree t in the comagmatic cooperad.
-
-    delta is the dual coproduct (mag_dual_coproduct, possibly memoized).
-    """
-    if t == LEAF:
-        return lambda lc: lc
-    l, r = trees.split(t)
-    fl = mag_tree_cooperation(l, delta)
-    fr = mag_tree_cooperation(r, delta)
-
-    def coop(lc):
-        return LinComb.sum(
-            (fl(LinComb.of(k1)).tensor(fr(LinComb.of(k2))), c)
-            for (k1, k2), c in delta(lc).items()
-        )
-    return coop
-
-
-def mag_tree_operation(t):
-    """The n-ary product indexed by a tree with n leaves."""
-    def op(tensor_lc):
-        return LinComb.sum(
-            (_mag_tree_apply(t, as_slots(key)), c) for key, c in tensor_lc.items()
-        )
-    return op
-
-
 def _mag_tree_apply(t, slots):
+    """The product indexed by a tree with n leaves, on n slots."""
     if t == LEAF:
         return LinComb.of(slots[0])
     l, r = trees.split(t)
@@ -516,16 +543,24 @@ def _mag_tree_apply(t, slots):
     return mag_product(_mag_tree_apply(l, slots[:nl]), _mag_tree_apply(r, slots[nl:]))
 
 
-def _mag_dual_pairs():
-    """The comagmatic splitting: one tree-indexed pair per tree with n leaves."""
-    delta = memoized(mag_dual_coproduct)
+def _mag_splitting():
+    """The comagmatic cooperad: one label per tree, its arity the leaf count.
 
-    def splitting(n):
-        return [
-            (t, mag_tree_cooperation(t, delta), mag_tree_operation(t))
-            for t in trees.enumerate_trees(n)
-        ]
-    return splitting
+    The cooperation of a tree t sends a key whose tree is t with a subtree
+    grafted on each leaf to those decorated subtrees, every other key to 0;
+    decompose recurses over the unique split at the root.
+    """
+    def decompose(key):
+        terms = [((LEAF, key), 1)]
+        if key_parts(key)[0] != LEAF:
+            kl, kr = mag_split(key)
+            right = decompose(kr).items()
+            terms += [
+                ((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
+                for l, c1 in decompose(kl).items() for r, c2 in right
+            ]
+        return LinComb(terms)
+    return Splitting(decompose, trees.enumerate_trees, _operations(_mag_tree_apply))
 
 
 def mag_model(alphabet=1):
@@ -533,7 +568,7 @@ def mag_model(alphabet=1):
     return BialgebraModel(
         name="mag",
         alphabet=alphabet,
-        basis=_mag_basis(alphabet),
+        basis=_tree_basis(alphabet, 0),
         degree=_tree_key_degree,
         products={"mul": mag_product},
         coproducts={
@@ -542,18 +577,9 @@ def mag_model(alphabet=1):
             "hopf": mag_hopf_coproduct,
         },
         generating_coproducts=("delta",),
-        splitting=_mag_dual_pairs(),
+        is_key=_is_key(alphabet, extra_leaves=0),
+        splitting=_mag_splitting(),
     )
-
-
-def _dup_basis(alphabet):
-    def basis(n):
-        return [
-            tree_key(t, w)
-            for t in trees.enumerate_trees(n + 1)
-            for w in words(alphabet, n)
-        ]
-    return basis
 
 
 def dup_model(alphabet=1):
@@ -561,7 +587,7 @@ def dup_model(alphabet=1):
     return BialgebraModel(
         name="dup",
         alphabet=alphabet,
-        basis=_dup_basis(alphabet),
+        basis=_tree_basis(alphabet, 1),
         degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={
@@ -570,63 +596,13 @@ def dup_model(alphabet=1):
             "dright": dup_dright,
         },
         generating_coproducts=("delta",),
-        splitting=_monomial_splitting(dup_coproduct, dup_right),
+        is_key=_is_key(alphabet, extra_leaves=1),
+        splitting=_associative_splitting(dup_coproduct, dup_right),
     )
 
 
-def dup_tree_cooperation(t, dleft, dright):
-    """The cooperation dual to the duplicial monomial of the tree t.
-
-    Mirrors the unique writing of t with n+1 leaves as
-    (m(t_left) > x) < m(t_right) at the root.  dleft and dright are the
-    edge-cutting coproducts (dup_dleft and dup_dright, possibly memoized).
-    """
-    if t == Y:
-        return lambda lc: lc
-    l, r = trees.split(t)
-
-    if r == LEAF:
-        fl = dup_tree_cooperation(l, dleft, dright)
-
-        def coop(lc):
-            return LinComb.sum(
-                (fl(LinComb.of(ka)).tensor(LinComb.of(km)), c)
-                for (ka, km), c in dright(lc).items() if _tree_key_degree(km) == 1
-            )
-        return coop
-
-    fr = dup_tree_cooperation(r, dleft, dright)
-
-    if l == LEAF:
-        def coop(lc):
-            return LinComb.sum(
-                (LinComb.of(ku).tensor(fr(LinComb.of(kb))), c)
-                for (ku, kb), c in dleft(lc).items() if _tree_key_degree(ku) == 1
-            )
-        return coop
-
-    fl = dup_tree_cooperation(l, dleft, dright)
-
-    def coop(lc):
-        return LinComb.sum(
-            (fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(fr(LinComb.of(kb))), c * c2)
-            for (ku, kb), c in dleft(lc).items()
-            for (ka, km), c2 in dright(LinComb.of(ku)).items()
-            if _tree_key_degree(km) == 1
-        )
-    return coop
-
-
-def dup_tree_operation(t):
-    """The n-ary duplicial monomial indexed by a tree with n+1 leaves."""
-    def op(tensor_lc):
-        return LinComb.sum(
-            (_dup_tree_apply(t, as_slots(key)), c) for key, c in tensor_lc.items()
-        )
-    return op
-
-
 def _dup_tree_apply(t, slots):
+    """The duplicial monomial indexed by a tree with n+1 leaves, on n slots."""
     if t == Y:
         return LinComb.of(slots[0])
     l, r = trees.split(t)
@@ -640,16 +616,31 @@ def _dup_tree_apply(t, slots):
     return dup_left(u, right)
 
 
-def _bidup_dual_pairs():
-    """The biduplicial splitting: one tree-indexed pair per tree with n+1 leaves."""
-    dleft, dright = memoized(dup_dleft), memoized(dup_dright)
+def _bidup_splitting():
+    """The biduplicial cooperad: one label per tree, n+1 leaves in arity n.
 
-    def splitting(n):
-        return [
-            (t, dup_tree_cooperation(t, dleft, dright), dup_tree_operation(t))
-            for t in trees.enumerate_trees(n + 1)
-        ]
-    return splitting
+    A tree other than Y is the monomial (m(t_l) > x) < m(t_r) at its root.
+    dright cuts off the last generator x when t_r is a leaf; otherwise dleft
+    cuts off m(t_r), and the rest gives the terms of its own decomposition
+    on trees (t_l, leaf) ending in a generator.  Memoized per model.
+    """
+    @lru_cache(maxsize=None)
+    def decompose(key):
+        terms = [((Y, key), 1)]
+        for (ka, km), c in dup_dright(LinComb.of(key)).items():
+            if _tree_key_degree(km) == 1:
+                terms += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
+                          for a, c2 in decompose(ka).items()]
+        for (ku, kb), c in dup_dleft(LinComb.of(key)).items():
+            right = decompose(kb).items()
+            for u, c2 in decompose(ku).items():
+                # u's tree is (t_l, leaf) and its last slot a generator
+                if u[0].endswith(",.)") and _tree_key_degree(u[-1]) == 1:
+                    terms += [((trees.vee(u[0][1:-3], r[0]),) + u[1:] + r[1:], c * c2 * c3)
+                              for r, c3 in right]
+        return LinComb(terms)
+    return Splitting(decompose, lambda n: trees.enumerate_trees(n + 1),
+                     _operations(_dup_tree_apply))
 
 
 def bidup_model(alphabet=1):
@@ -657,12 +648,13 @@ def bidup_model(alphabet=1):
     return BialgebraModel(
         name="bidup",
         alphabet=alphabet,
-        basis=_dup_basis(alphabet),
+        basis=_tree_basis(alphabet, 1),
         degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
-        splitting=_bidup_dual_pairs(),
+        is_key=_is_key(alphabet, extra_leaves=1),
+        splitting=_bidup_splitting(),
     )
 
 
@@ -670,7 +662,8 @@ def lie_model(alphabet=2):
     """Lie polynomials inside the tensor algebra, with bracket and cobracket.
 
     Basis elements are LinCombs of words (the bracket-span basis), not
-    atomic keys; the relation checker handles both.
+    atomic keys, so no key is a basis element; the relation checker
+    handles both.
     """
     return BialgebraModel(
         name="lie",
@@ -680,6 +673,7 @@ def lie_model(alphabet=2):
         products={"mul": lie_bracket},
         coproducts={"delta": lie_cobracket},
         generating_coproducts=("delta",),
+        is_key=lambda key: False,
     )
 
 
@@ -700,6 +694,7 @@ def nil_model(alphabet=2):
         products={"mul": trunc_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
+        is_key=_is_key(alphabet, top_degree=2),
     )
 
 

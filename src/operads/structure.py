@@ -12,46 +12,45 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
-from .models import LETTERS, get_model, key_parts, tree_key
+from .models import LETTERS, by_label, key_parts, tree_key
 from .trees import enumerate_trees, leaf_count
 from .idempotents import versal_idempotent_map
 
 
-def multilinear_basis(model, n):
-    """Degree-n basis keys decorated with the identity word x1...xn.
+def multilinear_basis(model, n, letters=LETTERS):
+    """Degree-n basis keys decorated with the word letters[:n], x1...xn by default.
 
-    Built directly rather than by filtering basis(n), whose size grows
-    like (alphabet size)^n.
+    Built directly: filtering basis(n) would list (alphabet size)^n words.
     """
-    idw = LETTERS[:n]
+    word = letters[:n]
     template = model.basis(1)[0]
     if ":" not in template:
-        return [idw]
-    l1 = leaf_count(key_parts(template)[0])
-    l2 = leaf_count(key_parts(model.basis(2)[0])[0])
-    leaves = l1 + (l2 - l1) * (n - 1)
-    return [tree_key(t, idw) for t in enumerate_trees(leaves)]
+        return [word]
+    leaves = leaf_count(key_parts(template)[0]) + n - 1
+    return [tree_key(t, word) for t in enumerate_trees(leaves)]
 
 
 def generator_key(model, letter):
     """The degree-1 basis key decorated with the given letter."""
-    template = model.basis(1)[0]
-    if ":" in template:
-        return tree_key(key_parts(template)[0], letter)
-    return letter
+    return multilinear_basis(model, 1, letter)[0]
 
 
 def phi_map(model, n):
-    """Matrix of phi in degree n: rows = cooperad basis, cols = operations."""
-    big = get_model(model.name, n) if model.alphabet < n else model
-    cols = multilinear_basis(big, n)
-    target = tuple(generator_key(big, LETTERS[i]) for i in range(n))
-    if n == 1:
-        target = target[0]
-    return [
-        [coop(LinComb.of(key)).coeff(target) for key in cols]
-        for _, coop, _ in big.splitting(n)
-    ]
+    """Matrix of phi in degree n: rows = cooperad basis, cols = operations.
+
+    Entry (i, j) is the coefficient of x1 x ... x xn in the i-th labeled
+    cooperation of the j-th key on the word x1...xn.  The nonsymmetric
+    models only slice words, so it is read on the model's own one-letter
+    keys t:x...x at (g:x)^(x n), one decomposition per column.
+    """
+    if model.classical:
+        raise ValueError("phi is read on nonsymmetric models; Com is symmetric")
+    x = LETTERS[0]
+    target = (generator_key(model, x),) * n
+    rows = [(label,) + target for label in model.splitting.labels(n)]
+    cols = [[terms.coeff(row) for row in rows]
+            for terms in map(model.splitting.decompose, multilinear_basis(model, n, x * n))]
+    return [list(row) for row in zip(*cols)]
 
 
 @dataclass
@@ -100,18 +99,18 @@ def check_h2(model, max_degree):
 def _splitting_section_ok(model, max_degree):
     """Check phi(s(n)) = id on the cooperad side, exactly, per degree.
 
-    With x = x1 x ... x xn the coefficient of x in coop_i(op_j(x)) must be
-    1 for i = j and 0 otherwise, over every pair of the arity-n triples.
+    With x = x1 x ... x xn, read on one-letter keys as in phi_map, the
+    decomposition of op_j(x) must hold (label_i, x) with coefficient 1 for
+    i = j and 0 otherwise: one decomposition per operation reads every i.
     """
+    splitting = model.splitting
     for n in range(2, max_degree + 1):
-        big = get_model(model.name, n)
-        target = tuple(generator_key(big, LETTERS[i]) for i in range(n))
-        triples = big.splitting(n)
-        for j, (_, _, op) in enumerate(triples):
-            monomial = op(LinComb.of(target))
-            for i, (_, coop, _) in enumerate(triples):
-                if coop(monomial).coeff(target) != (1 if i == j else 0):
-                    return False
+        target = (generator_key(model, LETTERS[0]),) * n
+        labels = splitting.labels(n)
+        for j in labels:
+            image = splitting.operation(j)(LinComb.of(target)).map_keys(splitting.decompose)
+            if any(image.coeff((i,) + target) != (1 if i == j else 0) for i in labels):
+                return False
     return True
 
 
@@ -159,29 +158,30 @@ def _apply_slotwise(fn, tensor_lc):
 def pbw_expand(model, a, max_degree=None):
     """Decompose a into primitive tensor components, one per cooperation.
 
-    Reassembling the components through the splitting operations returns
-    the input exactly; see pbw_reassemble.
+    One decomposition of each key of a gives every labeled cooperation;
+    the versal idempotent then acts slot by slot.  Components come by
+    arity, then in cooperad basis order, and reassembling them through the
+    splitting operations returns the input exactly; see pbw_reassemble.
     """
     if not a:
         return []
     if max_degree is None:
         max_degree = max(model.degree(k) for k in a.support())
     e = versal_idempotent_map(model, max_degree)
+    parts = by_label(a.map_keys(model.splitting.decompose))
     comps = []
     for k in range(1, max_degree + 1):
-        for label, coop, _ in model.splitting(k):
-            comp = _apply_slotwise(e, coop(a))
+        group = parts.get(k, {})
+        for label in model.splitting.labels(k):
+            comp = _apply_slotwise(e, group[label]) if label in group else None
             if comp:
                 comps.append(PbwComponent(arity=k, label=label, tensor=comp))
     return comps
 
 
 def pbw_reassemble(model, comps):
-    ops = {
-        n: {label: op for label, _, op in model.splitting(n)}
-        for n in {comp.arity for comp in comps}
-    }
-    return LinComb.sum((ops[comp.arity][comp.label](comp.tensor), 1) for comp in comps)
+    operation = model.splitting.operation
+    return LinComb.sum((operation(comp.label)(comp.tensor), 1) for comp in comps)
 
 
 def composite_dims(c_dim, p_dim, n):
@@ -220,8 +220,7 @@ def verify_structure_iso(c_dim, model, p_dim, max_degree):
     rows = []
     ok = True
     for n in range(1, max_degree + 1):
-        big = get_model(model.name, n) if model.alphabet < n else model
-        dim_a = len(multilinear_basis(big, n))
+        dim_a = len(multilinear_basis(model, n))
         comp = composite_dims(c_dim, p_dim, n)
         rows.append((n, dim_a, comp))
         if dim_a != comp:

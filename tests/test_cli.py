@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, grammar, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 from operads.cli import UsageError, main, parse_element
 from operads.linalg import LinComb
-from operads.models import get_model
+from operads.models import get_model, model_names, tree_key, words
+from operads.trees import enumerate_trees
 
 
 def run_cli(*argv):
@@ -41,6 +43,44 @@ def test_parse_element_rejects_garbage():
     for bad in ("", "qq", "2*", "x**y", "1/0*x", "xy+zz", "xy+yy+zz"):
         with pytest.raises(UsageError):
             parse_element(model, bad)
+
+
+def _listed_keys(model, max_degree=5):
+    """The membership oracle: the keys of the listed bases of degree <= max_degree.
+
+    The lie basis lists LinCombs, which equal no key.
+    """
+    return {k for n in range(1, max_degree + 1) for k in model.basis(n) if isinstance(k, str)}
+
+
+def test_key_validation_never_lists_a_basis():
+    # every genuine basis key among the candidates has degree <= 4
+    candidates = [w for n in range(1, 5) for w in words(3, n)] + [
+        tree_key(t, w)
+        for leaves in range(1, 7) for t in enumerate_trees(leaves)
+        for n in range(1, 5) for w in words(2, n)
+    ] + [
+        ":", ":x", "x:", ".", "(.,.)", "(.,.):", ".:x:", "(.,.):x:x", "(.,.):xz",
+        "((.,.):xy", "(.,.)):xy", "(.,.,.):xx", "(..):x", "(.;.):x", "X", "xq",
+        "(.,.):X", "(" * 3000 + ":x",
+    ]
+
+    def boom(n):
+        raise AssertionError("key validation listed the degree-%d basis" % n)
+
+    for name in model_names():
+        for alphabet in (1, 2):
+            model = get_model(name, alphabet)
+            listed = _listed_keys(model)
+            blind = dataclasses.replace(model, basis=boom)
+            for key in candidates:
+                if key in listed:
+                    assert parse_element(blind, key) == LinComb.of(key)
+                    continue
+                with pytest.raises(UsageError) as exc:
+                    parse_element(blind, key)
+                assert str(exc.value) == (
+                    "key %r is not a basis element of model %s" % (key, name))
 
 
 # --- exit codes -------------------------------------------------------------

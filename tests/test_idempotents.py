@@ -52,7 +52,8 @@ def test_versal_idempotent_squares_to_itself(name, deg):
 
 @pytest.mark.parametrize(
     "name,deg",
-    [("dup", 6), ("as", 6), ("mag", 6), ("classical", 5), ("bidup", 6), ("dup", 7)],
+    [("dup", 6), ("as", 6), ("mag", 6), ("classical", 5), ("bidup", 6), ("dup", 7),
+     ("bidup", 7), ("mag", 7)],
 )
 def test_versal_rank_equals_primitive_dimension(name, deg):
     model = get_model(name)

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from operads import models, structure
+from operads import models, trees
 from operads.idempotents import versal_idempotent
-from operads.linalg import LinComb, exact_rank
-from operads.models import get_model, lie_subspace, tree_key
+from operads.linalg import LinComb, exact_rank, memoized
+from operads.models import (
+    LETTERS, _tree_key_degree, by_label, get_model, iterated_coproduct, lie_subspace, tree_key,
+)
 from operads.structure import (
     _splitting_section_ok,
     check_h2,
@@ -22,7 +24,7 @@ from operads.structure import (
     primitive_part,
     verify_structure_iso,
 )
-from operads.trees import catalan
+from operads.trees import LEAF, Y, catalan, enumerate_trees
 
 
 def test_multilinear_basis_sizes():
@@ -76,6 +78,9 @@ def test_h2_verdicts(name, verdict):
 
 def test_h2_unsupported_without_cooperad():
     assert check_h2(get_model("classical", 2), 3).verdict == "unsupported"
+    # phi is read on one-letter keys, which only a nonsymmetric cooperad allows
+    with pytest.raises(ValueError):
+        phi_map(get_model("classical", 2), 3)
 
 
 @pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup"])
@@ -84,29 +89,44 @@ def test_splitting_is_a_section_of_phi(name):
     assert _splitting_section_ok(get_model(name), 5)
 
 
-def _with_splitting(change):
-    def build(name, alphabet=None):
-        model = get_model(name, alphabet)
-        return dataclasses.replace(model, splitting=lambda n: change(model.splitting(n)))
-    return build
+def _with_operation(model, change):
+    """The model with its splitting operations replaced by change(splitting)."""
+    sp = model.splitting
+    return dataclasses.replace(model, splitting=dataclasses.replace(sp, operation=change(sp)))
 
 
-def test_section_check_rejects_wrong_splittings(monkeypatch):
-    def doubled(triples):
-        return [(label, coop, lambda t, op=op: op(t).scale(2)) for label, coop, op in triples]
+def test_section_check_rejects_wrong_splittings():
+    def doubled(sp):
+        return lambda label: lambda t: sp.operation(label)(t).scale(2)
 
-    def mixed(triples):
-        # the first operation picks up the second one: the diagonal stays 1
-        if len(triples) < 2:
-            return triples
-        (label, coop, op), other = triples[0], triples[1][2]
-        return [(label, coop, lambda t: op(t) + other(t))] + triples[1:]
+    def mixed(sp):
+        # the first arity-3 operation picks up the second one: the diagonal stays 1
+        first, second = sp.labels(3)[:2]
 
-    monkeypatch.setattr(structure, "get_model", _with_splitting(doubled))
-    assert not _splitting_section_ok(get_model("dup"), 3)
+        def operation(label):
+            if label != first:
+                return sp.operation(label)
+            return lambda t: sp.operation(first)(t) + sp.operation(second)(t)
+        return operation
+
+    assert not _splitting_section_ok(_with_operation(get_model("dup"), doubled), 3)
     # mag has two trees with three leaves, so the mixture leaves the dual basis
-    monkeypatch.setattr(structure, "get_model", _with_splitting(mixed))
-    assert not _splitting_section_ok(get_model("mag"), 3)
+    assert not _splitting_section_ok(_with_operation(get_model("mag"), mixed), 3)
+
+
+@pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup"])
+def test_phi_on_one_letter_keys_equals_the_multilinear_phi(name):
+    # phi over n distinct letters needs an alphabet of n letters
+    model = get_model(name)
+    for n in range(1, 7):
+        big = get_model(name, n)
+        target = tuple(generator_key(big, LETTERS[i]) for i in range(n))
+        multilinear = [
+            [big.splitting.decompose(key).coeff((label,) + target)
+             for key in multilinear_basis(big, n)]
+            for label in big.splitting.labels(n)
+        ]
+        assert phi_map(model, n) == multilinear, (name, n)
 
 
 def test_primitive_dimensions():
@@ -300,30 +320,152 @@ def test_pbw_expand_cuts_each_key_once(monkeypatch):
         assert counts and set(counts.values()) == {1}
 
 
+def test_check_h2_cuts_each_key_once(monkeypatch):
+    # phi and the section check read the model's own memo in every degree
+    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    assert check_h2(get_model("dup"), 6).verdict == "epi-with-splitting"
+    assert seen and set(seen.values()) == {1}
+
+
+def test_bidup_versal_idempotent_cuts_each_key_once(monkeypatch):
+    seen = [count_cuts(monkeypatch, k) for k in ("_dup_dleft_key", "_dup_dright_key")]
+    versal_idempotent(get_model("bidup", 1), 6)
+    for counts in seen:
+        assert counts and set(counts.values()) == {1}
+
+
+def test_bidup_h2_past_the_pinned_degree():
+    report = check_h2(get_model("bidup"), 7)
+    assert report.verdict == "iso"
+    assert report.per_degree[-1] == (7, 429, 429, 429)
+
+
 @pytest.mark.parametrize("name", ["dup", "bidup", "mag"])
 def test_memoized_cooperations_match_a_fresh_model(name):
     model = get_model(name, 2)
     x, y = (LinComb.of(k) for k in model.basis(4)[5:7])
-    for n in range(2, 5):
-        for i, (label, coop, _) in enumerate(model.splitting(n)):
-            for elt in (x, x + y.scale(2), x):
-                fresh_label, fresh_coop, _ = get_model(name, 2).splitting(n)[i]
-                assert fresh_label == label
-                assert coop(elt) == fresh_coop(elt), (name, n, label)
+    for elt in (x, x + y.scale(2), x):
+        fresh = get_model(name, 2).splitting.decompose
+        terms = elt.map_keys(model.splitting.decompose)
+        assert max(len(k) - 1 for k in terms.support()) == 4  # every arity up to 4
+        assert terms == elt.map_keys(fresh), name
 
 
 def test_models_do_not_share_a_memo(monkeypatch):
     seen = count_cuts(monkeypatch, "_dup_coproduct_key")
     key = tree_key("((.,.),(.,.))", "xxx")
     one, two = get_model("dup", 1), get_model("dup", 2)
-    (_, coop_one, _), = one.splitting(2)
-    (_, coop_two, _), = two.splitting(3)
-    coop_one(LinComb.of(key))
+    one.splitting.decompose(key)
     assert seen[key] == 1
-    coop_two(LinComb.of(key))
+    two.splitting.decompose(key)
     assert seen[key] == 2
-    one.splitting(3)[0][1](LinComb.of(key))
+    one.splitting.decompose(key)
     assert seen[key] == 2
+
+
+# --- the decomposition against the cooperations it replaces ----------------------
+#
+# The reference cooperations below are built one closure per tree, each
+# replaying the generating coproducts on its own, as the models did before
+# every labeled cooperation came out of one decomposition.  They are slow
+# and kept only as an independent oracle.
+
+def mag_tree_cooperation(t, delta):
+    """The cooperation dual to the tree t in the comagmatic cooperad.
+
+    delta is the dual coproduct (mag_dual_coproduct, possibly memoized).
+    """
+    if t == LEAF:
+        return lambda lc: lc
+    l, r = trees.split(t)
+    fl = mag_tree_cooperation(l, delta)
+    fr = mag_tree_cooperation(r, delta)
+
+    def coop(lc):
+        return LinComb.sum(
+            (fl(LinComb.of(k1)).tensor(fr(LinComb.of(k2))), c)
+            for (k1, k2), c in delta(lc).items()
+        )
+    return coop
+
+
+def dup_tree_cooperation(t, dleft, dright):
+    """The cooperation dual to the duplicial monomial of the tree t.
+
+    Mirrors the unique writing of t with n+1 leaves as
+    (m(t_left) > x) < m(t_right) at the root.  dleft and dright are the
+    edge-cutting coproducts (dup_dleft and dup_dright, possibly memoized).
+    """
+    if t == Y:
+        return lambda lc: lc
+    l, r = trees.split(t)
+
+    if r == LEAF:
+        fl = dup_tree_cooperation(l, dleft, dright)
+
+        def coop(lc):
+            return LinComb.sum(
+                (fl(LinComb.of(ka)).tensor(LinComb.of(km)), c)
+                for (ka, km), c in dright(lc).items() if _tree_key_degree(km) == 1
+            )
+        return coop
+
+    fr = dup_tree_cooperation(r, dleft, dright)
+
+    if l == LEAF:
+        def coop(lc):
+            return LinComb.sum(
+                (LinComb.of(ku).tensor(fr(LinComb.of(kb))), c)
+                for (ku, kb), c in dleft(lc).items() if _tree_key_degree(ku) == 1
+            )
+        return coop
+
+    fl = dup_tree_cooperation(l, dleft, dright)
+
+    def coop(lc):
+        return LinComb.sum(
+            (fl(LinComb.of(ka)).tensor(LinComb.of(km)).tensor(fr(LinComb.of(kb))), c * c2)
+            for (ku, kb), c in dleft(lc).items()
+            for (ka, km), c2 in dright(LinComb.of(ku)).items()
+            if _tree_key_degree(km) == 1
+        )
+    return coop
+
+
+def _tree_cooperation(name, t):
+    if name == "mag":
+        return mag_tree_cooperation(t, memoized(models.mag_dual_coproduct))
+    return dup_tree_cooperation(t, memoized(models.dup_dleft), memoized(models.dup_dright))
+
+
+@pytest.mark.parametrize("name,extra_leaves", [("mag", 0), ("bidup", 1)])
+def test_decompose_matches_the_tree_cooperations(name, extra_leaves):
+    model = get_model(name, 2)
+    coops = {
+        (n, t): _tree_cooperation(name, t)
+        for n in range(1, 6) for t in enumerate_trees(n + extra_leaves)
+    }
+    for d in range(1, 6):
+        for key in model.basis(d):
+            parts = by_label(model.splitting.decompose(key))
+            assert {(n, t) for n, group in parts.items() for t in group} <= set(coops)
+            for (n, t), coop in coops.items():
+                if n <= d:
+                    got = parts.get(n, {}).get(t, LinComb.zero())
+                    assert got == coop(LinComb.of(key)), (key, t)
+
+
+@pytest.mark.parametrize("name", ["as", "dup", "classical"])
+def test_associative_decompose_is_the_iterated_coproduct(name):
+    model = get_model(name, 2)
+    delta = model.coproducts["delta"]
+    for d in range(1, 6):
+        for key in model.basis(d):
+            parts = by_label(model.splitting.decompose(key))
+            assert parts.keys() == set(range(1, d + 1))
+            for n in range(1, d + 1):
+                assert parts[n].keys() == {None}
+                assert parts[n][None] == iterated_coproduct(delta, n - 1)(LinComb.of(key))
 
 
 # --- composite dimensions --------------------------------------------------------
