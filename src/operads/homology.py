@@ -1,20 +1,21 @@
 """Chain bicomplex on the free duplicial algebra and its total homology.
 
 C_pq in internal degree n is spanned by (p+q+1)-tuples of basis monomials
-with total degree n.  The horizontal differential multiplies adjacent
-slots with the right operation, the vertical one with the left operation;
-squares vanish and the two anticommute, exactly.  Every antidiagonal
-carries the same tuple basis, so bases are stored once per antidiagonal
-and matrices are tagged by bidegree.
+with total degree n.  Every antidiagonal carries the same tuple basis, so
+Tot_m is keyed by pairs (p, tuple) with p = 0..m.  The total differential
+D = d^h + d^v is one map on these keys: merging slots i, i+1 with the
+right operation for i < p lands in block p-1 (d^h), with the left
+operation for i >= p stays in block p (d^v), each with sign (-1)^i.
+D∘D = 0 holds exactly, and by bidegree it splits into d^h d^h = 0,
+d^v d^v = 0 and d^h d^v + d^v d^h = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
-from .linalg import LinComb, coords, exact_rank, mat_mul
+from .linalg import LinComb, coords, exact_rank
 from .models import get_model
 
 
@@ -33,22 +34,26 @@ def _degree_tuples(n, slots):
 class BicomplexSlice:
     n: int
     bases: dict          # m -> ordered list of (m+1)-tuples of Dup keys
-    dh: dict             # (p, q) -> matrix to (p-1, q), rows=target basis
-    dv: dict             # (p, q) -> matrix to (p, q-1)
+    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1
+    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p
 
     def tot_dim(self, m):
         return (m + 1) * len(self.bases[m]) if m in self.bases else 0
 
+    def tot_keys(self, m):
+        """The keys (p, tuple) of Tot_m, blocks ordered by p = 0..m."""
+        return [(p, tup) for p in range(m + 1) for tup in self.bases[m]]
 
-def _differential(src, dst, product, slots):
-    """Matrix of sum over i in slots of (-1)^i (..., a_i * a_{i+1}, ...)."""
-    def image(tup):
-        return LinComb(
-            (tup[:i] + (key,) + tup[i + 2:], (-1) ** i * c)
-            for i in slots
-            for key, c in product(LinComb.of(tup[i]), LinComb.of(tup[i + 1])).items()
-        )
-    return coords((image(tup) for tup in src), dst)
+    def d(self, key):
+        """D(p, tuple) = sum over i of (-1)^i (..., a_i * a_{i+1}, ...) in Tot_{m-1}."""
+        p, tup = key
+        terms = []
+        for i in range(len(tup) - 1):
+            product, block = (self.right, p - 1) if i < p else (self.left, p)
+            merged = product(LinComb.of(tup[i]), LinComb.of(tup[i + 1]))
+            terms.extend(((block, tup[:i] + (k,) + tup[i + 2:]), (-1) ** i * c)
+                         for k, c in merged.items())
+        return LinComb(terms)
 
 
 def build_bicomplex(n):
@@ -56,91 +61,40 @@ def build_bicomplex(n):
     if n < 1:
         raise ValueError("internal degree must be >= 1")
     model = get_model("dup", 1)
-    right = model.products["right"]
-    left = model.products["left"]
     monomials = {d: list(model.basis(d)) for d in range(1, n + 1)}
-
-    bases = {}
-    for m in range(n):
-        tuples = []
-        for degs in sorted(_degree_tuples(n, m + 1)):
-            for combo in iproduct(*(monomials[d] for d in degs)):
-                tuples.append(combo)
-        tuples.sort()
-        bases[m] = tuples
-
-    dh = {}
-    dv = {}
-    for m in range(1, n):
-        src = bases[m]
-        dst = bases[m - 1]
-        for p in range(m + 1):
-            q = m - p
-            dh[(p, q)] = _differential(src, dst, right, range(p))
-            dv[(p, q)] = _differential(src, dst, left, range(p, p + q))
-    return BicomplexSlice(n=n, bases=bases, dh=dh, dv=dv)
+    bases = {
+        m: sorted(combo for degs in _degree_tuples(n, m + 1)
+                  for combo in iproduct(*(monomials[d] for d in degs)))
+        for m in range(n)
+    }
+    return BicomplexSlice(n=n, bases=bases, right=model.products["right"],
+                          left=model.products["left"])
 
 
-def _is_zero(mat):
-    return all(not c for row in mat for c in row)
+def _slice(slice_or_n):
+    return build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
 
 
 def check_differentials(slice_or_n):
-    """d^h d^h = 0, d^v d^v = 0, d^h d^v + d^v d^h = 0, exactly."""
-    bc = build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
-    n = bc.n
-    for m in range(2, n):
-        for p in range(m + 1):
-            q = m - p
-            if p >= 1:
-                if not _is_zero(mat_mul(bc.dh[(p - 1, q)], bc.dh[(p, q)])):
-                    return False
-            if q >= 1:
-                if not _is_zero(mat_mul(bc.dv[(p, q - 1)], bc.dv[(p, q)])):
-                    return False
-            if p >= 1 and q >= 1:
-                hv = mat_mul(bc.dh[(p, q - 1)], bc.dv[(p, q)])
-                vh = mat_mul(bc.dv[(p - 1, q)], bc.dh[(p, q)])
-                if hv != [[-x for x in row] for row in vh]:
-                    return False
-    return True
+    """D∘D = 0 on every key of Tot_m, m >= 2, exactly."""
+    bc = _slice(slice_or_n)
+    return not any(bc.d(key).map_keys(bc.d)
+                   for m in range(2, bc.n) for key in bc.tot_keys(m))
 
 
 def total_matrix(bc, m):
-    """D = d^h + d^v on Tot_m, blocks ordered by p = 0..m on both sides."""
-    n_src = len(bc.bases[m])
-    n_dst = len(bc.bases[m - 1])
-    rows = m * n_dst
-    cols = (m + 1) * n_src
-    mat = [[Fraction(0)] * cols for _ in range(rows)]
-    for p in range(m + 1):
-        q = m - p
-        coff = p * n_src
-        if p >= 1:
-            roff = (p - 1) * n_dst
-            blk = bc.dh[(p, q)]
-            for i in range(n_dst):
-                row = mat[roff + i]
-                for j in range(n_src):
-                    row[coff + j] += blk[i][j]
-        if q >= 1:
-            roff = p * n_dst
-            blk = bc.dv[(p, q)]
-            for i in range(n_dst):
-                row = mat[roff + i]
-                for j in range(n_src):
-                    row[coff + j] += blk[i][j]
-    return mat
+    """D on Tot_m, blocks ordered by p = 0..m on both sides."""
+    return coords(map(bc.d, bc.tot_keys(m)), bc.tot_keys(m - 1))
 
 
 def total_dims(slice_or_n):
-    bc = build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
+    bc = _slice(slice_or_n)
     return [bc.tot_dim(m) for m in range(bc.n)]
 
 
 def total_homology_dims(slice_or_n):
     """Homology dims of (Tot, d^h + d^v), m = 0..n-1, by exact rank."""
-    bc = build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
+    bc = _slice(slice_or_n)
     n = bc.n
     ranks = [0] * (n + 1)  # ranks[m] = rank of D_m: Tot_m -> Tot_{m-1}
     for m in range(1, n):
@@ -149,7 +103,7 @@ def total_homology_dims(slice_or_n):
 
 
 def euler_characteristic(slice_or_n):
-    bc = build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
+    bc = _slice(slice_or_n)
     return sum((-1) ** m * bc.tot_dim(m) for m in range(bc.n))
 
 

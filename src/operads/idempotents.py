@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .linalg import GradedEndo, LinComb, memoized
 from .models import BialgebraModel, by_label, left_nested_bracket
@@ -48,13 +49,18 @@ def convolve(ctx, f, g):
     return memoized(conv)
 
 
+def _convolution_powers(ctx, f, n):
+    """[f, f*f, ..., f*^n], each power f convolved onto the one before."""
+    powers = [f]
+    for _ in range(n - 1):
+        powers.append(convolve(ctx, f, powers[-1]))
+    return powers
+
+
 def convolution_power(ctx, f, n):
     if n < 1:
         raise ValueError("convolution power needs n >= 1")
-    out = f
-    for _ in range(n - 1):
-        out = convolve(ctx, f, out)
-    return out
+    return _convolution_powers(ctx, f, n)[-1]
 
 
 def model_bases(model, max_degree):
@@ -73,27 +79,25 @@ def eulerian_family(ctx, max_degree):
     cache_key = (ctx.model.name, ctx.model.alphabet, ctx.mu, ctx.delta, max_degree)
     if cache_key in _EULERIAN_CACHE:
         return _EULERIAN_CACHE[cache_key]
-    powers = [identity_map]
-    for n in range(2, max_degree + 1):
-        powers.append(convolve(ctx, identity_map, powers[-1]))
+    powers = _convolution_powers(ctx, identity_map, max_degree)
 
     def e1(lc):
         return LinComb.sum(
             (p(lc), Fraction((-1) ** (n - 1), n)) for n, p in enumerate(powers, start=1)
         )
 
-    family = [memoized(e1)]
-    fact = 1
-    conv = family[0]
-    for i in range(2, max_degree + 1):
-        conv = convolve(ctx, family[0], conv)
-        fact *= i
-        family.append(_scaled(conv, Fraction(1, fact)))
+    family = [
+        _scaled(p, Fraction(1, factorial(i)))
+        for i, p in enumerate(_convolution_powers(ctx, memoized(e1), max_degree), start=1)
+    ]
     _EULERIAN_CACHE[cache_key] = family
     return family
 
 
 def _scaled(fn, scalar):
+    if scalar == 1:
+        return fn
+
     def scaled(lc):
         return fn(lc).scale(scalar)
     return scaled
@@ -122,9 +126,7 @@ def dynkin(max_degree, alphabet=2):
 
 def geometric_map(ctx, max_degree):
     """e = sum_{n>=1} (-1)^{n-1} Id*^n; truncates exactly per degree."""
-    powers = [identity_map]
-    for n in range(2, max_degree + 1):
-        powers.append(convolve(ctx, identity_map, powers[-1]))
+    powers = _convolution_powers(ctx, identity_map, max_degree)
 
     def geo(lc):
         return LinComb.sum((p(lc), (-1) ** (n - 1)) for n, p in enumerate(powers, start=1))
