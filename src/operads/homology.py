@@ -83,7 +83,7 @@ def check_differentials(slice_or_n):
 
 
 def total_matrix(bc, m):
-    """D on Tot_m, blocks ordered by p = 0..m on both sides."""
+    """Sparse rows of D on Tot_m, blocks ordered by p = 0..m on both sides."""
     return coords(map(bc.d, bc.tot_keys(m)), bc.tot_keys(m - 1))
 
 

@@ -3,18 +3,21 @@
 Everything in this package is built on LinComb, a finite linear
 combination of hashable basis keys with exact coefficients: an int, or a
 Fraction once a denominator other than 1 appears.  `LinComb.sum` is the
-one accumulator of linear combinations.  `coords` is the one way from
-LinCombs to a matrix, and one sparse fraction-free integer elimination
-(`_echelon`, behind `exact_rank`, `kernel_basis`, `in_span` and
-`same_column_space`) is the one way to ranks, kernels and span
-membership.  No floating point anywhere.
+one accumulator of linear combinations.  A matrix on its way to
+elimination is a list of sparse rows, {column: coefficient} dicts of the
+nonzero entries: `coords` is the one way from LinCombs to such rows, and
+one sparse fraction-free integer elimination (`_echelon`, behind
+`exact_rank`, `kernel_basis`, `in_span` and `same_column_space`) is the
+one way to ranks, sparse kernel vectors and span membership.  Only
+`GradedEndo` keeps dense matrices; `sparse_rows` hands them to the
+eliminator.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 
 
@@ -228,59 +231,67 @@ def tensor_transpose(a):
 # --- coordinates ----------------------------------------------------------
 
 def coords(lincombs, basis=None):
-    """Dense Fraction matrix whose j-th column is the j-th LinComb.
+    """Sparse rows of the matrix whose j-th column is the j-th LinComb.
 
-    Rows are the keys of `basis` in order, or, when basis is None, the keys
-    in order of first appearance.  A key outside a declared basis raises
-    ValueError.  The LinCombs are consumed one at a time, so a generator
-    works and only the nonzero coordinates are held until the end.
+    A row is a {column: coefficient} dict of its nonzero entries.  Rows are
+    the keys of `basis` in order (an empty dict for a key no LinComb
+    reaches), or, when basis is None, the keys in order of first
+    appearance.  A key outside a declared basis raises ValueError.  The
+    LinCombs are consumed one at a time, so a generator works; no dense row
+    is ever built.
     """
-    pos = {} if basis is None else {k: i for i, k in enumerate(basis)}
-    cols = []
-    for lc in lincombs:
-        col = []
+    if basis is None:
+        pos, rows = {}, []
+    else:
+        pos = {k: i for i, k in enumerate(basis)}
+        rows = [{} for _ in pos]
+    for j, lc in enumerate(lincombs):
         for k, c in lc.items():
             i = pos.get(k)
             if i is None:
                 if basis is not None:
                     raise ValueError("key outside the declared basis: %r" % (k,))
-                i = pos[k] = len(pos)
-            col.append((i, c))
-        cols.append(col)
-    mat = [[Fraction(0)] * len(cols) for _ in range(len(pos))]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            mat[i][j] = c
-    return mat
+                i = pos[k] = len(rows)
+                rows.append({})
+            rows[i][j] = c
+    return rows
+
+
+def sparse_rows(m):
+    """The sparse rows of a dense matrix: {column: entry}, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 # --- sparse fraction-free elimination --------------------------------------
 
-def _echelon(m):
-    """Sparse integer row echelon of a dense rational matrix.
+def _echelon(sparse):
+    """Sparse integer row echelon of sparse rational rows.
 
-    Returns (rows, pivots): rows[r] is a {column: int} dict whose first
+    The rows are {column: nonzero int or Fraction} dicts, as `coords` makes
+    them.  Returns (ech, pivots): ech[r] is a {column: int} dict whose first
     column is pivots[r].  Pivot columns are taken left to right and never
-    permuted, so they are the lexicographically first column basis.  Each
-    row has its denominators cleared and is kept divided by its content;
-    within a column the candidate row with the fewest nonzeros is the pivot
-    (ties to the lower index), and a step touches only the rows that have
-    an entry in that column.  Input is not modified.
+    permuted, so they are the lexicographically first column basis.  A row
+    of ints is taken as it is, any other has its denominators cleared, and
+    every row is kept divided by its content; within a column the candidate
+    row with the fewest nonzeros is the pivot (ties to the lower index), and
+    a step touches only the rows that have an entry in that column.  Input
+    is not modified.
     """
     rows = []
-    for row in m:
-        nz = {j: x for j, x in enumerate(row) if x}
-        if nz:
-            d = lcm(*(x.denominator for x in nz.values()))
-            rows.append(_primitive({j: x.numerator * (d // x.denominator) for j, x in nz.items()}))
-    nc = len(m[0]) if rows else 0
-    where = [set() for _ in range(nc)]  # column -> active rows with an entry there
+    for row in sparse:
+        if not row:
+            continue
+        if not all(type(x) is int for x in row.values()):
+            d = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        rows.append(_primitive(row))
+    where = defaultdict(set)  # column -> active rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
             where[j].add(i)
     ech, pivots = [], []
     active = len(rows)
-    for c in range(nc):
+    for c in sorted(where):
         cands = where[c]
         if not cands:
             continue
@@ -322,20 +333,19 @@ def _primitive(row):
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def exact_rank(m):
-    return len(_echelon(m)[1])
+def exact_rank(rows):
+    """Rank of the matrix with the given sparse rows."""
+    return len(_echelon(rows)[1])
 
 
-def kernel_basis(m):
-    """Basis of the right kernel, one vector per free column, in column order.
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of sparse rows over columns 0..ncols-1.
 
-    Vectors are Fraction lists; each is 1 at its free column and 0 at every
-    other free column (the reduced-echelon kernel).
+    One vector per free column, in column order.  A vector is a sparse
+    {column: Fraction} dict; it is 1 at its free column and 0 at every other
+    free column (the reduced-echelon kernel).
     """
-    if not m or not m[0]:
-        return []
-    nc = len(m[0])
-    ech, pivots = _echelon(m)
+    ech, pivots = _echelon(rows)
     row_of = {c: r for r, c in enumerate(pivots)}
     # back-substitute, last pivot first, to the reduced echelon form:
     # x[pivots[r]] is the sum of solved[r][f] * x[f] over free columns f
@@ -350,18 +360,12 @@ def kernel_basis(m):
                 for f, y in solved[s].items():
                     acc[f] = acc.get(f, 0) + x * y
         lead = -ech[r][pivots[r]]
-        solved[r] = {f: Fraction(x) / lead for f, x in acc.items() if x}
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for f in range(nc):
-        if f not in row_of:
-            v = [zero] * nc
-            v[f] = one
-            for p, sol in zip(pivots, solved):
-                if f in sol:
-                    v[p] = sol[f]
-            basis.append(v)
-    return basis
+        solved[r] = {f: Fraction(x, lead) for f, x in acc.items() if x}
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in row_of}
+    for p, sol in zip(pivots, solved):
+        for f, x in sol.items():
+            basis[f][p] = x
+    return list(basis.values())
 
 
 def in_span(lincombs, lc):
@@ -370,41 +374,37 @@ def in_span(lincombs, lc):
     With pivots taken left to right, exactly when lc's column (the last)
     is not a pivot column.
     """
-    mat = coords(chain(lincombs, (lc,)))
-    pivots = _echelon(mat)[1]
-    return not pivots or pivots[-1] != len(mat[0]) - 1
+    cols = [*lincombs, lc]
+    pivots = _echelon(coords(cols))[1]
+    return not pivots or pivots[-1] != len(cols) - 1
 
 
 def mat_mul(a, b):
+    """The dense product a b, skipping zero entries."""
     if not a or not b:
         return []
-    n, k, mcols = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * mcols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(k):
-            x = ai[j]
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for ai, row in zip(a, out):
+        for x, bj in zip(ai, b):
             if x:
-                bj = b[j]
-                row = out[i]
-                for c in range(mcols):
-                    if bj[c]:
-                        row[c] += x * bj[c]
+                for c, y in enumerate(bj):
+                    if y:
+                        row[c] += x * y
     return out
 
 
 def same_column_space(a, b):
-    """Do the columns of a and b span the same subspace?  Exact ranks."""
+    """Do the columns of the dense matrices a and b span the same subspace?  Exact ranks."""
     if not a and not b:
         return True
-    ra = exact_rank(a)
-    rb = exact_rank(b)
+    ra = exact_rank(sparse_rows(a))
+    rb = exact_rank(sparse_rows(b))
     if ra != rb:
         return False
     if ra == 0:
         return True
     stacked = [ra_row + rb_row for ra_row, rb_row in zip(a, b)]
-    return exact_rank(stacked) == ra
+    return exact_rank(sparse_rows(stacked)) == ra
 
 
 class GradedEndo:
@@ -428,10 +428,12 @@ class GradedEndo:
 
     @classmethod
     def from_function(cls, bases, fn):
-        mats = {
-            n: coords((fn(LinComb.of(key)) for key in basis), basis)
-            for n, basis in bases.items()
-        }
+        mats = {}
+        for n, basis in bases.items():
+            mats[n] = mat = [[Fraction(0)] * len(basis) for _ in basis]
+            for dense, row in zip(mat, coords((fn(LinComb.of(key)) for key in basis), basis)):
+                for j, x in row.items():
+                    dense[j] = x
         return cls(bases, mats)
 
     @classmethod
@@ -456,11 +458,7 @@ class GradedEndo:
         return GradedEndo(self.bases, mats)
 
     def __sub__(self, other):
-        mats = {
-            n: [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.mats[n], other.mats[n])]
-            for n in self.mats
-        }
-        return GradedEndo(self.bases, mats)
+        return self + other.scale(-1)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
@@ -468,7 +466,7 @@ class GradedEndo:
         return GradedEndo(self.bases, mats)
 
     def rank(self, n):
-        return exact_rank(self.mats[n])
+        return exact_rank(sparse_rows(self.mats[n]))
 
     def __eq__(self, other):
         return isinstance(other, GradedEndo) and self.mats == other.mats

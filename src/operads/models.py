@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Callable
 
 from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
@@ -76,15 +77,20 @@ def as_deconcat(a):
     return a.map_keys(_deconcat_key)
 
 
-def _unshuffles(w):
+@lru_cache(maxsize=None)
+def _unshuffle_getters(n):
+    """(picks, rest) itemgetters of each proper nonempty subset of range(n) and its complement."""
     out = []
-    n = len(w)
     for r in range(1, n):
         for picks in itertools.combinations(range(n), r):
-            left = "".join(w[i] for i in picks)
-            rest = "".join(w[i] for i in range(n) if i not in picks)
-            out.append((left, rest))
+            rest = tuple(i for i in range(n) if i not in picks)
+            out.append((itemgetter(*picks), itemgetter(*rest)))
     return out
+
+
+def _unshuffles(w):
+    """Every (left, rest) split of the word w into two nonempty subwords."""
+    return [("".join(left(w)), "".join(rest(w))) for left, rest in _unshuffle_getters(len(w))]
 
 
 def as_shuffle_coproduct(a):

@@ -36,21 +36,23 @@ def generator_key(model, letter):
 
 
 def phi_map(model, n):
-    """Matrix of phi in degree n: rows = cooperad basis, cols = operations.
+    """Matrix of phi in degree n as (sparse rows, column count).
 
-    Entry (i, j) is the coefficient of x1 x ... x xn in the i-th labeled
-    cooperation of the j-th key on the word x1...xn.  The nonsymmetric
-    models only slice words, so it is read on the model's own one-letter
-    keys t:x...x at (g:x)^(x n), one decomposition per column.
+    Rows are the cooperad basis, columns the operations.  Entry (i, j) is
+    the coefficient of x1 x ... x xn in the i-th labeled cooperation of the
+    j-th key on the word x1...xn.  The nonsymmetric models only slice
+    words, so it is read on the model's own one-letter keys t:x...x at
+    (g:x)^(x n), one decomposition per column.
     """
     if model.classical:
         raise ValueError("phi is read on nonsymmetric models; Com is symmetric")
     x = LETTERS[0]
     target = (generator_key(model, x),) * n
     rows = [(label,) + target for label in model.splitting.labels(n)]
-    cols = [[terms.coeff(row) for row in rows]
-            for terms in map(model.splitting.decompose, multilinear_basis(model, n, x * n))]
-    return [list(row) for row in zip(*cols)]
+    wanted = set(rows)
+    keys = multilinear_basis(model, n, x * n)
+    return coords((LinComb({k: c for k, c in model.splitting.decompose(key).items() if k in wanted})
+                   for key in keys), rows), len(keys)
 
 
 @dataclass
@@ -80,9 +82,8 @@ def check_h2(model, max_degree):
     all_iso = True
     all_epi = True
     for n in range(1, max_degree + 1):
-        mat = phi_map(model, n)
+        mat, dim_a = phi_map(model, n)
         dim_c = len(mat)
-        dim_a = len(mat[0]) if mat else 0
         rank = exact_rank(mat)
         rows.append((n, dim_a, dim_c, rank))
         if not (dim_a == dim_c == rank):
@@ -117,9 +118,7 @@ def _splitting_section_ok(model, max_degree):
 def primitive_part(model, n):
     """Exact basis of the joint kernel of all generating reduced coproducts."""
     basis = list(model.basis(n))
-    if n == 1:
-        return [LinComb.of(k) for k in basis]
-    mat = coords(
+    rows = coords(
         LinComb(
             ((sym, tkey), c)
             for sym in model.generating_coproducts
@@ -127,13 +126,8 @@ def primitive_part(model, n):
         )
         for key in basis
     )
-    if not mat:
-        return [LinComb.of(k) for k in basis]
-    vecs = kernel_basis(mat)
-    return [
-        LinComb((basis[i], v[i]) for i in range(len(basis)) if v[i])
-        for v in vecs
-    ]
+    return [LinComb((basis[j], c) for j, c in v.items())
+            for v in kernel_basis(rows, len(basis))]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from operads.idempotents import (
     model_bases,
     versal_idempotent,
 )
-from operads.linalg import GradedEndo, LinComb, exact_rank, same_column_space
+from operads.linalg import GradedEndo, LinComb, exact_rank, same_column_space, sparse_rows
 from operads.models import get_model, lie_subspace, tree_key, words
 from operads.relations import check_nap_colaw, check_relation
 from operads.series import check_koszul_dual, check_triple_identity, gen_series
@@ -170,9 +170,9 @@ def _lie_tensor_escape(n):
         for a in lie_subspace(2, i)
         for b in lie_subspace(2, n - i)
     ]
-    base_rank = exact_rank(span) if span else 0
+    base_rank = exact_rank(sparse_rows(span))
     return any(
-        exact_rank(span + [vec_of(model.coproducts["delta"](elt))]) != base_rank
+        exact_rank(sparse_rows(span + [vec_of(model.coproducts["delta"](elt))])) != base_rank
         for elt in lie_subspace(2, n)
     )
 

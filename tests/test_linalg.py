@@ -19,6 +19,7 @@ from operads.linalg import (
     memoized,
     same_column_space,
     serialize_key,
+    sparse_rows,
     tensor_transpose,
 )
 
@@ -49,6 +50,16 @@ def naive_rank(m):
     return rank
 
 
+def dense(rows, ncols):
+    """The dense matrix of sparse rows, for the naive oracle."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def apply_row(row, v):
+    """A sparse row times a sparse vector, exactly."""
+    return sum(a * v.get(j, 0) for j, a in row.items())
+
+
 def test_exact_rank_against_naive_oracle_many_samples():
     rng = random.Random(20240817)
     for _ in range(1000):
@@ -58,7 +69,7 @@ def test_exact_rank_against_naive_oracle_many_samples():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        assert exact_rank(m) == naive_rank(m)
+        assert exact_rank(sparse_rows(m)) == naive_rank(m)
 
 
 def test_rank_of_rigged_low_rank_matrices():
@@ -71,8 +82,8 @@ def test_rank_of_rigged_low_rank_matrices():
         u2 = [rng.randint(-3, 3) for _ in range(nr)]
         v2 = [rng.randint(-3, 3) for _ in range(nc)]
         m = [[u1[i] * v1[j] + u2[i] * v2[j] for j in range(nc)] for i in range(nr)]
-        assert exact_rank(m) <= 2
-        assert exact_rank(m) == naive_rank(m)
+        assert exact_rank(sparse_rows(m)) <= 2
+        assert exact_rank(sparse_rows(m)) == naive_rank(m)
 
 
 def test_kernel_basis_annihilates_and_matches_rank_nullity():
@@ -80,11 +91,12 @@ def test_kernel_basis_annihilates_and_matches_rank_nullity():
     for _ in range(200):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-        ker = kernel_basis(m)
-        assert len(ker) == nc - exact_rank(m)
+        rows = sparse_rows(m)
+        ker = kernel_basis(rows, nc)
+        assert len(ker) == nc - exact_rank(rows)
         for v in ker:
-            for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+            for row in rows:
+                assert apply_row(row, v) == 0
         # kernel vectors are independent
         if ker:
             assert exact_rank(ker) == len(ker)
@@ -109,9 +121,9 @@ def test_exact_rank_on_sparse_matrices_against_naive_oracle():
     rng = random.Random(31)
     for _ in range(400):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12))
-        assert exact_rank(m) == naive_rank(m)
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([]) == exact_rank([[]]) == 0
+        assert exact_rank(sparse_rows(m)) == naive_rank(m)
+    assert exact_rank(sparse_rows([[0, 0], [0, 0]])) == 0
+    assert exact_rank([]) == exact_rank([{}]) == 0
 
 
 def test_kernel_basis_is_the_reduced_echelon_kernel():
@@ -124,14 +136,67 @@ def test_kernel_basis_is_the_reduced_echelon_kernel():
             c for c in range(nc)
             if naive_rank([row[:c + 1] for row in m]) == naive_rank([row[:c] for row in m])
         ]
-        ker = kernel_basis(m)
+        rows = sparse_rows(m)
+        ker = kernel_basis(rows, nc)
         assert len(ker) == len(free)
         for f, v in zip(free, ker):
-            assert len(v) == nc
-            assert all(isinstance(x, Fraction) for x in v)
-            assert [v[g] for g in free] == [1 if g == f else 0 for g in free]
-            for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+            assert all(0 <= j < nc for j in v)
+            assert all(isinstance(x, Fraction) and x for x in v.values())
+            assert [v.get(g, 0) for g in free] == [1 if g == f else 0 for g in free]
+            for row in rows:
+                assert apply_row(row, v) == 0
+
+
+def random_sparse_rows(rng, nr, nc):
+    """Sparse rows mixing int and Fraction entries, some rows empty, some columns unused."""
+    zero_cols = set(rng.sample(range(nc), rng.randint(0, nc // 3)))
+    rows = []
+    for _ in range(nr):
+        row = {}
+        if rng.random() < 0.8:
+            for j in range(nc):
+                if j not in zero_cols and rng.random() < 0.25:
+                    x = rng.choice([-3, -2, -1, 1, 2, 3])
+                    row[j] = x if rng.random() < 0.5 else Fraction(x, rng.randint(1, 4))
+        rows.append(row)
+    return rows
+
+
+def test_exact_rank_on_sparse_rows_of_ints_and_fractions():
+    rng = random.Random(41)
+    for _ in range(400):
+        nr, nc = rng.randint(0, 12), rng.randint(1, 12)
+        rows = random_sparse_rows(rng, nr, nc)
+        before = [dict(row) for row in rows]
+        assert exact_rank(rows) == naive_rank(dense(rows, nc))
+        assert rows == before
+
+
+def test_sparse_kernel_annihilates_every_row_and_is_reduced_at_free_columns():
+    rng = random.Random(43)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 10), rng.randint(1, 10)
+        rows = random_sparse_rows(rng, nr, nc)
+        m = dense(rows, nc)
+        free = [
+            c for c in range(nc)
+            if naive_rank([row[:c + 1] for row in m]) == naive_rank([row[:c] for row in m])
+        ]
+        ker = kernel_basis(rows, nc)
+        assert len(ker) == len(free) == nc - exact_rank(rows)
+        for f, v in zip(free, ker):
+            assert [v.get(g, 0) for g in free] == [1 if g == f else 0 for g in free]
+            assert all(type(x) is Fraction and x for x in v.values())
+            assert all(apply_row(row, v) == 0 for row in rows)
+
+
+def test_matrices_without_columns_or_rows():
+    rows = coords([], ["x", "y", "z"])
+    assert rows == [{}, {}, {}]
+    assert exact_rank(rows) == 0
+    assert kernel_basis(rows, 0) == []
+    assert kernel_basis([], 2) == [{0: 1}, {1: 1}]
+    assert sparse_rows([[0, Fraction(1, 2)], [0, 0]]) == [{1: Fraction(1, 2)}, {}]
 
 
 def test_in_span_agrees_with_two_ranks_on_random_inputs():
@@ -152,7 +217,8 @@ def test_in_span_agrees_with_two_ranks_on_random_inputs():
                 lc = lc + s.scale(rng.randint(-2, 2))
         else:
             lc = random_lc()
-        two_ranks = naive_rank(coords(span + [lc], basis)) == naive_rank(coords(span, basis))
+        two_ranks = (naive_rank(dense(coords(span + [lc], basis), len(span) + 1))
+                     == naive_rank(dense(coords(span, basis), len(span))))
         assert in_span(span, lc) == two_ranks
 
 
@@ -160,19 +226,19 @@ def test_coords_in_a_declared_basis():
     basis = ["x", "y", "z"]
     cols = [LinComb({"y": 2, "x": Fraction(1, 3)}), LinComb.zero(), LinComb.of("z", -1)]
     assert coords(cols, basis) == [
-        [Fraction(1, 3), 0, 0],
-        [2, 0, 0],
-        [0, 0, -1],
+        {0: Fraction(1, 3)},
+        {0: 2},
+        {2: -1},
     ]
-    assert coords([], basis) == [[], [], []]
+    assert coords([], basis) == [{}, {}, {}]
 
 
 def test_coords_rows_follow_first_appearance_without_basis():
     cols = [LinComb({"b": 1}), LinComb({"a": 2, "b": 3}), LinComb({"c": -1, "a": 1})]
     assert coords(cols) == [  # rows b, a, c
-        [1, 3, 0],
-        [0, 2, 1],
-        [0, 0, -1],
+        {0: 1, 1: 3},
+        {1: 2, 2: 1},
+        {2: -1},
     ]
     assert coords([LinComb.zero()]) == []
 
@@ -191,7 +257,7 @@ def test_coords_consumes_a_generator():
             seen.append(key)
             yield LinComb.of(key, 2) + LinComb.of("y")
 
-    assert coords(images(), basis) == [[2, 0], [1, 3]]
+    assert coords(images(), basis) == [{0: 2}, {0: 1, 1: 3}]
     assert seen == basis
 
 

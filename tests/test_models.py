@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from operads.linalg import LinComb, exact_rank, tensor_transpose
+from operads import models
+from operads.linalg import LinComb, coords, exact_rank, tensor_transpose
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -254,6 +255,24 @@ def test_lie_cobracket_small_examples():
     assert lie_cobracket(LinComb({"xy": 1, "yx": 1})) == LinComb.zero()
 
 
+def unshuffles_by_scan(w):
+    """The unshuffle pairs as first written: combinations, and a scan for the rest."""
+    out = []
+    n = len(w)
+    for r in range(1, n):
+        for picks in itertools.combinations(range(n), r):
+            left = "".join(w[i] for i in picks)
+            rest = "".join(w[i] for i in range(n) if i not in picks)
+            out.append((left, rest))
+    return out
+
+
+def test_unshuffles_match_the_scan_on_every_short_word():
+    for n in range(1, 9):
+        for w in words(2, n):
+            assert models._unshuffles(w) == unshuffles_by_scan(w), w
+
+
 def lie_tensor_membership(img, n):
     """Is a two-slot tensor inside the span of Lie x Lie in degree n?"""
     tensor_basis = [
@@ -262,20 +281,14 @@ def lie_tensor_membership(img, n):
         for u in words(2, i)
         for v in words(2, n - i)
     ]
-    pos = {k: i for i, k in enumerate(tensor_basis)}
-    span = []
-    for i in range(1, n):
-        for a in lie_subspace(2, i):
-            for b in lie_subspace(2, n - i):
-                vec = [Fraction(0)] * len(tensor_basis)
-                for k, c in a.tensor(b).items():
-                    vec[pos[k]] = c
-                span.append(vec)
-    base = exact_rank(span)
-    vec = [Fraction(0)] * len(tensor_basis)
-    for k, c in img.items():
-        vec[pos[k]] = c
-    return exact_rank(span + [vec]) == base
+    span = [
+        a.tensor(b)
+        for i in range(1, n)
+        for a in lie_subspace(2, i)
+        for b in lie_subspace(2, n - i)
+    ]
+    base = exact_rank(coords(span, tensor_basis))
+    return exact_rank(coords(span + [img], tensor_basis)) == base
 
 
 def test_lie_cobracket_stays_in_lie_tensor_lie_through_degree_3():

@@ -8,7 +8,7 @@ import pytest
 
 from operads import models, trees
 from operads.idempotents import versal_idempotent
-from operads.linalg import LinComb, exact_rank, memoized
+from operads.linalg import LinComb, coords, exact_rank, memoized, sparse_rows
 from operads.models import (
     LETTERS, _tree_key_degree, by_label, get_model, iterated_coproduct, lie_subspace, tree_key,
 )
@@ -42,20 +42,20 @@ def test_phi_map_shapes_and_ranks():
     # associative: 1 x 1 in every degree, always invertible
     model = get_model("as", 2)
     for n in range(1, 6):
-        mat = phi_map(model, n)
-        assert len(mat) == 1 and len(mat[0]) == 1
-        assert mat[0][0] != 0
+        mat, ncols = phi_map(model, n)
+        assert len(mat) == 1 and ncols == 1
+        assert mat[0].get(0, 0) != 0
     # magmatic dual basis: square of size catalan(n-1), full rank
     model = get_model("mag", 1)
     for n in range(2, 6):
-        mat = phi_map(model, n)
-        assert len(mat) == len(mat[0]) == catalan(n - 1)
+        mat, ncols = phi_map(model, n)
+        assert len(mat) == ncols == catalan(n - 1)
         assert exact_rank(mat) == catalan(n - 1)
     # duplicial over the associative cooperad: 1 x catalan(n), onto
     model = get_model("dup", 1)
     for n in range(2, 6):
-        mat = phi_map(model, n)
-        assert len(mat) == 1 and len(mat[0]) == catalan(n)
+        mat, ncols = phi_map(model, n)
+        assert len(mat) == 1 and ncols == catalan(n)
         assert exact_rank(mat) == 1
 
 
@@ -126,7 +126,8 @@ def test_phi_on_one_letter_keys_equals_the_multilinear_phi(name):
              for key in multilinear_basis(big, n)]
             for label in big.splitting.labels(n)
         ]
-        assert phi_map(model, n) == multilinear, (name, n)
+        ncols = len(multilinear_basis(big, n))
+        assert phi_map(model, n) == (sparse_rows(multilinear), ncols), (name, n)
 
 
 def test_primitive_dimensions():
@@ -163,6 +164,28 @@ def test_primitive_dimensions_past_the_pinned_degrees():
     assert len(primitive_part(get_model("classical", 2), 7)) == witt(7, 2) == 18
 
 
+def _independent_primitives(model, n, vectors):
+    """Every vector is killed by every generating coproduct; together they have full rank."""
+    for v in vectors:
+        for sym in model.generating_coproducts:
+            assert model.coproducts[sym](v) == LinComb.zero()
+    return exact_rank(coords(vectors, model.basis(n))) == len(vectors)
+
+
+def test_classical_primitives_match_the_witt_formula_in_degree_8():
+    model = get_model("classical", 2)
+    prim = primitive_part(model, 8)
+    assert len(prim) == witt(8, 2) == 30
+    assert _independent_primitives(model, 8, prim)
+
+
+def test_dup_primitives_are_catalan_in_degree_8():
+    model = get_model("dup", 1)
+    prim = primitive_part(model, 8)
+    assert len(prim) == catalan(7) == 429
+    assert _independent_primitives(model, 8, prim)
+
+
 def test_primitives_really_are_primitive():
     model = get_model("dup", 1)
     for n in range(2, 6):
@@ -177,18 +200,9 @@ def test_classical_primitives_span_the_lie_subspace():
         prim = primitive_part(model, n)
         oracle = lie_subspace(2, n)
         words_n = model.basis(n)
-        pos = {w: i for i, w in enumerate(words_n)}
-
-        def columns(vs):
-            m = [[Fraction(0)] * len(vs) for _ in words_n]
-            for j, v in enumerate(vs):
-                for k, c in v.items():
-                    m[pos[k]][j] = c
-            return m
-
-        a = columns(prim)
-        b = columns(oracle)
-        stacked = [ra + rb for ra, rb in zip(a, b)]
+        a = coords(prim, words_n)
+        b = coords(oracle, words_n)
+        stacked = coords(prim + oracle, words_n)
         assert exact_rank(a) == exact_rank(b) == exact_rank(stacked)
 
 
