@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial
 
 from .linalg import GradedEndo, LinComb, memoized
-from .models import BialgebraModel, by_label, left_nested_bracket
+from .models import BialgebraModel, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -138,27 +138,20 @@ def geometric_idempotent(ctx, max_degree):
 
 
 def _omega_table(model, max_degree):
-    """key -> {n: omega^[n](key)}, built once per key from one decomposition.
+    """key -> {n: omega^[n](key)}: the splitting's own table, shared by every caller.
 
-    On the classical model omega^[n] is the sum of the Eulerian idempotents
-    e^(k), k >= n, which share the cached convolution-log family.
+    On the classical model omega^[n] is instead the sum of the Eulerian
+    idempotents e^(k), k >= n, which share the cached convolution-log family.
     """
-    if model.classical:
-        family = eulerian_family(ConvolutionContext(model), max_degree)
+    if not model.classical:
+        return model.splitting.omega
+    family = eulerian_family(ConvolutionContext(model), max_degree)
 
-        def table(key):
-            lc, tail, out = LinComb.of(key), LinComb.zero(), {}
-            for n in range(max_degree, 1, -1):
-                out[n] = tail = tail + family[n - 1](lc)
-            return out
-    else:
-        splitting = model.splitting
-
-        def table(key):
-            return {
-                n: LinComb.sum((splitting.operation(label)(t), 1) for label, t in group.items())
-                for n, group in by_label(splitting.decompose(key)).items() if n > 1
-            }
+    def table(key):
+        lc, tail, out = LinComb.of(key), LinComb.zero(), {}
+        for n in range(max_degree, 1, -1):
+            out[n] = tail = tail + family[n - 1](lc)
+        return out
     return lru_cache(maxsize=None)(table)
 
 

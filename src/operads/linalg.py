@@ -10,14 +10,15 @@ one sparse fraction-free integer elimination (`_echelon`, behind
 `exact_rank`, `kernel_basis`, `in_span` and `same_column_space`) is the
 one way to ranks, sparse kernel vectors and span membership.  Only
 `GradedEndo` keeps dense matrices; `sparse_rows` hands them to the
-eliminator.  No floating point anywhere.
+eliminator, and its `compose` multiplies them as sparse integer rows
+(`mat_mul`).  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 
@@ -277,14 +278,7 @@ def _echelon(sparse):
     a step touches only the rows that have an entry in that column.  Input
     is not modified.
     """
-    rows = []
-    for row in sparse:
-        if not row:
-            continue
-        if not all(type(x) is int for x in row.values()):
-            d = lcm(*(x.denominator for x in row.values()))
-            row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-        rows.append(_primitive(row))
+    rows = [_primitive(_integral([row])[1][0]) for row in sparse if row]
     where = defaultdict(set)  # column -> active rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
@@ -325,6 +319,17 @@ def _echelon(sparse):
         if not active:
             break
     return ech, pivots
+
+
+def _integral(rows):
+    """(d, rows times d) for sparse rows, d the lcm of all their denominators.
+
+    Rows whose entries are all ints come back as they are, with d = 1.
+    """
+    if all(type(x) is int for row in rows for x in row.values()):
+        return 1, rows
+    d = lcm(*(x.denominator for row in rows for x in row.values()))
+    return d, [{j: x.numerator * (d // x.denominator) for j, x in row.items()} for row in rows]
 
 
 def _primitive(row):
@@ -380,16 +385,28 @@ def in_span(lincombs, lc):
 
 
 def mat_mul(a, b):
-    """The dense product a b, skipping zero entries."""
+    """The dense product a b, multiplied as sparse integer rows.
+
+    Each factor has its denominators cleared once; a row of the product is
+    the sum of the rows of b weighted by the nonzero entries of the row of
+    a, and is divided by the two denominators only when it is written out,
+    so an integral entry is stored as an int.
+    """
     if not a or not b:
         return []
-    out = [[Fraction(0)] * len(b[0]) for _ in a]
-    for ai, row in zip(a, out):
-        for x, bj in zip(ai, b):
-            if x:
-                for c, y in enumerate(bj):
-                    if y:
-                        row[c] += x * y
+    da, ia = _integral(sparse_rows(a))
+    db, ib = _integral(sparse_rows(b))
+    den, width = da * db, len(b[0])
+    out = []
+    for row in ia:
+        acc = {}
+        for k, x in row.items():
+            for j, y in ib[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        dense = [0] * width
+        for j, x in acc.items():
+            dense[j] = x // den if x % den == 0 else Fraction(x, den)
+        out.append(dense)
     return out
 
 
@@ -397,14 +414,15 @@ def same_column_space(a, b):
     """Do the columns of the dense matrices a and b span the same subspace?  Exact ranks."""
     if not a and not b:
         return True
-    ra = exact_rank(sparse_rows(a))
-    rb = exact_rank(sparse_rows(b))
+    rows_a, rows_b = sparse_rows(a), sparse_rows(b)
+    ra, rb = exact_rank(rows_a), exact_rank(rows_b)
     if ra != rb:
         return False
     if ra == 0:
         return True
-    stacked = [ra_row + rb_row for ra_row, rb_row in zip(a, b)]
-    return exact_rank(sparse_rows(stacked)) == ra
+    width = len(a[0])
+    stacked = [{**x, **{j + width: y for j, y in z.items()}} for x, z in zip(rows_a, rows_b)]
+    return exact_rank(stacked) == ra
 
 
 class GradedEndo:
@@ -422,15 +440,17 @@ class GradedEndo:
                 raise ValueError("matrix shape mismatch in degree %d" % n)
         self.bases = bases
         self.mats = mats
-        self._index = {
-            key: (n, i) for n, basis in bases.items() for i, key in enumerate(basis)
-        }
+
+    @cached_property
+    def _index(self):
+        """key -> (degree, column), built on the first apply."""
+        return {key: (n, i) for n, basis in self.bases.items() for i, key in enumerate(basis)}
 
     @classmethod
     def from_function(cls, bases, fn):
         mats = {}
         for n, basis in bases.items():
-            mats[n] = mat = [[Fraction(0)] * len(basis) for _ in basis]
+            mats[n] = mat = [[0] * len(basis) for _ in basis]
             for dense, row in zip(mat, coords((fn(LinComb.of(key)) for key in basis), basis)):
                 for j, x in row.items():
                     dense[j] = x

@@ -14,9 +14,10 @@ of one label.  Each key is cut at most once per model.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import itemgetter
 from typing import Callable
@@ -397,6 +398,24 @@ class Splitting:
     labels: Callable[[int], list]
     operation: Callable[[object], Callable]
 
+    @cached_property
+    def omega(self):
+        """key -> {n: omega^[n](key) for n >= 2}, built once per key and splitting.
+
+        omega^[n] = s(n) o Delta^[n] is the sum, over the arity-n labels of
+        the key's one decomposition, of their operations; it does not depend
+        on a degree bound, so every caller on the model shares the table.
+        The classical model reads omega off the Eulerian family instead.
+        """
+        decompose, operation = self.decompose, self.operation  # no cycle through self
+
+        def table(key):
+            return {
+                n: LinComb.sum((operation(label)(t), 1) for label, t in group.items())
+                for n, group in by_label(decompose(key)).items() if n > 1
+            }
+        return lru_cache(maxsize=None)(table)
+
 
 def by_label(decomposition):
     """{arity: {label: tensor LinComb}} of a decomposition; arity 1 keeps plain keys."""
@@ -420,10 +439,16 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
     """The associative cooperad: the one label None in every arity.
 
     Its arity-n part is the tower Delta^[n-1] = (Delta x id) Delta^[n-2],
-    walked once per key through one memo of the coproduct per model; the
-    operation is the right-nested n-fold product times scalar(n).
+    walked once per key through one memo of the coproduct per model.  The
+    operation on a tower term (s_1, ..., s_n) is the right-nested product
+    s_1 (s_2 (... s_n)) times scalar(n); the products sit in a second memo
+    per model, keyed on the slot suffix, so nested(slots) is
+    product(s_1, nested(slots[1:])) and every arity, key and caller shares
+    each suffix.
     """
-    delta = lru_cache(maxsize=None)(lambda key: coproduct(LinComb.of(key)))
+    # pieces are interned: the memo keeps one string per distinct key
+    delta = lru_cache(maxsize=None)(lambda key: LinComb(
+        (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(LinComb.of(key)).items()))
 
     def decompose(key):
         terms, level = {}, LinComb.of(key)
@@ -432,11 +457,14 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
             level = _cut_first(delta, level)
         return LinComb(terms)
 
+    @lru_cache(maxsize=None)
+    def nested(slots):
+        if len(slots) == 1:
+            return LinComb.of(slots[0])
+        return product(LinComb.of(slots[0]), nested(slots[1:]))
+
     def fold(_, slots):
-        acc = LinComb.of(slots[-1])
-        for s in reversed(slots[:-1]):
-            acc = product(LinComb.of(s), acc)
-        return acc.scale(scalar(len(slots)))
+        return nested(slots).scale(scalar(len(slots)))
     return Splitting(decompose, lambda n: [None], _operations(fold))
 
 

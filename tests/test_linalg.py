@@ -330,12 +330,72 @@ def test_mat_mul_matches_definition():
     assert mat_mul(a, b) == [[19, 22], [43, 50]]
 
 
+def naive_mat_mul(a, b):
+    """The triple loop over Fraction."""
+    if not a or not b:
+        return []
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def stored_form(m):
+    """The product as mat_mul must store it: ints for integral entries."""
+    return [[(x.numerator if x.denominator == 1 else x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("a, b", [
+    # rational entries with different denominators
+    ([[Fraction(1, 2), Fraction(2, 3)], [Fraction(-5, 7), Fraction(1, 6)]],
+     [[Fraction(3, 4), Fraction(-1, 5)], [Fraction(9, 2), Fraction(7, 3)]]),
+    # a rectangular 2x3 times 3x2 product
+    ([[1, Fraction(1, 2), 3], [0, -2, Fraction(4, 9)]],
+     [[Fraction(2, 3), 1], [5, 0], [Fraction(-1, 4), Fraction(9, 8)]]),
+    # all-zero rows and columns on both sides
+    ([[0, 0, 0], [1, 0, Fraction(1, 3)], [0, 0, 0]],
+     [[0, 2, 0], [0, 0, 0], [0, Fraction(3, 5), 0]]),
+    # mixed int and Fraction input, denominators that cancel in the product
+    ([[2, Fraction(1, 2)], [Fraction(3, 1), 4]],
+     [[Fraction(1, 2), 6], [2, Fraction(1, 3)]]),
+    # entries that cancel to zero
+    ([[1, 1], [Fraction(1, 2), Fraction(-1, 2)]], [[1, -1], [-1, 1]]),
+    # the empty matrix
+    ([], []),
+    ([], [[1, 2]]),
+    ([[1, 2]], []),
+])
+def test_mat_mul_against_the_triple_loop(a, b):
+    got = mat_mul(a, b)
+    want = naive_mat_mul(a, b)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in stored_form(want)]
+
+
+def test_mat_mul_on_random_rationals_against_the_triple_loop():
+    rng = random.Random(7)
+    entry = [0, 0, 0, 1, -2, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(4, 2)]
+    for _ in range(60):
+        r, m, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.choice(entry) for _ in range(m)] for _ in range(r)]
+        b = [[rng.choice(entry) for _ in range(c)] for _ in range(m)]
+        assert mat_mul(a, b) == naive_mat_mul(a, b)
+
+
 def test_same_column_space():
     a = [[1, 0], [0, 1], [0, 0]]
     b = [[1, 1], [1, -1], [0, 0]]
     c = [[1, 0], [0, 0], [0, 1]]
     assert same_column_space(a, b)
     assert not same_column_space(a, c)
+
+
+def test_same_column_space_with_different_widths():
+    a = [[1, 0, 0], [0, 0, 0], [0, 1, 0]]
+    b = [[2], [0], [Fraction(-1, 3)]]
+    assert not same_column_space(a, b)
+    assert same_column_space([[1, 0], [0, 0], [1, 0]], [[Fraction(1, 2), 0, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]])
+    assert not same_column_space([[0, 1], [1, 0]], [[0, 1], [0, 1]])
+    assert not same_column_space([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    assert same_column_space([[0, 0]], [[0]])
 
 
 def test_graded_endo_roundtrip_and_algebra():

@@ -2,11 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from operads import models
-from operads.linalg import LinComb, coords, exact_rank, tensor_transpose
+from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
+from operads.linalg import LinComb, coords, exact_rank, matrix_json, tensor_transpose
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -320,6 +322,35 @@ def test_lie_tensor_escape_first_happens_in_degree_4():
     assert not lie_tensor_escape(2, 2)
     assert not lie_tensor_escape(2, 3)
     assert lie_tensor_escape(2, 4)
+
+
+# --- the associative splitting -------------------------------------------------
+
+@pytest.mark.parametrize("name, alphabet, product, scalar", [
+    ("as", 2, as_concat, lambda n: 1),
+    ("dup", 1, dup_right, lambda n: 1),
+    ("classical", 2, as_concat, lambda n: Fraction(1, factorial(n))),
+])
+def test_tower_terms_map_to_the_right_nested_product(name, alphabet, product, scalar):
+    model = get_model(name, alphabet)
+    operation = model.splitting.operation(None)
+    for n in range(1, 6):
+        for key in model.basis(n):
+            for term in model.splitting.decompose(key).support():
+                slots = term[1:]
+                folded = lc(slots[-1])
+                for s in reversed(slots[:-1]):
+                    folded = product(lc(s), folded)
+                assert operation(lc(slots)) == folded.scale(scalar(len(slots)))
+
+
+def test_composed_idempotents_render_as_themselves():
+    e = versal_idempotent(get_model("dup", 1), 5)
+    e2 = eulerian(ConvolutionContext(get_model("classical", 2)), 2, 4)
+    for endo in (e, e2):
+        square = endo.compose(endo)
+        for n in endo.mats:
+            assert matrix_json(square.mats[n]) == matrix_json(endo.mats[n])
 
 
 # --- registry ------------------------------------------------------------------

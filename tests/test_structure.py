@@ -285,6 +285,19 @@ def test_classical_pbw_degree_2_and_3():
     assert comps[-1].arity == 3
 
 
+def test_pbw_expand_and_the_versal_map_share_the_model_omega_table():
+    model = get_model("dup", 1)
+    a = LinComb({k: i + 1 for i, k in enumerate(model.basis(4))})
+    versal_idempotent(model, 4)
+    table = model.splitting.omega
+    misses = table.cache_info().misses
+    first = pbw_expand(model, a)
+    assert pbw_expand(model, a) == first
+    assert model.splitting.omega is table
+    assert table.cache_info().misses == misses
+    assert pbw_reassemble(model, first) == a
+
+
 def test_pbw_of_zero_has_no_components():
     for name in ("dup", "mag", "classical"):
         model = get_model(name)
