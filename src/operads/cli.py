@@ -499,7 +499,7 @@ def _suite_pbw_tables():
     mul = cm.products["mul"]
     x, y, z = (parse_element(cm, c) for c in "xyz")
     xy = mul(x, y)
-    comps = pbw_expand(cm, xy, max_degree=2)
+    comps = pbw_expand(cm, xy)
     half = Fraction(1, 2)
     ok2 = (
         len(comps) == 2
@@ -508,7 +508,7 @@ def _suite_pbw_tables():
     )
     yield "classical pbw degree 2", ok2
     xyz = mul(xy, z)
-    comps = pbw_expand(cm, xyz, max_degree=3)
+    comps = pbw_expand(cm, xyz)
     ok3 = pbw_reassemble(cm, comps) == xyz and comps[-1].arity == 3
     yield "classical pbw degree 3", ok3
 

@@ -2,18 +2,20 @@
 
 All idempotents are built as plain LinComb -> LinComb functions and then
 materialized degreewise into exact matrices (GradedEndo) over a model's
-declared basis.
+declared basis.  The versal idempotent is the model's own memo, built by
+the PBW recursion of its splitting (see models.Splitting); the product
+formula over the omega^[n] and, on the classical model, the Eulerian
+idempotent e^(1) are independent constructions of the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .linalg import GradedEndo, LinComb, memoized
-from .models import BialgebraModel, left_nested_bracket
+from .models import BialgebraModel, by_label, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -137,54 +139,30 @@ def geometric_idempotent(ctx, max_degree):
     return materialize(ctx.model, geometric_map(ctx, max_degree), max_degree)
 
 
-def _omega_table(model, max_degree):
-    """key -> {n: omega^[n](key)}: the splitting's own table, shared by every caller.
+def omega_map(model, n):
+    """omega^[n] = s(n) o Delta^[n]: the arity-n labels of each key, through their operations.
 
-    On the classical model omega^[n] is instead the sum of the Eulerian
-    idempotents e^(k), k >= n, which share the cached convolution-log family.
+    Read straight off the splitting, with no memo of its own: the factors
+    of the product formula e = (Id - omega^[2])(Id - omega^[3]) ..., an
+    oracle for the versal memo.
     """
-    if not model.classical:
-        return model.splitting.omega
-    family = eulerian_family(ConvolutionContext(model), max_degree)
-
-    def table(key):
-        lc, tail, out = LinComb.of(key), LinComb.zero(), {}
-        for n in range(max_degree, 1, -1):
-            out[n] = tail = tail + family[n - 1](lc)
-        return out
-    return lru_cache(maxsize=None)(table)
-
-
-def _read_omega(table, n):
-    zero = LinComb.zero()
-    return lambda lc: LinComb.sum((table(key).get(n, zero), c) for key, c in lc.items())
-
-
-def omega_map(model, n, max_degree):
-    """omega^[n] = s(n) o Delta^[n]: the arity-n labels of each key, through their operations."""
     if n < 2:
         raise ValueError("omega is defined for arity >= 2")
-    return _read_omega(_omega_table(model, max_degree), n)
+    splitting = model.splitting
+
+    def om(key):
+        group = by_label(splitting.decompose(key)).get(n, {})
+        return LinComb.sum((splitting.operation(label)(t), 1) for label, t in group.items())
+    return lambda lc: lc.map_keys(om)
 
 
 def omega(model, n, max_degree):
-    return materialize(model, omega_map(model, n, max_degree), max_degree)
-
-
-def versal_idempotent_map(model, max_degree):
-    """e = (Id - omega^[2])(Id - omega^[3]) ..., each omega^[n] read off one per-key table."""
-    table = _omega_table(model, max_degree)
-    omegas = [_read_omega(table, n) for n in range(max_degree, 1, -1)]
-
-    def versal(lc):
-        cur = lc
-        for om in omegas:
-            cur = cur - om(cur)
-        return cur
-    return memoized(versal)
+    return materialize(model, omega_map(model, n), max_degree)
 
 
 def versal_idempotent(model, max_degree=6):
+    """The versal idempotent through max_degree, read off the model's versal memo."""
     if model.splitting is None:
         raise ValueError("model %s declares no splitting scheme" % model.name)
-    return materialize(model, versal_idempotent_map(model, max_degree), max_degree)
+    versal = model.splitting.versal
+    return materialize(model, lambda lc: lc.map_keys(versal), max_degree)

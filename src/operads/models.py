@@ -17,7 +17,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 from typing import Callable
@@ -385,6 +385,24 @@ def iterated_coproduct(coproduct, k):
     return iterate
 
 
+class _Memo:
+    """key -> step(key, self), each key computed once.
+
+    The step recurses through its argument, not a closure naming the memo,
+    so reference counting alone frees a dropped model's memos.
+    """
+    __slots__ = ("step", "values")
+
+    def __init__(self, step):
+        self.step, self.values = step, {}
+
+    def __call__(self, key):
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.step(key, self)
+        return value
+
+
 @dataclass(frozen=True)
 class Splitting:
     """The cooperad side C of a model, with its splitting s: C -> A.
@@ -393,28 +411,15 @@ class Splitting:
     arity at once: a LinComb over keys (label, slot_1, ..., slot_n), whose
     arity is the number of slots.  labels(n) is a basis of C_n, and
     operation(label) the splitting operation s(label) on tensor LinCombs.
+    versal(key) is e(key) for the versal idempotent e, by the PBW recursion
+    e(x) = x - sum over n >= 2 and c in C_n of s(c)(e x ... x e)(c(x)),
+    whose slots have lower degree: one memo per model, shared by every
+    caller and independent of any degree bound.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
     operation: Callable[[object], Callable]
-
-    @cached_property
-    def omega(self):
-        """key -> {n: omega^[n](key) for n >= 2}, built once per key and splitting.
-
-        omega^[n] = s(n) o Delta^[n] is the sum, over the arity-n labels of
-        the key's one decomposition, of their operations; it does not depend
-        on a degree bound, so every caller on the model shares the table.
-        The classical model reads omega off the Eulerian family instead.
-        """
-        decompose, operation = self.decompose, self.operation  # no cycle through self
-
-        def table(key):
-            return {
-                n: LinComb.sum((operation(label)(t), 1) for label, t in group.items())
-                for n, group in by_label(decompose(key)).items() if n > 1
-            }
-        return lru_cache(maxsize=None)(table)
+    versal: Callable[[object], LinComb]
 
 
 def by_label(decomposition):
@@ -427,12 +432,25 @@ def by_label(decomposition):
 
 
 def _operations(apply):
-    """label -> the operation sending each tensor key to apply(label, slots)."""
+    """label -> the operation sending each tensor key to apply(label, its slots as LinCombs)."""
     def operation(label):
         def op(tensor_lc):
-            return LinComb.sum((apply(label, as_slots(key)), c) for key, c in tensor_lc.items())
+            return LinComb.sum((apply(label, tuple(map(LinComb.of, as_slots(key)))), c)
+                               for key, c in tensor_lc.items())
         return op
     return operation
+
+
+def _tree_splitting(decompose, labels, apply):
+    """A splitting with one tree per label, s(label) = apply(label, slot LinCombs).
+
+    Its versal memo applies s(label) to the e-images of the slots.
+    """
+    def step(key, e):
+        return LinComb.of(key) - LinComb.sum(
+            (apply(t[0], tuple(map(e, t[1:]))), c)
+            for t, c in decompose(key).items() if len(t) > 2)
+    return Splitting(decompose, labels, _operations(apply), _Memo(step))
 
 
 def _associative_splitting(coproduct, product, scalar=lambda n: 1):
@@ -441,10 +459,11 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
     Its arity-n part is the tower Delta^[n-1] = (Delta x id) Delta^[n-2],
     walked once per key through one memo of the coproduct per model.  The
     operation on a tower term (s_1, ..., s_n) is the right-nested product
-    s_1 (s_2 (... s_n)) times scalar(n); the products sit in a second memo
-    per model, keyed on the slot suffix, so nested(slots) is
-    product(s_1, nested(slots[1:])) and every arity, key and caller shares
-    each suffix.
+    s_1 (s_2 (... s_n)) times scalar(n).  The versal memo also holds the
+    slot suffixes of the tower terms: on a tuple of slots it is
+    nested_e(slots) = product(e(s_1), nested_e(slots[1:])), so every
+    arity, key and caller shares each suffix, and e(key) takes one product
+    per first slot of its tower.
     """
     # pieces are interned: the memo keeps one string per distinct key
     delta = lru_cache(maxsize=None)(lambda key: LinComb(
@@ -457,15 +476,25 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
             level = _cut_first(delta, level)
         return LinComb(terms)
 
-    @lru_cache(maxsize=None)
-    def nested(slots):
-        if len(slots) == 1:
-            return LinComb.of(slots[0])
-        return product(LinComb.of(slots[0]), nested(slots[1:]))
+    def fold(_, images):
+        acc = images[-1]
+        for image in images[-2::-1]:
+            acc = product(image, acc)
+        return acc.scale(scalar(len(images)))
 
-    def fold(_, slots):
-        return nested(slots).scale(scalar(len(slots)))
-    return Splitting(decompose, lambda n: [None], _operations(fold))
+    def nested_e(x, nested):
+        # e(s_1) (e(s_2) (... e(s_n))) on a suffix of n >= 2 slots
+        if isinstance(x, tuple):
+            return product(nested(x[0]), nested(x[1] if len(x) == 2 else x[1:]))
+        # e(x), the tower terms of arity >= 2 grouped by their first slot
+        rests = {}
+        for t, c in decompose(x).items():
+            if len(t) > 2:
+                rests.setdefault(t[1], []).append(
+                    (nested(t[2] if len(t) == 3 else t[2:]), c * scalar(len(t) - 1)))
+        return LinComb.of(x) - LinComb.sum(
+            (product(nested(s), LinComb.sum(r)), 1) for s, r in rests.items())
+    return Splitting(decompose, lambda n: [None], _operations(fold), _Memo(nested_e))
 
 
 @dataclass(frozen=True)
@@ -568,33 +597,31 @@ def _tree_basis(alphabet, extra_leaves):
     return basis
 
 
-def _mag_tree_apply(t, slots):
-    """The product indexed by a tree with n leaves, on n slots."""
+def _mag_tree_apply(t, images):
+    """The product indexed by a tree with n leaves, on n LinCombs."""
     if t == LEAF:
-        return LinComb.of(slots[0])
+        return images[0]
     l, r = trees.split(t)
     nl = leaf_count(l)
-    return mag_product(_mag_tree_apply(l, slots[:nl]), _mag_tree_apply(r, slots[nl:]))
+    return mag_product(_mag_tree_apply(l, images[:nl]), _mag_tree_apply(r, images[nl:]))
 
 
-def _mag_splitting():
+def _mag_decompose(key):
     """The comagmatic cooperad: one label per tree, its arity the leaf count.
 
     The cooperation of a tree t sends a key whose tree is t with a subtree
     grafted on each leaf to those decorated subtrees, every other key to 0;
     decompose recurses over the unique split at the root.
     """
-    def decompose(key):
-        terms = [((LEAF, key), 1)]
-        if key_parts(key)[0] != LEAF:
-            kl, kr = mag_split(key)
-            right = decompose(kr).items()
-            terms += [
-                ((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
-                for l, c1 in decompose(kl).items() for r, c2 in right
-            ]
-        return LinComb(terms)
-    return Splitting(decompose, trees.enumerate_trees, _operations(_mag_tree_apply))
+    terms = [((LEAF, key), 1)]
+    if key_parts(key)[0] != LEAF:
+        kl, kr = mag_split(key)
+        right = _mag_decompose(kr).items()
+        terms += [
+            ((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
+            for l, c1 in _mag_decompose(kl).items() for r, c2 in right
+        ]
+    return LinComb(terms)
 
 
 def mag_model(alphabet=1):
@@ -612,7 +639,7 @@ def mag_model(alphabet=1):
         },
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=0),
-        splitting=_mag_splitting(),
+        splitting=_tree_splitting(_mag_decompose, trees.enumerate_trees, _mag_tree_apply),
     )
 
 
@@ -635,22 +662,22 @@ def dup_model(alphabet=1):
     )
 
 
-def _dup_tree_apply(t, slots):
-    """The duplicial monomial indexed by a tree with n+1 leaves, on n slots."""
+def _dup_tree_apply(t, images):
+    """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs."""
     if t == Y:
-        return LinComb.of(slots[0])
+        return images[0]
     l, r = trees.split(t)
     if r == LEAF:
-        return dup_right(_dup_tree_apply(l, slots[:-1]), LinComb.of(slots[-1]))
+        return dup_right(_dup_tree_apply(l, images[:-1]), images[-1])
     p = leaf_count(l) - 1  # degree carried by the left factor
-    right = _dup_tree_apply(r, slots[p + 1:])
+    right = _dup_tree_apply(r, images[p + 1:])
     if l == LEAF:
-        return dup_left(LinComb.of(slots[0]), right)
-    u = dup_right(_dup_tree_apply(l, slots[:p]), LinComb.of(slots[p]))
+        return dup_left(images[0], right)
+    u = dup_right(_dup_tree_apply(l, images[:p]), images[p])
     return dup_left(u, right)
 
 
-def _bidup_splitting():
+def _bidup_decompose(key, decompose):
     """The biduplicial cooperad: one label per tree, n+1 leaves in arity n.
 
     A tree other than Y is the monomial (m(t_l) > x) < m(t_r) at its root.
@@ -658,23 +685,19 @@ def _bidup_splitting():
     cuts off m(t_r), and the rest gives the terms of its own decomposition
     on trees (t_l, leaf) ending in a generator.  Memoized per model.
     """
-    @lru_cache(maxsize=None)
-    def decompose(key):
-        terms = [((Y, key), 1)]
-        for (ka, km), c in dup_dright(LinComb.of(key)).items():
-            if _tree_key_degree(km) == 1:
-                terms += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
-                          for a, c2 in decompose(ka).items()]
-        for (ku, kb), c in dup_dleft(LinComb.of(key)).items():
-            right = decompose(kb).items()
-            for u, c2 in decompose(ku).items():
-                # u's tree is (t_l, leaf) and its last slot a generator
-                if u[0].endswith(",.)") and _tree_key_degree(u[-1]) == 1:
-                    terms += [((trees.vee(u[0][1:-3], r[0]),) + u[1:] + r[1:], c * c2 * c3)
-                              for r, c3 in right]
-        return LinComb(terms)
-    return Splitting(decompose, lambda n: trees.enumerate_trees(n + 1),
-                     _operations(_dup_tree_apply))
+    terms = [((Y, key), 1)]
+    for (ka, km), c in dup_dright(LinComb.of(key)).items():
+        if _tree_key_degree(km) == 1:
+            terms += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
+                      for a, c2 in decompose(ka).items()]
+    for (ku, kb), c in dup_dleft(LinComb.of(key)).items():
+        right = decompose(kb).items()
+        for u, c2 in decompose(ku).items():
+            # u's tree is (t_l, leaf) and its last slot a generator
+            if u[0].endswith(",.)") and _tree_key_degree(u[-1]) == 1:
+                terms += [((trees.vee(u[0][1:-3], r[0]),) + u[1:] + r[1:], c * c2 * c3)
+                          for r, c3 in right]
+    return LinComb(terms)
 
 
 def bidup_model(alphabet=1):
@@ -688,7 +711,8 @@ def bidup_model(alphabet=1):
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
         is_key=_is_key(alphabet, extra_leaves=1),
-        splitting=_bidup_splitting(),
+        splitting=_tree_splitting(_Memo(_bidup_decompose), lambda n: trees.enumerate_trees(n + 1),
+                                  _dup_tree_apply),
     )
 
 

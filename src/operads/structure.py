@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
 from .models import LETTERS, by_label, key_parts, tree_key
 from .trees import enumerate_trees, leaf_count
-from .idempotents import versal_idempotent_map
 
 
 def multilinear_basis(model, n, letters=LETTERS):
@@ -137,11 +136,12 @@ class PbwComponent:
     tensor: LinComb
 
 
-def _apply_slotwise(fn, tensor_lc):
+def _apply_slotwise(e, tensor_lc):
+    """(e x ... x e)(tensor_lc), with e a key -> LinComb map."""
     def image(key):
         piece = None
         for slot in as_slots(key):
-            img = fn(LinComb.of(slot))
+            img = e(slot)
             piece = img if piece is None else piece.tensor(img)
             if not piece:
                 break
@@ -149,25 +149,22 @@ def _apply_slotwise(fn, tensor_lc):
     return LinComb.sum((image(key), c) for key, c in tensor_lc.items())
 
 
-def pbw_expand(model, a, max_degree=None):
+def pbw_expand(model, a):
     """Decompose a into primitive tensor components, one per cooperation.
 
-    One decomposition of each key of a gives every labeled cooperation;
-    the versal idempotent then acts slot by slot.  Components come by
-    arity, then in cooperad basis order, and reassembling them through the
-    splitting operations returns the input exactly; see pbw_reassemble.
+    One decomposition of each key of a gives every labeled cooperation, of
+    every arity it has; the model's versal memo then acts slot by slot.
+    Components come by arity, then in cooperad basis order, and
+    reassembling them through the splitting operations returns the input
+    exactly; see pbw_reassemble.
     """
-    if not a:
-        return []
-    if max_degree is None:
-        max_degree = max(model.degree(k) for k in a.support())
-    e = versal_idempotent_map(model, max_degree)
-    parts = by_label(a.map_keys(model.splitting.decompose))
+    splitting = model.splitting
+    parts = by_label(a.map_keys(splitting.decompose))
     comps = []
-    for k in range(1, max_degree + 1):
-        group = parts.get(k, {})
-        for label in model.splitting.labels(k):
-            comp = _apply_slotwise(e, group[label]) if label in group else None
+    for k in sorted(parts):
+        group = parts[k]
+        for label in splitting.labels(k):
+            comp = _apply_slotwise(splitting.versal, group[label]) if label in group else None
             if comp:
                 comps.append(PbwComponent(arity=k, label=label, tensor=comp))
     return comps

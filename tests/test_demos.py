@@ -10,10 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(path):
+def run_script(path, *args, paths=()):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), *map(str, paths), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(path), *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("demo", ["duplicial_tour.py", "eulerian_idempotents.py"])
@@ -26,4 +28,28 @@ def test_bench_selftest_accepts_right_answers_and_rejects_wrong_ones():
     # the benchmark reads GradedEndo.mats densely and checks primitive_part
     # vectors; a change of representation they cannot follow fails here
     proc = run_script(ROOT / "bench" / "selftest.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+TRACED_RUN = """
+import operads
+from operads.linalg import LinComb
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+model = operads.get_model("dup", 1)
+e = operads.versal_idempotent(model, 4)
+assert e.compose(e) == e
+a = LinComb((k, i + 1) for i, k in enumerate(model.basis(4)))
+assert operads.pbw_reassemble(model, operads.pbw_expand(model, a)) == a
+metrics, spans = tracer.report()
+assert spans["calls"]["idempotents.map"] and spans["calls"]["structure.pbw"]
+"""
+
+
+def test_bench_tracer_wraps_the_versal_and_pbw_paths():
+    # the tracer wraps idempotents.omega, materialize, iterated_coproduct and
+    # reads _EULERIAN_CACHE; a rename it cannot follow fails here
+    proc = run_script("-c", TRACED_RUN, paths=[ROOT / "bench"])
     assert proc.returncode == 0, proc.stdout + proc.stderr

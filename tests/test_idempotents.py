@@ -98,10 +98,12 @@ def test_classical_primitives_match_lie_oracle():
     assert ranks == oracle == [2, 1, 2, 3, 6]
 
 
-def test_versal_equals_first_eulerian_on_classical():
-    model = get_model("classical", 2)
+@pytest.mark.parametrize("alphabet, deg", [(2, 5), (2, 6), (3, 4)])
+def test_versal_equals_first_eulerian_on_classical(alphabet, deg):
+    # the PBW recursion against the convolution logarithm of Id
+    model = get_model("classical", alphabet)
     ctx = ConvolutionContext(model)
-    assert versal_idempotent(model, max_degree=5) == eulerian(ctx, 1, 5)
+    assert versal_idempotent(model, max_degree=deg) == eulerian(ctx, 1, deg)
 
 
 def test_eulerian_family_is_a_complete_orthogonal_system():
