@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .linalg import GradedEndo, LinComb, memoized
@@ -29,9 +30,10 @@ class ConvolutionContext:
     def product(self):
         return self.model.products[self.mu]
 
-    @property
+    @cached_property
     def coproduct(self):
-        return self.model.coproducts[self.delta]
+        """The reduced coproduct, cut once per key for every convolution power."""
+        return memoized(self.model.coproducts[self.delta])
 
 
 def identity_map(lc):
@@ -57,12 +59,6 @@ def _convolution_powers(ctx, f, n):
     for _ in range(n - 1):
         powers.append(convolve(ctx, f, powers[-1]))
     return powers
-
-
-def convolution_power(ctx, f, n):
-    if n < 1:
-        raise ValueError("convolution power needs n >= 1")
-    return _convolution_powers(ctx, f, n)[-1]
 
 
 def model_bases(model, max_degree):

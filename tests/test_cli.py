@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from operads.cli import UsageError, main, parse_element
+from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
 from operads.linalg import LinComb
 from operads.models import get_model, model_names, tree_key, words
 from operads.trees import enumerate_trees
@@ -301,6 +302,23 @@ def test_suite_is_deterministic_and_green():
     assert last.startswith("suite: ")
     passed, total = last.split()[1].split("/")
     assert passed == total
+
+
+def test_suite_report_has_the_shape_the_benchmark_reads(capsys):
+    # bench/workloads.py times each bundle from its [name] header and expects
+    # exactly 60 check lines
+    names = [name for name, _ in SUITE_BUNDLES]
+    with pytest.raises(SystemExit):
+        main(["suite", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[--([\w-]+)\]", usage) == names + ["all"]
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--all"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[1:-1] for line in lines if line.startswith("[")] == names
+    labels = [line[len("  pass "):] for line in lines if line.startswith("  ")]
+    assert len(labels) == 60 and len(set(labels)) == 60
 
 
 def test_suite_single_bundle():

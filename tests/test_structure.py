@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from operads import models, trees
-from operads.idempotents import versal_idempotent
+from operads import idempotents, models, trees
+from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
 from operads.linalg import LinComb, coords, exact_rank, memoized, sparse_rows
 from operads.models import (
     LETTERS, _tree_key_degree, by_label, get_model, iterated_coproduct, lie_subspace, tree_key,
@@ -359,6 +359,16 @@ def test_bidup_versal_idempotent_cuts_each_key_once(monkeypatch):
     versal_idempotent(get_model("bidup", 1), 6)
     for counts in seen:
         assert counts and set(counts.values()) == {1}
+
+
+def test_eulerian_family_cuts_each_word_once(monkeypatch):
+    # every convolution power of one context reads the context's coproduct memo
+    monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
+    seen = count_cuts(monkeypatch, "_unshuffles")
+    ctx = ConvolutionContext(get_model("classical", 2))
+    for i in range(1, 6):
+        eulerian(ctx, i, 5)
+    assert len(seen) == 62 and set(seen.values()) == {1}
 
 
 @pytest.mark.parametrize("name", ["as", "classical", "dup", "mag", "bidup"])
