@@ -4,7 +4,8 @@ A relation describes the right-hand side of delta(mu(a, b)) as a sum of
 composites: apply coproducts to the inputs, permute the resulting tensor
 slots, then apply products blockwise.  The placeholder symbols "delta"
 and "mu" resolve to whatever pair is being checked; any other symbol is
-looked up in the model, so one relation can mix several operations.
+looked up in the model, so one relation can mix several operations.  The
+checker computes each (co)product image of a basis key once per check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import LinComb, _coef
+from .linalg import LinComb, _coef, _reduced, as_slots
 from .models import iterated_coproduct
 
 
@@ -126,38 +127,56 @@ def _resolve_op(model, sym, mu_sym):
     return model.products[sym]
 
 
-def eval_compat(expr, model, args, mu="mul", delta="delta"):
-    """Evaluate the relation right-hand side on a tuple of LinCombs."""
+def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
+    """Evaluate the relation right-hand side on a tuple of LinCombs.
+
+    The sum is taken on keys, into one dict.  `images` maps (function,
+    input keys) to the image's (slot tuple, coefficient) items; check_relation
+    passes one dict to every pair, so each (co)product image is computed
+    once per check.  Without it the images are computed for this call alone.
+    """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
-    return LinComb.sum(
-        piece for term in expr.terms for piece in _term_pieces(term, model, args, mu, delta)
-    )
+    if images is None:
+        images = {}
 
+    def image(fn, *keys):
+        items = images.get((fn, keys))
+        if items is None:
+            items = images[fn, keys] = tuple(
+                (as_slots(k), c) for k, c in fn(*map(LinComb.of, keys)).items())
+        return items
 
-def _term_pieces(term, model, args, mu, delta):
-    """(composite, coefficient) for every key of one term's permuted tensor."""
-    # tensor of per-input (co)products, keys as flat slot tuples
-    inter = LinComb.of(())
-    for sym, arg in zip(term.in_coops, args):
-        piece = arg if sym == "id" else _resolve_coop(model, sym, delta)(arg)
-        inter = inter.tensor(piece)
-        if not inter:
-            return
-    ops = [None if sym == "id" else _resolve_op(model, sym, mu) for sym in term.out_ops]
-    for key, c in inter.items():
-        slots = tuple(key[p] for p in term.perm)
-        out = None
-        pos = 0
-        for op in ops:
-            if op is None:
-                block = LinComb.of(slots[pos])
-                pos += 1
-            else:
-                block = op(LinComb.of(slots[pos]), LinComb.of(slots[pos + 1]))
-                pos += 2
-            out = block if out is None else out.tensor(block)
-        yield out, c * term.coeff
+    out = {}
+    get = out.get
+    for term in expr.terms:
+        inter = [((), term.coeff)]  # the inputs' tensor: (slot tuple, coefficient)
+        for sym, arg in zip(term.in_coops, args):
+            coop = None if sym == "id" else _resolve_coop(model, sym, delta)
+            inter = [(s + t, c * x * y) for k, x in arg.items()
+                     for t, y in (((as_slots(k), 1),) if coop is None else image(coop, k))
+                     for s, c in inter]
+        ops = [None if sym == "id" else _resolve_op(model, sym, mu) for sym in term.out_ops]
+        for flat, coeff in inter:
+            slots = [flat[p] for p in term.perm]
+            pieces, pos = [((), coeff)], 0
+            for op in ops:
+                if op is None:
+                    block, pos = (((slots[pos],), 1),), pos + 1
+                else:
+                    block, pos = image(op, slots[pos], slots[pos + 1]), pos + 2
+                pieces = [(s + t, c * y) for t, y in block for s, c in pieces]
+            for key, c in pieces:
+                if len(ops) == 1:  # one block: its keys stay as they are, not slot tuples
+                    key = key[0]
+                x = get(key, 0) + c
+                if x:
+                    out[key] = x
+                else:
+                    out.pop(key, None)
+    res = LinComb.__new__(LinComb)
+    res.terms = _reduced(out)
+    return res
 
 
 @dataclass
@@ -213,15 +232,16 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     expr = get_relation(relation_name)
     coproduct = model.coproducts[delta_sym]
     product = model.products[mu_sym]
+    basis = {n: [_as_lincomb(k) for k in model.basis(n)] for n in range(1, max_degree)}
+    images = {}
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
-            for a in model.basis(da):
-                la = _as_lincomb(a)
-                for b in model.basis(db):
-                    lb = _as_lincomb(b)
+            for la in basis[da]:
+                for lb in basis[db]:
                     lhs = coproduct(product(la, lb))
-                    rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym)
+                    rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
+                                      images=images)
                     checked += 1
                     if lhs != rhs:
                         return RelationReport(

@@ -53,3 +53,25 @@ def test_bench_tracer_wraps_the_versal_and_pbw_paths():
     # reads _EULERIAN_CACHE; a rename it cannot follow fails here
     proc = run_script("-c", TRACED_RUN, paths=[ROOT / "bench"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+TRACED_CHECK = """
+import operads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+report = operads.check_relation(operads.get_model("classical", 2), "delta", "mul", "hopf", 5)
+assert report.holds
+metrics, spans = tracer.report()
+calls = spans["calls"].get("relations.eval_compat")
+assert calls == report.checked_pairs == 196, (calls, report.checked_pairs)
+assert metrics["relations.pairs_checked"] == (196, "count"), metrics["relations.pairs_checked"]
+"""
+
+
+def test_bench_tracer_counts_one_eval_compat_call_per_checked_pair():
+    # the tracer wraps relations.eval_compat by name; evaluating pairs off that
+    # name would make relations.eval_compat_calls read 0
+    proc = run_script("-c", TRACED_CHECK, paths=[ROOT / "bench"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr

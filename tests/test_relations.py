@@ -1,7 +1,10 @@
 """Compatibility relation DSL: library entries, the checker, controls."""
 
+import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -186,3 +189,102 @@ def test_report_json_shape():
     assert d["holds"] is False
     assert "firstFailure" in d
     assert set(d["firstFailure"]) == {"degrees", "pair", "lhs", "rhs"}
+
+
+# --- the evaluation on keys against the LinComb evaluation it replaces --------
+
+def reference_eval_compat(expr, model, args, mu="mul", delta="delta"):
+    """The right-hand side as one LinComb per tensor key, tensored and summed."""
+    def pieces(term):
+        inter = LinComb.of(())
+        for sym, arg in zip(term.in_coops, args):
+            piece = arg if sym == "id" else relations._resolve_coop(model, sym, delta)(arg)
+            inter = inter.tensor(piece)
+            if not inter:
+                return
+        ops = [None if sym == "id" else relations._resolve_op(model, sym, mu)
+               for sym in term.out_ops]
+        for key, c in inter.items():
+            slots = tuple(key[p] for p in term.perm)
+            out = None
+            pos = 0
+            for op in ops:
+                if op is None:
+                    block = LinComb.of(slots[pos])
+                    pos += 1
+                else:
+                    block = op(LinComb.of(slots[pos]), LinComb.of(slots[pos + 1]))
+                    pos += 2
+                out = block if out is None else out.tensor(block)
+            yield out, c * term.coeff
+
+    return LinComb.sum(piece for term in expr.terms for piece in pieces(term))
+
+
+def _mixed(model, n):
+    """Every basis element of degree n with a distinct Fraction coefficient."""
+    return LinComb.sum((relations._as_lincomb(k), Fraction(2 * i - 3, i + 2))
+                       for i, k in enumerate(model.basis(n)))
+
+
+@pytest.mark.parametrize("name,alphabet", [
+    ("as", 2), ("classical", 2), ("zinb", 2), ("nil", 2), ("mag", 1), ("dup", 1), ("lie", 2),
+])
+def test_eval_compat_on_keys_matches_the_lincomb_evaluation(name, alphabet):
+    model = get_model(name, alphabet)
+    one, two = _mixed(model, 1), _mixed(model, 2)
+    zero = LinComb.zero()
+    # degree <= 3 in all: multi-term, inhomogeneous and zero arguments
+    pairs = [(one, one), (one, two), (two, one), (one + two, one), (zero, two), (one, zero)]
+    assert len(one + two) > 1 and any(type(c) is Fraction for _, c in two.items())
+    shared = {}
+    for rel in relation_names():
+        expr = get_relation(rel)
+        coops = {s for t in expr.terms for s in t.in_coops} - {"id", "delta"}
+        ops = {s for t in expr.terms for s in t.out_ops} - {"id", "mu"}
+        if not (coops <= set(model.coproducts) and ops <= set(model.products)):
+            continue
+        for delta in model.coproducts:
+            for mu in model.products:
+                for a, b in pairs:
+                    want = reference_eval_compat(expr, model, (a, b), mu, delta)
+                    assert eval_compat(expr, model, (a, b), mu, delta) == want, (rel, delta, mu)
+                    assert eval_compat(expr, model, (a, b), mu, delta, images=shared) == want
+
+
+def _counting(ops, calls):
+    def count(fn):
+        def counted(*args):
+            calls[fn] += 1
+            return fn(*args)
+        return counted
+    return {sym: count(fn) for sym, fn in ops.items()}
+
+
+def _pairs_up_to(dim, n):
+    """The number of basis pairs with deg a + deg b <= n, from dim A_d."""
+    return sum(dim(da) * dim(db) for da in range(1, n) for db in range(1, n - da + 1))
+
+
+def test_check_relation_computes_each_image_once_per_check():
+    model = get_model("classical", 2)
+    coproduct_calls, product_calls = Counter(), Counter()
+    counted = dataclasses.replace(model, coproducts=_counting(model.coproducts, coproduct_calls),
+                                  products=_counting(model.products, product_calls))
+    report = check_relation(counted, "delta", "mul", "hopf", 5)
+    assert report.holds and report.checked_pairs == _pairs_up_to(lambda d: 2 ** d, 5) == 196
+    # one coproduct per pair's left side, one per key of degree < 5 on the right
+    assert sum(coproduct_calls.values()) <= report.checked_pairs + (2 + 4 + 8 + 16)
+    # one product per pair's left side, one per slot pair (u, v) of nonempty words
+    # with |u| + |v| <= 4 on the right
+    slot_pairs = sum(2 ** i * 2 ** (s - i) for s in range(2, 5) for i in range(1, s))
+    assert slot_pairs == 68
+    assert sum(product_calls.values()) <= report.checked_pairs + slot_pairs
+
+
+def test_relations_hold_past_the_pinned_degrees():
+    report = check_relation(get_model("classical", 2), "delta", "mul", "hopf", 6)
+    assert report.holds and report.checked_pairs == _pairs_up_to(lambda d: 2 ** d, 6)
+    report = check_relation(get_model("dup", 1), "delta", "right", "nui", 7)
+    assert report.holds
+    assert report.checked_pairs == _pairs_up_to(lambda d: comb(2 * d, d) // (d + 1), 7)
