@@ -2,9 +2,12 @@
 
 Words over a finite alphabet carry the free associative and Zinbiel
 algebras; planar binary trees decorated with words carry the free
-magmatic and duplicial algebras.  Each model packages its graded basis,
-named products and named reduced coproducts behind one interface so the
-relation checker and the idempotent engine can treat them uniformly.
+magmatic and duplicial algebras.  On trees every product is one graft
+(vee, over or under) and every cut coproduct one kernel over a cut
+family: the root split, the path cuts, or the right or left edge cuts.
+Each model packages its graded basis, named products and named reduced
+coproducts behind one interface so the relation checker and the
+idempotent engine can treat them uniformly.
 A model with a coalgebra splitting decomposes each key into all of its
 labeled cooperations of every arity in one pass, and looks up the
 splitting operation of each label; the associative cooperad is the case
@@ -45,12 +48,6 @@ def bilinear(key_fn):
     return ext
 
 
-def linear(key_fn):
-    def ext(a):
-        return a.map_keys(key_fn)
-    return ext
-
-
 # --- decorated tree keys ---------------------------------------------------
 
 def tree_key(tree, word):
@@ -60,6 +57,23 @@ def tree_key(tree, word):
 def key_parts(key):
     tree, _, word = key.partition(":")
     return tree, word
+
+
+def _graft_keys(graft, k1, k2):
+    """The key of graft(tree1, tree2), decorated with the two words joined."""
+    t1, w1 = key_parts(k1)
+    t2, w2 = key_parts(k2)
+    return tree_key(graft(t1, t2), w1 + w2)
+
+
+def _cut_keys(key, cuts, extra):
+    """Sum of (t1:w[:p]) x (t2:w[p:]) over (t1, t2) in cuts(t), p = leaves(t1) - extra."""
+    t, w = key_parts(key)
+    out = []
+    for t1, t2 in cuts(t):
+        p = leaf_count(t1) - extra
+        out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
+    return LinComb(out)
 
 
 # --- free associative algebra ----------------------------------------------
@@ -127,14 +141,12 @@ def zinb_half_shuffle(a, b):
 
 # --- free magmatic algebra --------------------------------------------------
 
-def _mag_prod_key(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return LinComb.of(tree_key(trees.vee(t1, t2), w1 + w2))
+def _vee_keys(k1, k2):
+    return _graft_keys(trees.vee, k1, k2)
 
 
 def mag_product(a, b):
-    return bilinear(_mag_prod_key)(a, b)
+    return bilinear(lambda k1, k2: LinComb.of(_vee_keys(k1, k2)))(a, b)
 
 
 def mag_split(key):
@@ -146,10 +158,7 @@ def mag_split(key):
 
 
 def _mag_dual_key(key):
-    t, _ = key_parts(key)
-    if t == LEAF:
-        return LinComb.zero()
-    return LinComb.of(mag_split(key))
+    return _cut_keys(key, lambda t: [] if t == LEAF else [trees.split(t)], 0)
 
 
 def mag_dual_coproduct(a):
@@ -167,12 +176,6 @@ def _mag_liv_key(key):
     for (a1, a2), c in _mag_liv_key(ka).items():
         terms += [((a1, _vee_keys(a2, kb)), c), ((_vee_keys(a1, kb), a2), c)]
     return LinComb(terms)
-
-
-def _vee_keys(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return tree_key(trees.vee(t1, t2), w1 + w2)
 
 
 def mag_livernet_coproduct(a):
@@ -206,36 +209,18 @@ def mag_hopf_coproduct(a):
 
 # --- free duplicial algebra --------------------------------------------------
 
-def _dup_left_key(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return LinComb.of(tree_key(trees.under(t1, t2), w1 + w2))
-
-
-def _dup_right_key(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return LinComb.of(tree_key(trees.over(t1, t2), w1 + w2))
-
-
 def dup_left(a, b):
     """x < y, realized by the Under grafting t\\s."""
-    return bilinear(_dup_left_key)(a, b)
+    return bilinear(lambda k1, k2: LinComb.of(_graft_keys(trees.under, k1, k2)))(a, b)
 
 
 def dup_right(a, b):
     """x > y, realized by the Over grafting t/s."""
-    return bilinear(_dup_right_key)(a, b)
+    return bilinear(lambda k1, k2: LinComb.of(_graft_keys(trees.over, k1, k2)))(a, b)
 
 
 def _dup_coproduct_key(key):
-    t, w = key_parts(key)
-    n = len(w)
-    out = []
-    for i in range(1, n):
-        r, s = trees.path_cut(t, i)
-        out.append(((tree_key(r, w[:i]), tree_key(s, w[i:])), 1))
-    return LinComb(out)
+    return _cut_keys(key, lambda t: trees.path_cuts(t)[1:-1], 1)
 
 
 def dup_coproduct(a):
@@ -244,58 +229,31 @@ def dup_coproduct(a):
 
 
 def _right_edge_cuts(t):
-    """Splittings t = t1 \\ t2 with both factors non-leaves."""
-    out = []
-    prefix = []
-    cur = t
-    while cur != LEAF:
-        l, r = trees.split(cur)
-        prefix.append(l)
-        cur = r
-        if cur != LEAF:
-            t2 = cur
-            # rebuild t1 = t with the subtree t2 replaced by a leaf
-            t1 = LEAF
-            for left in reversed(prefix):
-                t1 = trees.vee(left, t1)
-            out.append((t1, t2))
-    return out
+    """Splittings t = t1 \\ t2 with both factors non-leaves, top edge first."""
+    if t == LEAF:
+        return []
+    l, r = trees.split(t)
+    if r == LEAF:
+        return []
+    return [(trees.vee(l, LEAF), r)] + [(trees.vee(l, a), b) for a, b in _right_edge_cuts(r)]
 
 
 def _left_edge_cuts(t):
-    """Splittings t = t1 / t2 with both factors non-leaves."""
-    out = []
-    suffix = []
-    cur = t
-    while cur != LEAF:
-        l, r = trees.split(cur)
-        suffix.append(r)
-        cur = l
-        if cur != LEAF:
-            t1 = cur
-            t2 = LEAF
-            for right in reversed(suffix):
-                t2 = trees.vee(t2, right)
-            out.append((t1, t2))
-    return out
+    """Splittings t = t1 / t2 with both factors non-leaves, top edge first."""
+    if t == LEAF:
+        return []
+    l, r = trees.split(t)
+    if l == LEAF:
+        return []
+    return [(l, trees.vee(LEAF, r))] + [(a, trees.vee(b, r)) for a, b in _left_edge_cuts(l)]
 
 
 def _dup_dleft_key(key):
-    t, w = key_parts(key)
-    out = []
-    for t1, t2 in _right_edge_cuts(t):
-        p = leaf_count(t1) - 1
-        out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
-    return LinComb(out)
+    return _cut_keys(key, _right_edge_cuts, 1)
 
 
 def _dup_dright_key(key):
-    t, w = key_parts(key)
-    out = []
-    for t1, t2 in _left_edge_cuts(t):
-        p = leaf_count(t1) - 1
-        out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
-    return LinComb(out)
+    return _cut_keys(key, _left_edge_cuts, 1)
 
 
 def dup_dleft(a):
@@ -503,7 +461,6 @@ class BialgebraModel:
     name: str
     alphabet: int
     basis: Callable[[int], list]
-    degree: Callable[[object], int]
     products: dict
     coproducts: dict
     generating_coproducts: tuple
@@ -530,10 +487,6 @@ def _is_key(alphabet, extra_leaves=None, top_degree=None):
     return is_key
 
 
-def _word_degree(key):
-    return len(key)
-
-
 def _tree_key_degree(key):
     return len(key_parts(key)[1])
 
@@ -544,7 +497,6 @@ def as_model(alphabet=1):
         name="as",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        degree=_word_degree,
         products={"mul": as_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
@@ -559,7 +511,6 @@ def classical_model(alphabet=2):
         name="classical",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        degree=_word_degree,
         products={"mul": as_concat},
         coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
@@ -578,7 +529,6 @@ def zinbiel_model(alphabet=2):
         name="zinb",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        degree=_word_degree,
         products={"left": zinb_half_shuffle, "star": shuffle_product},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
@@ -630,7 +580,6 @@ def mag_model(alphabet=1):
         name="mag",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 0),
-        degree=_tree_key_degree,
         products={"mul": mag_product},
         coproducts={
             "delta": mag_dual_coproduct,
@@ -649,7 +598,6 @@ def dup_model(alphabet=1):
         name="dup",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 1),
-        degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={
             "delta": dup_coproduct,
@@ -694,8 +642,11 @@ def _bidup_decompose(key, decompose):
         right = decompose(kb).items()
         for u, c2 in decompose(ku).items():
             # u's tree is (t_l, leaf) and its last slot a generator
-            if u[0].endswith(",.)") and _tree_key_degree(u[-1]) == 1:
-                terms += [((trees.vee(u[0][1:-3], r[0]),) + u[1:] + r[1:], c * c2 * c3)
+            if _tree_key_degree(u[-1]) != 1:
+                continue
+            tl, tr = trees.split(u[0])
+            if tr == LEAF:
+                terms += [((trees.vee(tl, r[0]),) + u[1:] + r[1:], c * c2 * c3)
                           for r, c3 in right]
     return LinComb(terms)
 
@@ -706,7 +657,6 @@ def bidup_model(alphabet=1):
         name="bidup",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 1),
-        degree=_tree_key_degree,
         products={"left": dup_left, "right": dup_right},
         coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
@@ -727,7 +677,6 @@ def lie_model(alphabet=2):
         name="lie",
         alphabet=alphabet,
         basis=lambda n: lie_subspace(alphabet, n),
-        degree=_word_degree,
         products={"mul": lie_bracket},
         coproducts={"delta": lie_cobracket},
         generating_coproducts=("delta",),
@@ -748,7 +697,6 @@ def nil_model(alphabet=2):
         name="nil",
         alphabet=alphabet,
         basis=basis,
-        degree=_word_degree,
         products={"mul": trunc_concat},
         coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),

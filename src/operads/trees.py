@@ -3,6 +3,11 @@
 A tree is stored as its serialization: "." for a leaf, "(L,R)" for an
 internal node, no whitespace.  Lexicographic order on these strings is
 the canonical basis order, so strings double as basis keys.
+
+Grafting: vee joins two trees at a new root, over and under graft one
+tree on the first or last leaf of another, and split undoes vee.
+Cutting: path_cuts lists every cut of a tree along the path from a leaf
+to the root in one pass, and path_cut(t, i) is its entry i.
 """
 
 from __future__ import annotations
@@ -123,16 +128,16 @@ def path_cut(t, i):
     n = leaf_count(t) - 1
     if not 1 <= i <= n - 1:
         raise ValueError("cut index %d out of range for a tree with %d leaves" % (i, n + 1))
-    return _cut(t, i)
+    return path_cuts(t)[i]
 
 
-def _cut(t, i):
+def path_cuts(t):
+    """Every path cut of t, leaf 0 first, splitting each node once.
+
+    Entry i is the cut along the path from leaf i to the root, trivial
+    cuts included: entry 0 is (LEAF, t) and the last is (t, LEAF).
+    """
     if t == LEAF:
-        return LEAF, LEAF
+        return [(LEAF, LEAF)]
     l, r = split(t)
-    nl = leaf_count(l)
-    if i < nl:
-        ll, lr = _cut(l, i)
-        return ll, vee(lr, r)
-    rl, rr = _cut(r, i - nl)
-    return vee(l, rl), rr
+    return [(a, vee(b, r)) for a, b in path_cuts(l)] + [(vee(l, a), b) for a, b in path_cuts(r)]

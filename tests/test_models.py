@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from operads import models
+from operads import models, trees
 from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
 from operads.linalg import LinComb, coords, exact_rank, matrix_json, tensor_transpose
 from operads.models import (
@@ -33,7 +33,7 @@ from operads.models import (
     words,
     zinb_half_shuffle,
 )
-from operads.trees import catalan
+from operads.trees import LEAF, catalan
 
 
 def lc(key):
@@ -81,8 +81,6 @@ def test_mag_dimensions_are_shifted_catalan():
 def test_word_model_dimensions():
     assert len(words(2, 4)) == 16
     assert len(words(3, 3)) == 27
-    model = get_model("as", 2)
-    assert all(model.degree(k) == 3 for k in model.basis(3))
 
 
 def test_words_refuse_an_alphabet_past_the_letters():
@@ -221,6 +219,91 @@ def test_dup_combs_are_iterated_one_sided_products():
 def test_dup_coproduct_is_coassociative_to_degree_6():
     model = get_model("dup", 1)
     assert coassociative(dup_coproduct, list(basis_elements(model, 6)))
+
+
+# --- the graft and cut kernels against one kernel per operation ----------------
+
+def ref_mag_prod_key(k1, k2):
+    t1, w1 = key_parts(k1)
+    t2, w2 = key_parts(k2)
+    return lc(tree_key(trees.vee(t1, t2), w1 + w2))
+
+
+def ref_vee_keys(k1, k2):
+    t1, w1 = key_parts(k1)
+    t2, w2 = key_parts(k2)
+    return tree_key(trees.vee(t1, t2), w1 + w2)
+
+
+def ref_dup_left_key(k1, k2):
+    t1, w1 = key_parts(k1)
+    t2, w2 = key_parts(k2)
+    return lc(tree_key(trees.under(t1, t2), w1 + w2))
+
+
+def ref_dup_right_key(k1, k2):
+    t1, w1 = key_parts(k1)
+    t2, w2 = key_parts(k2)
+    return lc(tree_key(trees.over(t1, t2), w1 + w2))
+
+
+def ref_mag_dual_key(key):
+    t, _ = key_parts(key)
+    if t == LEAF:
+        return LinComb.zero()
+    return lc(models.mag_split(key))
+
+
+def ref_dup_coproduct_key(key):
+    t, w = key_parts(key)
+    out = []
+    for i in range(1, len(w)):
+        r, s = trees.path_cut(t, i)
+        out.append(((tree_key(r, w[:i]), tree_key(s, w[i:])), 1))
+    return LinComb(out)
+
+
+def _ref_edge_cut_key(cuts):
+    def kernel(key):
+        t, w = key_parts(key)
+        out = []
+        for t1, t2 in cuts(t):
+            p = trees.leaf_count(t1) - 1
+            out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
+        return LinComb(out)
+    return kernel
+
+
+ref_dup_dleft_key = _ref_edge_cut_key(models._right_edge_cuts)
+ref_dup_dright_key = _ref_edge_cut_key(models._left_edge_cuts)
+
+
+def keys_through(model, degree):
+    return [(n, k) for n in range(1, degree + 1) for k in model.basis(n)]
+
+
+def test_tree_kernels_match_one_kernel_per_operation():
+    # alphabet 2, so that a word split at the wrong point gives another key
+    mag, dup = get_model("mag", 2), get_model("dup", 2)
+    for key_fn, ref, model in [
+        (models._mag_dual_key, ref_mag_dual_key, mag),
+        (models._dup_coproduct_key, ref_dup_coproduct_key, dup),
+        (models._dup_dleft_key, ref_dup_dleft_key, dup),
+        (models._dup_dright_key, ref_dup_dright_key, dup),
+    ]:
+        for _, k in keys_through(model, 4):
+            assert key_fn(k) == ref(k), (ref.__name__, k)
+    for product, ref, model in [
+        (mag_product, ref_mag_prod_key, mag),
+        (dup_left, ref_dup_left_key, dup),
+        (dup_right, ref_dup_right_key, dup),
+    ]:
+        keys = keys_through(model, 4)
+        for (n1, k1), (n2, k2) in itertools.product(keys, repeat=2):
+            if n1 + n2 <= 5:
+                assert product(lc(k1), lc(k2)) == ref(k1, k2), (ref.__name__, k1, k2)
+                if model is mag:
+                    assert models._vee_keys(k1, k2) == ref_vee_keys(k1, k2)
 
 
 # --- Lie -----------------------------------------------------------------------

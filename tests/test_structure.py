@@ -165,6 +165,18 @@ def test_primitive_dimensions_past_the_pinned_degrees():
     assert len(primitive_part(get_model("classical", 2), 7)) == witt(7, 2) == 18
 
 
+def test_primitive_dimensions_scale_with_the_alphabet():
+    # a nonsymmetric model only slices words: dim Prim_n on k letters is k^n times one letter's
+    for k, top in ((2, 6), (3, 4)):
+        model = get_model("dup", k)
+        assert [len(primitive_part(model, n)) for n in range(1, top + 1)] == [
+            catalan(n - 1) * k ** n for n in range(1, top + 1)]
+    # the magmatic and biduplicial coproducts leave only the generators primitive
+    for name in ("bidup", "mag"):
+        model = get_model(name, 2)
+        assert [len(primitive_part(model, n)) for n in range(1, 7)] == [2, 0, 0, 0, 0, 0]
+
+
 def _independent_primitives(model, n, vectors):
     """Every vector is killed by every generating coproduct; together they have full rank."""
     for v in vectors:

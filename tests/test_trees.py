@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from operads import trees
+from operads.linalg import LinComb
+from operads.models import _left_edge_cuts, _right_edge_cuts, dup_coproduct, tree_key
 from operads.trees import (
     LEAF,
     Y,
@@ -12,6 +15,7 @@ from operads.trees import (
     left_comb,
     over,
     path_cut,
+    path_cuts,
     right_comb,
     split,
     under,
@@ -101,6 +105,82 @@ def test_path_cut_on_combs():
         l, r = path_cut(t, i)
         assert l == right_comb(i)
         assert r == right_comb(4 - i)
+
+
+# --- the cut families against reference walkers -------------------------------
+
+def ref_cut(t, i):
+    """The cut along the path from leaf i to the root, recomputed from the root down."""
+    if t == LEAF:
+        return LEAF, LEAF
+    l, r = split(t)
+    nl = leaf_count(l)
+    if i < nl:
+        ll, lr = ref_cut(l, i)
+        return ll, vee(lr, r)
+    rl, rr = ref_cut(r, i - nl)
+    return vee(l, rl), rr
+
+
+def ref_right_edge_cuts(t):
+    """Walk the right branch; at each edge rebuild t1 with the subtree t2 replaced by a leaf."""
+    out = []
+    prefix = []
+    cur = t
+    while cur != LEAF:
+        l, r = split(cur)
+        prefix.append(l)
+        cur = r
+        if cur != LEAF:
+            t1 = LEAF
+            for left in reversed(prefix):
+                t1 = vee(left, t1)
+            out.append((t1, cur))
+    return out
+
+
+def ref_left_edge_cuts(t):
+    """Walk the left branch; at each edge rebuild t2 with the subtree t1 replaced by a leaf."""
+    out = []
+    suffix = []
+    cur = t
+    while cur != LEAF:
+        l, r = split(cur)
+        suffix.append(r)
+        cur = l
+        if cur != LEAF:
+            t2 = LEAF
+            for right in reversed(suffix):
+                t2 = vee(t2, right)
+            out.append((cur, t2))
+    return out
+
+
+def test_cut_families_match_the_reference_walkers():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert path_cuts(t) == [ref_cut(t, i) for i in range(n)], t
+            right, left = _right_edge_cuts(t), _left_edge_cuts(t)
+            assert right == ref_right_edge_cuts(t), t
+            assert left == ref_left_edge_cuts(t), t
+            assert all(under(t1, t2) == t for t1, t2 in right)
+            assert all(over(t1, t2) == t for t1, t2 in left)
+
+
+@pytest.mark.parametrize("t", [
+    left_comb(8), right_comb(8), "(((.,(.,.)),((.,.),.)),(.,(.,.)))",
+])
+def test_path_cuts_split_each_node_once(monkeypatch, t):
+    calls = []
+    orig = trees.split
+
+    def counted(u):
+        calls.append(u)
+        return orig(u)
+    monkeypatch.setattr(trees, "split", counted)
+    key = tree_key(t, "x" * 8)
+    assert len(dup_coproduct(LinComb.of(key))) == 7
+    assert leaf_count(t) == 9 and len(calls) == 8
 
 
 @st.composite
