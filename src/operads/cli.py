@@ -43,6 +43,7 @@ from .idempotents import (
 )
 from .structure import (
     check_h2,
+    generator_key,
     pbw_expand,
     pbw_reassemble,
     primitive_part,
@@ -260,13 +261,12 @@ def cmd_pbw(args):
 
 
 def _convolution_context(model):
-    """The default context (product mul, coproduct delta) of the model."""
-    ctx = ConvolutionContext(model)
-    if ctx.mu not in model.products:
-        raise UsageError("model %s has no product %r" % (model.name, ctx.mu))
-    if ctx.delta not in model.coproducts:
-        raise UsageError("model %s has no coproduct %r" % (model.name, ctx.delta))
-    return ctx
+    """The convolution context of the model, refused without product mul or coproduct delta."""
+    if "mul" not in model.products:
+        raise UsageError("model %s has no product 'mul'" % model.name)
+    if "delta" not in model.coproducts:
+        raise UsageError("model %s has no coproduct 'delta'" % model.name)
+    return ConvolutionContext(model)
 
 
 def cmd_idempotent(args):
@@ -311,11 +311,11 @@ def cmd_idempotent(args):
 
 
 _STRUCTURE_TRIPLES = {
-    # model -> (c_dim, p_dim) per arity
-    "as": (lambda k: 1, lambda n: 1 if n == 1 else 0),
-    "dup": (lambda k: 1, lambda n: trees.catalan(n - 1)),
-    "mag": (lambda k: trees.catalan(k - 1), lambda n: 1 if n == 1 else 0),
-    "bidup": (lambda k: trees.catalan(k), lambda n: 1 if n == 1 else 0),
+    # model -> names of the series C and P with A = C o P
+    "as": ("As", "Vect"),
+    "dup": ("As", "Mag"),
+    "mag": ("Mag", "Vect"),
+    "bidup": ("Dup", "Vect"),
 }
 
 
@@ -336,8 +336,8 @@ def cmd_verify(args):
         raise UsageError("no structure-iso dimension data for model %s" % model.name)
     if args.max_degree < 1:
         raise UsageError("structure-iso needs --max-degree >= 1")
-    c_dim, p_dim = _STRUCTURE_TRIPLES[model.name]
-    report = verify_structure_iso(c_dim, model, p_dim, args.max_degree)
+    c, p = _STRUCTURE_TRIPLES[model.name]
+    report = verify_structure_iso(c, model, p, args.max_degree)
     _emit(report.to_json_dict())
     return 0 if report.ok else 1
 
@@ -466,7 +466,7 @@ def _suite_pbw_tables():
     model = get_model("dup", 3)
     lt = model.products["left"]
     rt = model.products["right"]
-    x, y, z = (parse_element(model, "(.,.):%s" % c) for c in "xyz")
+    x, y, z = (LinComb.of(generator_key(model, c)) for c in "xyz")
     rows = [
         ("x>y", rt(x, y), [rt(x, y)]),
         ("x<y", lt(x, y), [_dot(model, x, y), rt(x, y)]),

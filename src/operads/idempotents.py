@@ -22,18 +22,18 @@ from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 @dataclass(frozen=True)
 class ConvolutionContext:
+    """Convolution on a model: its product "mul" after its reduced coproduct "delta"."""
+
     model: BialgebraModel
-    mu: str = "mul"
-    delta: str = "delta"
 
     @property
     def product(self):
-        return self.model.products[self.mu]
+        return self.model.products["mul"]
 
     @cached_property
     def coproduct(self):
         """The reduced coproduct, cut once per key for every convolution power."""
-        return memoized(self.model.coproducts[self.delta])
+        return memoized(self.model.coproducts["delta"])
 
 
 def identity_map(lc):
@@ -74,7 +74,7 @@ _EULERIAN_CACHE = {}
 
 def eulerian_family(ctx, max_degree):
     """The maps e^(1), ..., e^(max_degree) of the convolution-log family."""
-    cache_key = (ctx.model.name, ctx.model.alphabet, ctx.mu, ctx.delta, max_degree)
+    cache_key = (ctx.model.name, ctx.model.alphabet, max_degree)
     if cache_key in _EULERIAN_CACHE:
         return _EULERIAN_CACHE[cache_key]
     powers = _convolution_powers(ctx, identity_map, max_degree)

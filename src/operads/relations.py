@@ -26,20 +26,11 @@ class Term:
     perm: tuple       # output slot j reads input slot perm[j]
     out_ops: tuple    # "id" (1 slot), "mu" or a model symbol (2 slots)
 
-    def is_phi1(self):
-        return all(s == "id" for s in self.in_coops)
-
 
 @dataclass(frozen=True)
 class CompatExpr:
     arity: int
     terms: tuple
-
-    def phi1(self):
-        return CompatExpr(self.arity, tuple(t for t in self.terms if t.is_phi1()))
-
-    def phi2(self):
-        return CompatExpr(self.arity, tuple(t for t in self.terms if not t.is_phi1()))
 
 
 def _op_arity(sym):

@@ -183,20 +183,11 @@ def series_names():
     return list(_SERIES_NAMES)
 
 
-def _as_series(s, order):
-    return gen_series(s, order) if isinstance(s, str) else s
-
-
 def check_triple_identity(c, a, p, order):
     """f^A(t) = f^C(f^P(t)) coefficientwise to the given order."""
-    fc = _as_series(c, order)
-    fa = _as_series(a, order)
-    fp = _as_series(p, order)
-    return fa == fc.compose(fp)
+    return gen_series(a, order) == gen_series(c, order).compose(gen_series(p, order))
 
 
 def check_koszul_dual(p, pdual, order):
     """f^{P!}(-f^P(-t)) = t, exact to the given order."""
-    fp = _as_series(p, order)
-    fd = _as_series(pdual, order)
-    return fd.compose(fp.alt()) == TruncatedSeries.t(order)
+    return gen_series(pdual, order).compose(gen_series(p, order).alt()) == TruncatedSeries.t(order)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
 from .models import LETTERS, by_label, key_parts, tree_key
+from .series import gen_series
 from .trees import enumerate_trees, leaf_count
 
 
@@ -175,22 +176,6 @@ def pbw_reassemble(model, comps):
     return LinComb.sum((operation(comp.label)(comp.tensor), 1) for comp in comps)
 
 
-def composite_dims(c_dim, p_dim, n):
-    """dim of (C o P)_n for one-generator nonsymmetric composites."""
-    # weighted count of k-tuples with total degree n
-    total = 0
-    counts = [1] + [0] * n  # counts[d] after k factors
-    for k in range(1, n + 1):
-        new = [0] * (n + 1)
-        for d in range(k - 1, n):
-            if counts[d]:
-                for dn in range(1, n - d + 1):
-                    new[d + dn] += counts[d] * p_dim(dn)
-        counts = new
-        total += c_dim(k) * counts[n]
-    return total
-
-
 @dataclass
 class StructureIsoReport:
     ok: bool
@@ -206,14 +191,13 @@ class StructureIsoReport:
         }
 
 
-def verify_structure_iso(c_dim, model, p_dim, max_degree):
-    """Compare dim A_n with the composite count sum over cooperation shapes."""
+def verify_structure_iso(c, model, p, max_degree):
+    """Compare dim A_n with coefficient n of f^C(f^P), C and P named series."""
+    composite = gen_series(c, max_degree).compose(gen_series(p, max_degree))
     rows = []
-    ok = True
     for n in range(1, max_degree + 1):
-        dim_a = len(multilinear_basis(model, n))
-        comp = composite_dims(c_dim, p_dim, n)
-        rows.append((n, dim_a, comp))
-        if dim_a != comp:
-            ok = False
-    return StructureIsoReport(ok=ok, per_degree=rows)
+        comp = composite.coeff(n)
+        if comp.denominator != 1:
+            raise ValueError("%s o %s has a fractional coefficient in degree %d" % (c, p, n))
+        rows.append((n, len(multilinear_basis(model, n)), comp.numerator))
+    return StructureIsoReport(ok=all(da == comp for (_, da, comp) in rows), per_degree=rows)

@@ -12,7 +12,7 @@ import pytest
 from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
 from operads.linalg import LinComb
 from operads.models import get_model, model_names, tree_key, words
-from operads.trees import enumerate_trees
+from operads.trees import catalan, enumerate_trees
 
 
 def run_cli(*argv):
@@ -290,6 +290,26 @@ def test_verify_h2_command():
     proc = run_cli("verify", "--model", "dup", "--what", "h2", "--max-degree", "4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "epi-with-splitting"
+
+
+_COMPOSITE_CLOSED_FORMS = {
+    "as": lambda n: 1,
+    "mag": lambda n: catalan(n - 1),
+    "dup": catalan,
+    "bidup": catalan,
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPOSITE_CLOSED_FORMS))
+def test_verify_structure_iso_composites_are_closed_form_ints(name):
+    closed_form = _COMPOSITE_CLOSED_FORMS[name]
+    proc = run_cli("verify", "--model", name, "--what", "structure-iso", "--max-degree", "8")
+    assert proc.returncode == 0
+    rows = json.loads(proc.stdout)["perDegree"]
+    assert [row["degree"] for row in rows] == list(range(1, 9))
+    for row in rows:
+        assert type(row["composite"]) is int
+        assert row["composite"] == closed_form(row["degree"]) == row["dimA"]
 
 
 def test_suite_is_deterministic_and_green():

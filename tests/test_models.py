@@ -33,6 +33,7 @@ from operads.models import (
     words,
     zinb_half_shuffle,
 )
+from operads.series import gen_series
 from operads.trees import LEAF, catalan
 
 
@@ -76,6 +77,16 @@ def test_dup_dimensions_are_catalan():
 def test_mag_dimensions_are_shifted_catalan():
     model = get_model("mag", 1)
     assert [len(model.basis(n)) for n in range(1, 6)] == [1, 1, 2, 5, 14]
+
+
+@pytest.mark.parametrize("name,series", [
+    ("as", "As"), ("classical", "As"), ("zinb", "As"), ("nil", "Nil"),
+    ("mag", "Mag"), ("dup", "Dup"), ("bidup", "Dup"),
+])
+def test_dimensions_are_the_generating_series_coefficients(name, series):
+    # on one letter, dim A_n counts the n-ary operations
+    model = get_model(name, 1)
+    assert [len(model.basis(n)) for n in range(1, 10)] == list(gen_series(series, 9).coeffs)
 
 
 def test_word_model_dimensions():

@@ -16,7 +16,6 @@ from operads.models import (
 from operads.structure import (
     _splitting_section_ok,
     check_h2,
-    composite_dims,
     generator_key,
     multilinear_basis,
     pbw_expand,
@@ -533,33 +532,13 @@ def test_associative_decompose_is_the_iterated_coproduct(name):
                 assert parts[n][None] == iterated_coproduct(delta, n - 1)(LinComb.of(key))
 
 
-# --- composite dimensions --------------------------------------------------------
-
-def test_composite_dims_associative_over_vect():
-    # As o Vect: one basis operation per arity
-    assert [composite_dims(lambda k: 1, lambda n: 1 if n == 1 else 0, n)
-            for n in range(1, 6)] == [1, 1, 1, 1, 1]
-
-
-def test_composite_dims_as_over_mag_gives_catalan():
-    # Dup = As o Mag on dimensions
-    got = [
-        composite_dims(lambda k: 1, lambda n: catalan(n - 1), n)
-        for n in range(1, 7)
-    ]
-    assert got == [catalan(n) for n in range(1, 7)]
-
+# --- structure iso ---------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "name,c_dim,p_dim",
-    [
-        ("as", lambda k: 1, lambda n: 1 if n == 1 else 0),
-        ("dup", lambda k: 1, lambda n: catalan(n - 1)),
-        ("mag", lambda k: catalan(k - 1), lambda n: 1 if n == 1 else 0),
-        ("bidup", lambda k: catalan(k), lambda n: 1 if n == 1 else 0),
-    ],
+    "name,c,p",
+    [("as", "As", "Vect"), ("dup", "As", "Mag"), ("mag", "Mag", "Vect"), ("bidup", "Dup", "Vect")],
 )
-def test_structure_iso_dimension_counts(name, c_dim, p_dim):
-    report = verify_structure_iso(c_dim, get_model(name), p_dim, 6)
+def test_structure_iso_dimension_counts(name, c, p):
+    report = verify_structure_iso(c, get_model(name), p, 6)
     assert report.ok
     assert all(da == comp for (_, da, comp) in report.per_degree)
