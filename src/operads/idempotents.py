@@ -2,10 +2,16 @@
 
 All idempotents are built as plain LinComb -> LinComb functions and then
 materialized degreewise into exact matrices (GradedEndo) over a model's
-declared basis.  The versal idempotent is the model's own memo, built by
-the PBW recursion of its splitting (see models.Splitting); the product
-formula over the omega^[n] and, on the classical model, the Eulerian
-idempotent e^(1) are independent constructions of the same map.
+declared basis; only materializing takes a degree bound.  The versal
+idempotent is the model's own memo, built by the PBW recursion of its
+splitting (see models.Splitting); the product formula over the omega^[n]
+and, on the classical model, the Eulerian idempotent e^(1) = log*(Id) are
+independent constructions of the same map.  Convolution powers are kept
+per key: powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the
+sum of c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct
+(k1, k2, c) of the key.  The reduced coproduct lowers degree and vanishes
+on generators, so a key of degree d has at most d powers and no list
+needs a degree bound.
 """
 
 from __future__ import annotations
@@ -15,9 +21,23 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .linalg import GradedEndo, LinComb, memoized
+from .linalg import GradedEndo, LinComb, _Memo
 from .models import BialgebraModel, by_label, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
+
+
+def _power_memo(first, coproduct, product):
+    """key -> [f(key), f*f(key), ...] for the map f with f(key) = first(key)."""
+    def step(key, powers):
+        terms = []
+        for (k1, k2), c in coproduct(key).items():
+            left = powers(k1)[0]
+            for n, right in enumerate(powers(k2)):
+                if n == len(terms):
+                    terms.append([])
+                terms[n].append((product(left, right), c))
+        return [first(key)] + [LinComb.sum(t) for t in terms]
+    return _Memo(step)
 
 
 @dataclass(frozen=True)
@@ -32,33 +52,16 @@ class ConvolutionContext:
 
     @cached_property
     def coproduct(self):
-        """The reduced coproduct, cut once per key for every convolution power."""
-        return memoized(self.model.coproducts["delta"])
+        """The reduced coproduct per key: the splitting's own memo where its tower cuts with delta."""
+        delta, splitting = self.model.coproducts["delta"], self.model.splitting
+        if splitting is not None and splitting.cuts and splitting.cuts[0] is delta:
+            return splitting.cuts[1]
+        return _Memo(lambda key, _: delta(LinComb.of(key)))
 
-
-def identity_map(lc):
-    return lc
-
-
-def convolve(ctx, f, g):
-    """f * g = mu (f x g) delta, with the reduced coproduct."""
-    product = ctx.product
-    coproduct = ctx.coproduct
-
-    def conv(lc):
-        return LinComb.sum(
-            (product(f(LinComb.of(k1)), g(LinComb.of(k2))), c)
-            for (k1, k2), c in coproduct(lc).items()
-        )
-    return memoized(conv)
-
-
-def _convolution_powers(ctx, f, n):
-    """[f, f*f, ..., f*^n], each power f convolved onto the one before."""
-    powers = [f]
-    for _ in range(n - 1):
-        powers.append(convolve(ctx, f, powers[-1]))
-    return powers
+    @cached_property
+    def identity_powers(self):
+        """key -> [Id(key), Id*Id(key), ...], shared by the geometric and Eulerian maps."""
+        return _power_memo(LinComb.of, self.coproduct, self.product)
 
 
 def model_bases(model, max_degree):
@@ -69,47 +72,36 @@ def materialize(model, fn, max_degree):
     return GradedEndo.from_function(model_bases(model, max_degree), fn)
 
 
+# e^(1)-power memos by (name, alphabet): bench/tracer.py counts them, and suite runs reuse them
 _EULERIAN_CACHE = {}
 
 
-def eulerian_family(ctx, max_degree):
-    """The maps e^(1), ..., e^(max_degree) of the convolution-log family."""
-    cache_key = (ctx.model.name, ctx.model.alphabet, max_degree)
-    if cache_key in _EULERIAN_CACHE:
-        return _EULERIAN_CACHE[cache_key]
-    powers = _convolution_powers(ctx, identity_map, max_degree)
+def eulerian_family(ctx):
+    """key -> [e(key), e*e(key), ...] for e = e^(1) = sum_n (-1)^{n-1}/n Id*^n.
 
-    def e1(lc):
-        return LinComb.sum(
-            (p(lc), Fraction((-1) ** (n - 1), n)) for n, p in enumerate(powers, start=1)
-        )
-
-    family = [
-        _scaled(p, Fraction(1, factorial(i)))
-        for i, p in enumerate(_convolution_powers(ctx, memoized(e1), max_degree), start=1)
-    ]
-    _EULERIAN_CACHE[cache_key] = family
+    The i-th Eulerian idempotent e^(i) is the i-th power over i!.
+    """
+    cache_key = (ctx.model.name, ctx.model.alphabet)
+    family = _EULERIAN_CACHE.get(cache_key)
+    if family is None:
+        ids = ctx.identity_powers
+        family = _EULERIAN_CACHE[cache_key] = _power_memo(
+            lambda key: LinComb.sum((p, Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids(key))),
+            ctx.coproduct, ctx.product)
     return family
 
 
-def _scaled(fn, scalar):
-    if scalar == 1:
-        return fn
-
-    def scaled(lc):
-        return fn(lc).scale(scalar)
-    return scaled
-
-
-def eulerian_map(ctx, i, max_degree):
+def eulerian_map(ctx, i):
     """The i-th Eulerian idempotent as a function (classical context)."""
     if i < 1:
         raise ValueError("Eulerian index must be >= 1")
-    return eulerian_family(ctx, max_degree)[i - 1]
+    powers, scalar = eulerian_family(ctx), Fraction(1, factorial(i))
+    return lambda lc: LinComb.sum(
+        (p[i - 1], c * scalar) for k, c in lc.items() if len(p := powers(k)) >= i)
 
 
 def eulerian(ctx, i, max_degree):
-    return materialize(ctx.model, eulerian_map(ctx, i, max_degree), max_degree)
+    return materialize(ctx.model, eulerian_map(ctx, i), max_degree)
 
 
 def dynkin_map(lc):
@@ -122,17 +114,15 @@ def dynkin(max_degree, alphabet=2):
     return materialize(classical_model(alphabet), dynkin_map, max_degree)
 
 
-def geometric_map(ctx, max_degree):
-    """e = sum_{n>=1} (-1)^{n-1} Id*^n; truncates exactly per degree."""
-    powers = _convolution_powers(ctx, identity_map, max_degree)
-
-    def geo(lc):
-        return LinComb.sum((p(lc), (-1) ** (n - 1)) for n, p in enumerate(powers, start=1))
-    return memoized(geo)
+def geometric_map(ctx):
+    """e = sum_{n>=1} (-1)^{n-1} Id*^n, read per key off the context's Id powers."""
+    powers = ctx.identity_powers
+    return lambda lc: LinComb.sum(
+        (p, c * (-1) ** n) for k, c in lc.items() for n, p in enumerate(powers(k)))
 
 
 def geometric_idempotent(ctx, max_degree):
-    return materialize(ctx.model, geometric_map(ctx, max_degree), max_degree)
+    return materialize(ctx.model, geometric_map(ctx), max_degree)
 
 
 def omega_map(model, n):

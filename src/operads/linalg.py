@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -187,15 +187,23 @@ class LinComb:
         return " + ".join(parts)
 
 
-def memoized(fn):
-    """The linear map fn, evaluated at most once per basis key.
+class _Memo:
+    """key -> step(key, self), each key computed once.
 
-    The image of each key is kept for as long as the returned function
-    lives; results are sums built from it, so a kept image is never handed
-    out to be changed.
+    The step recurses through its argument, not a closure naming the memo,
+    so reference counting alone frees a dropped memo and whatever owns it.
+    A kept value is read, never changed, by the sums built from it.
     """
-    image = lru_cache(maxsize=None)(lambda key: fn(LinComb.of(key)))
-    return lambda lc: LinComb.sum((image(key), c) for key, c in lc.items())
+    __slots__ = ("step", "values")
+
+    def __init__(self, step):
+        self.step, self.values = step, {}
+
+    def __call__(self, key):
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.step(key, self)
+        return value
 
 
 def frac_str(c):

@@ -25,7 +25,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable
 
-from .linalg import LinComb, as_slots, coords, exact_rank, in_span, tensor_transpose
+from .linalg import LinComb, _Memo, as_slots, coords, exact_rank, in_span, tensor_transpose
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -343,24 +343,6 @@ def iterated_coproduct(coproduct, k):
     return iterate
 
 
-class _Memo:
-    """key -> step(key, self), each key computed once.
-
-    The step recurses through its argument, not a closure naming the memo,
-    so reference counting alone frees a dropped model's memos.
-    """
-    __slots__ = ("step", "values")
-
-    def __init__(self, step):
-        self.step, self.values = step, {}
-
-    def __call__(self, key):
-        value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = self.step(key, self)
-        return value
-
-
 @dataclass(frozen=True)
 class Splitting:
     """The cooperad side C of a model, with its splitting s: C -> A.
@@ -372,12 +354,15 @@ class Splitting:
     versal(key) is e(key) for the versal idempotent e, by the PBW recursion
     e(x) = x - sum over n >= 2 and c in C_n of s(c)(e x ... x e)(c(x)),
     whose slots have lower degree: one memo per model, shared by every
-    caller and independent of any degree bound.
+    caller and independent of any degree bound.  cuts, on an associative
+    splitting, is (coproduct, its per-key memo): the coproduct the tower is
+    walked with, and the memo that convolution on that coproduct shares.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
     operation: Callable[[object], Callable]
     versal: Callable[[object], LinComb]
+    cuts: tuple | None = None
 
 
 def by_label(decomposition):
@@ -424,7 +409,7 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
     per first slot of its tower.
     """
     # pieces are interned: the memo keeps one string per distinct key
-    delta = lru_cache(maxsize=None)(lambda key: LinComb(
+    delta = _Memo(lambda key, _: LinComb(
         (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(LinComb.of(key)).items()))
 
     def decompose(key):
@@ -452,7 +437,8 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
                     (nested(t[2] if len(t) == 3 else t[2:]), c * scalar(len(t) - 1)))
         return LinComb.of(x) - LinComb.sum(
             (product(nested(s), LinComb.sum(r)), 1) for s, r in rests.items())
-    return Splitting(decompose, lambda n: [None], _operations(fold), _Memo(nested_e))
+    return Splitting(decompose, lambda n: [None], _operations(fold), _Memo(nested_e),
+                     (coproduct, delta))
 
 
 @dataclass(frozen=True)

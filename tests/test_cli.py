@@ -348,7 +348,8 @@ def test_suite_single_bundle():
     assert "[series]" not in proc.stdout
 
 
-def test_main_exits_with_code():
+def test_main_exits_with_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trees", "enumerate", "--leaves", "2"])
     assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == ["(.,.)"]

@@ -1,17 +1,17 @@
 """Idempotents: versal, Eulerian family, Dynkin, geometric."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from operads.idempotents import (
     ConvolutionContext,
-    convolve,
     dynkin,
     eulerian,
+    eulerian_family,
     eulerian_map,
     geometric_idempotent,
-    identity_map,
     materialize,
     model_bases,
     omega,
@@ -27,15 +27,54 @@ def is_zero_endo(endo):
     return all(not c for m in endo.mats.values() for row in m for c in row)
 
 
+def convolve(ctx, f, g):
+    """Reference f * g = mu (f x g) delta, with the reduced coproduct, once per key."""
+    @lru_cache(maxsize=None)
+    def image(key):
+        return LinComb.sum(
+            (ctx.product(f(LinComb.of(k1)), g(LinComb.of(k2))), c)
+            for (k1, k2), c in ctx.model.coproducts["delta"](LinComb.of(key)).items()
+        )
+    return lambda lc: LinComb.sum((image(key), c) for key, c in lc.items())
+
+
+def reference_powers(ctx, f, n):
+    """[f, f*f, ..., f*^n], each power f convolved onto the one before."""
+    powers = [f]
+    for _ in range(n - 1):
+        powers.append(convolve(ctx, f, powers[-1]))
+    return powers
+
+
 def test_convolution_identity_power():
     model = get_model("as", 2)
     ctx = ConvolutionContext(model)
-    idid = convolve(ctx, identity_map, identity_map)
-    # on a word of length n, id*id produces (n-1) copies of the word
     w = LinComb.of("xyx")
-    assert idid(w) == w.scale(2)
-    # and Id^{*3} one copy: a length-3 word cuts into three letters one way
-    assert convolve(ctx, identity_map, idid)(w) == w
+    # on a word of length n, Id*Id produces (n-1) copies of the word, and
+    # Id^{*3} one copy: a length-3 word cuts into three letters one way
+    assert ctx.identity_powers("xyx") == [w, w.scale(2), w]
+    # a key of degree d has at most d powers
+    for d in range(1, 6):
+        assert all(len(ctx.identity_powers(k)) <= d for k in model.basis(d))
+
+
+@pytest.mark.parametrize("name", ["as", "classical", "mag", "nil"])
+def test_per_key_powers_match_the_recursive_convolution(name):
+    model = get_model(name, 2)
+    ctx = ConvolutionContext(model)
+    deg = 5
+    ids = reference_powers(ctx, lambda lc: lc, deg)
+
+    def e1(lc):
+        return LinComb.sum((p(lc), Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids))
+    es = reference_powers(ctx, e1, deg)
+    for d in range(1, deg + 1):
+        for key in model.basis(d):
+            for memo, reference in ((ctx.identity_powers, ids), (eulerian_family(ctx), es)):
+                got = memo(key)
+                assert len(got) <= d, key
+                padded = got + [LinComb.zero()] * (deg - len(got))
+                assert padded == [p(LinComb.of(key)) for p in reference], (name, key)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +162,7 @@ def test_eulerian_family_is_a_complete_orthogonal_system():
 def test_eulerian_values_on_small_words():
     model = get_model("classical", 2)
     ctx = ConvolutionContext(model)
-    e1 = eulerian_map(ctx, 1, 4)
+    e1 = eulerian_map(ctx, 1)
     # e(xy) = (xy - yx)/2
     assert e1(LinComb.of("xy")) == LinComb({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)})
     # symmetric words are killed

@@ -16,7 +16,6 @@ from operads.linalg import (
     kernel_basis,
     lincomb_json,
     mat_mul,
-    memoized,
     same_column_space,
     serialize_key,
     sparse_rows,
@@ -503,25 +502,10 @@ def test_sum_drops_terms_that_cancel(a, b, s):
     assert stored_ok(half) and half.terms == la.terms
 
 
-def test_memoized_images_survive_the_sums_built_from_them():
-    images = {}
-
-    def double_and_tag(lc):
-        key, = lc.support()
-        img = images[key] = LinComb({key + key: 1, "t": 1})
-        return img
-
-    fn = memoized(double_and_tag)
-    x, y = LinComb.of("x"), LinComb.of("y")
-    first = fn(x)
-    assert first == LinComb({"xx": 1, "t": 1})
-    # the cached image of x is the first summand, with scalar 1, of this sum
-    assert fn(x + y.scale(2)) == LinComb({"xx": 1, "yy": 2, "t": 3})
-    assert fn(x - x) == LinComb.zero()
-    assert images["x"].terms == {"xx": 1, "t": 1}
-    assert fn(x) == first and fn(x) is not images["x"]
-    # the plain sum never writes into its first summand either
+def test_sum_never_writes_into_its_first_summand():
+    # a kept value (a memo's, say) may be the first summand, with scalar 1
     kept = LinComb({"a": 1, "b": 2})
-    LinComb.sum([(kept, 1), (LinComb({"a": -1, "c": 5}), 1)])
+    assert LinComb.sum([(kept, 1), (LinComb({"a": -1, "c": 5}), 1)]) == LinComb({"b": 2, "c": 5})
     assert kept.terms == {"a": 1, "b": 2}
-    assert sorted(images) == ["x", "y"]
+    assert LinComb.sum([(kept, 1), (kept, -1)]) == LinComb.zero()
+    assert kept.terms == {"a": 1, "b": 2}

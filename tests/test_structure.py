@@ -4,12 +4,13 @@ import dataclasses
 import gc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from operads import idempotents, models, trees
-from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
-from operads.linalg import LinComb, coords, exact_rank, memoized, sparse_rows
+from operads.idempotents import ConvolutionContext, eulerian, geometric_idempotent, versal_idempotent
+from operads.linalg import LinComb, coords, exact_rank, sparse_rows
 from operads.models import (
     LETTERS, _tree_key_degree, by_label, get_model, iterated_coproduct, lie_subspace, tree_key,
 )
@@ -373,10 +374,13 @@ def test_bidup_versal_idempotent_cuts_each_key_once(monkeypatch):
 
 
 def test_eulerian_family_cuts_each_word_once(monkeypatch):
-    # every convolution power of one context reads the context's coproduct memo
+    # every convolution power reads the coproduct memo of the model's splitting,
+    # which the versal memo has already filled
     monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
     seen = count_cuts(monkeypatch, "_unshuffles")
-    ctx = ConvolutionContext(get_model("classical", 2))
+    model = get_model("classical", 2)
+    versal_idempotent(model, 5)
+    ctx = ConvolutionContext(model)
     for i in range(1, 6):
         eulerian(ctx, i, 5)
     assert len(seen) == 62 and set(seen.values()) == {1}
@@ -384,14 +388,18 @@ def test_eulerian_family_cuts_each_word_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["as", "classical", "dup", "mag", "bidup"])
 def test_a_dropped_model_frees_its_memos_without_the_cycle_collector(name):
-    # the splitting memos recurse through an argument, not through a closure
-    # naming them, so they form no reference cycle
+    # the splitting and convolution memos recurse through an argument, not
+    # through a closure naming them, so they form no reference cycle
     gc.collect()
     gc.disable()
     try:
-        model = get_model(name)
+        model = get_model(name, 2)
         versal_idempotent(model, 4)
         pbw_expand(model, LinComb((k, 1) for k in model.basis(4)))
+        if "mul" in model.products:
+            ctx = ConvolutionContext(model)
+            geometric_idempotent(ctx, 4)
+            del ctx
         del model
         assert gc.collect() == 0
     finally:
@@ -437,7 +445,7 @@ def test_models_do_not_share_a_memo(monkeypatch):
 def mag_tree_cooperation(t, delta):
     """The cooperation dual to the tree t in the comagmatic cooperad.
 
-    delta is the dual coproduct (mag_dual_coproduct, possibly memoized).
+    delta is the dual coproduct (mag_dual_coproduct, possibly per_key).
     """
     if t == LEAF:
         return lambda lc: lc
@@ -458,7 +466,7 @@ def dup_tree_cooperation(t, dleft, dright):
 
     Mirrors the unique writing of t with n+1 leaves as
     (m(t_left) > x) < m(t_right) at the root.  dleft and dright are the
-    edge-cutting coproducts (dup_dleft and dup_dright, possibly memoized).
+    edge-cutting coproducts (dup_dleft and dup_dright, possibly per_key).
     """
     if t == Y:
         return lambda lc: lc
@@ -496,10 +504,16 @@ def dup_tree_cooperation(t, dleft, dright):
     return coop
 
 
+def per_key(fn):
+    """The linear map fn, evaluated at most once per basis key."""
+    image = lru_cache(maxsize=None)(lambda key: fn(LinComb.of(key)))
+    return lambda lc: LinComb.sum((image(key), c) for key, c in lc.items())
+
+
 def _tree_cooperation(name, t):
     if name == "mag":
-        return mag_tree_cooperation(t, memoized(models.mag_dual_coproduct))
-    return dup_tree_cooperation(t, memoized(models.dup_dleft), memoized(models.dup_dright))
+        return mag_tree_cooperation(t, per_key(models.mag_dual_coproduct))
+    return dup_tree_cooperation(t, per_key(models.dup_dleft), per_key(models.dup_dright))
 
 
 @pytest.mark.parametrize("name,extra_leaves", [("mag", 0), ("bidup", 1)])
