@@ -4,14 +4,15 @@ All idempotents are built as plain LinComb -> LinComb functions and then
 materialized degreewise into exact matrices (GradedEndo) over a model's
 declared basis; only materializing takes a degree bound.  The versal
 idempotent is the model's own memo, built by the PBW recursion of its
-splitting (see models.Splitting); the product formula over the omega^[n]
-and, on the classical model, the Eulerian idempotent e^(1) = log*(Id) are
-independent constructions of the same map.  Convolution powers are kept
-per key: powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the
-sum of c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct
-(k1, k2, c) of the key.  The reduced coproduct lowers degree and vanishes
-on generators, so a key of degree d has at most d powers and no list
-needs a degree bound.
+splitting (see models.Splitting); on an associative splitting that memo
+reads the reduced coproduct of each key once and never the tower.  The
+product formula over the omega^[n] and, on the classical model, the
+Eulerian idempotent e^(1) = log*(Id) are independent constructions of the
+same map.  Convolution powers are kept per key by linalg._power_memo:
+powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the sum of
+c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct (k1, k2, c) of the
+key.  The reduced coproduct lowers degree and vanishes on generators, so a
+key of degree d has at most d powers and no list needs a degree bound.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .linalg import GradedEndo, LinComb, _Memo
+from .linalg import GradedEndo, LinComb, _Memo, _power_memo
 from .models import BialgebraModel, by_label, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
-
-
-def _power_memo(first, coproduct, product):
-    """key -> [f(key), f*f(key), ...] for the map f with f(key) = first(key)."""
-    def step(key, powers):
-        terms = []
-        for (k1, k2), c in coproduct(key).items():
-            left = powers(k1)[0]
-            for n, right in enumerate(powers(k2)):
-                if n == len(terms):
-                    terms.append([])
-                terms[n].append((product(left, right), c))
-        return [first(key)] + [LinComb.sum(t) for t in terms]
-    return _Memo(step)
 
 
 @dataclass(frozen=True)
@@ -61,7 +48,7 @@ class ConvolutionContext:
     @cached_property
     def identity_powers(self):
         """key -> [Id(key), Id*Id(key), ...], shared by the geometric and Eulerian maps."""
-        return _power_memo(LinComb.of, self.coproduct, self.product)
+        return _power_memo(lambda key, _: LinComb.of(key), self.coproduct, self.product)
 
 
 def model_bases(model, max_degree):
@@ -86,7 +73,8 @@ def eulerian_family(ctx):
     if family is None:
         ids = ctx.identity_powers
         family = _EULERIAN_CACHE[cache_key] = _power_memo(
-            lambda key: LinComb.sum((p, Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids(key))),
+            lambda key, _: LinComb.sum(
+                (p, Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids(key))),
             ctx.coproduct, ctx.product)
     return family
 
@@ -95,9 +83,10 @@ def eulerian_map(ctx, i):
     """The i-th Eulerian idempotent as a function (classical context)."""
     if i < 1:
         raise ValueError("Eulerian index must be >= 1")
-    powers, scalar = eulerian_family(ctx), Fraction(1, factorial(i))
+    powers, scale = eulerian_family(ctx), factorial(i)
     return lambda lc: LinComb.sum(
-        (p[i - 1], c * scalar) for k, c in lc.items() if len(p := powers(k)) >= i)
+        ((p[i - 1], c) for k, c in lc.terms.items() if len(p := powers(k)) >= i),
+        lc.den * scale)
 
 
 def eulerian(ctx, i, max_degree):
@@ -118,7 +107,8 @@ def geometric_map(ctx):
     """e = sum_{n>=1} (-1)^{n-1} Id*^n, read per key off the context's Id powers."""
     powers = ctx.identity_powers
     return lambda lc: LinComb.sum(
-        (p, c * (-1) ** n) for k, c in lc.items() for n, p in enumerate(powers(k)))
+        ((p, c * (-1) ** n) for k, c in lc.terms.items() for n, p in enumerate(powers(k))),
+        lc.den)
 
 
 def geometric_idempotent(ctx, max_degree):

@@ -1,17 +1,19 @@
 """Exact rational linear algebra and formal linear combinations.
 
 Everything in this package is built on LinComb, a finite linear
-combination of hashable basis keys with exact coefficients: an int, or a
-Fraction once a denominator other than 1 appears.  `LinComb.sum` is the
-one accumulator of linear combinations.  A matrix on its way to
-elimination is a list of sparse rows, {column: coefficient} dicts of the
-nonzero entries: `coords` is the one way from LinCombs to such rows, and
-one sparse fraction-free integer elimination (`_echelon`, behind
-`exact_rank`, `kernel_basis`, `in_span` and `same_column_space`) is the
-one way to ranks, sparse kernel vectors and span membership.  Only
-`GradedEndo` keeps dense matrices; `sparse_rows` hands them to the
-eliminator, and its `compose` multiplies them as sparse integer rows
-(`mat_mul`).  No floating point anywhere.
+combination of hashable basis keys with exact coefficients, stored as int
+numerators over one positive denominator in lowest terms.  `LinComb.sum`
+is the one accumulator of linear combinations: it brings its summands to
+one denominator, adds ints and divides out the gcd once.  A Fraction is
+built only at the boundary: `items` of a non-integral combination,
+`coeff`, `frac_str`.  A matrix on its way to elimination is a list of
+sparse rows, {column: coefficient} dicts of the nonzero entries: `coords`
+is the one way from LinCombs to such rows, and one sparse fraction-free
+integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis`,
+`in_span` and `same_column_space`) is the one way to ranks, kernel vectors
+and span membership.  Only `GradedEndo` keeps dense matrices;
+`sparse_rows` hands them to the eliminator, and its `compose` multiplies
+them as sparse integer rows (`mat_mul`).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ def serialize_key(key):
 
 
 def _coef(c):
-    """The stored form of an exact coefficient: an int, else a Fraction.
+    """An exact coefficient: an int, else a Fraction.
 
     A Fraction whose denominator is 1 becomes its numerator; a float is
-    converted exactly, so none is ever stored.
+    converted exactly.
     """
     if type(c) is int:
         return c
@@ -49,31 +51,42 @@ def _coef(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _reduced(terms):
-    """Replace, in place, each Fraction value with denominator 1 by its numerator."""
-    for k, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[k] = c.numerator
-    return terms
+def _over(terms, den):
+    """The LinComb of the nonzero int numerators `terms` over den > 0, in lowest terms.
+
+    Takes ownership of the dict.
+    """
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    res = LinComb.__new__(LinComb)
+    res.terms, res.den = terms, den
+    return res
 
 
 class LinComb:
     """A finite map basis key -> nonzero exact coefficient.
 
-    A coefficient is stored as an int, or as a Fraction when its
-    denominator is not 1; never as a float.  Instances are treated as
-    immutable values; all arithmetic returns new objects and never stores
-    a zero coefficient.
+    The coefficient of a key is terms[key] / den: `terms` holds nonzero int
+    numerators, never a Fraction or a float, and `den` is a positive int
+    with gcd(den, numerators) = 1, so den is 1 exactly when every
+    coefficient is an integer (and for zero).  That form is unique, so ==
+    compares both fields.  Instances are treated as immutable values; all
+    arithmetic returns new objects.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        clean = {}
+        clean, fractional = {}, False
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
-                c = _coef(c)
+                if type(c) is not int:
+                    c = _coef(c)
+                    fractional = fractional or type(c) is not int
                 if not c:
                     continue
                 acc = clean.get(k, 0) + c
@@ -81,7 +94,12 @@ class LinComb:
                     clean[k] = acc
                 else:
                     del clean[k]
-        self.terms = _reduced(clean)
+        den = 1
+        if fractional:
+            # the lcm of reduced denominators leaves the numerators coprime to it
+            den = lcm(*(c.denominator for c in clean.values()))
+            clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.terms, self.den = clean, den
 
     @classmethod
     def zero(cls):
@@ -90,22 +108,31 @@ class LinComb:
     @classmethod
     def of(cls, key, coeff=1):
         res = cls.__new__(cls)
-        c = _coef(coeff)
-        res.terms = {key: c} if c else {}
+        if type(coeff) is int:
+            res.terms, res.den = {key: coeff} if coeff else {}, 1
+        else:
+            c = Fraction(coeff)
+            res.terms, res.den = ({key: c.numerator}, c.denominator) if c else ({}, 1)
         return res
 
     @classmethod
-    def sum(cls, pairs):
-        """The sum of scalar * lc over (lc, scalar) pairs, built in one dict.
+    def sum(cls, pairs, den=1):
+        """The sum of scalar * lc over (lc, scalar) pairs, divided by den, in one dict.
 
-        Terms that cancel are dropped.  The first nonzero summand is copied
-        (or scaled) whole; every later term is added in place.
+        Terms that cancel are dropped.  While the summands are integral their
+        numerators are added as they come.  From the first one that is not,
+        the rest are listed and brought to the lcm of their denominators at
+        once.  The first nonzero summand is copied (or scaled) whole; every
+        later term is added in place.  The gcd is divided out once, at the end.
         """
-        out = None
+        out = rest = None
+        pairs = iter(pairs)
         for lc, s in pairs:
-            s = _coef(s)
             if not s or not lc.terms:
                 continue
+            if lc.den != 1 or type(s) is not int:
+                rest = [(lc, s)]
+                break
             if out is None:
                 out = dict(lc.terms) if s == 1 else {k: c * s for k, c in lc.terms.items()}
                 get = out.get
@@ -116,16 +143,45 @@ class LinComb:
                     out[k] = x
                 else:
                     del out[k]
-        res = cls.__new__(cls)
-        res.terms = {} if out is None else _reduced(out)
-        return res
+        if rest is None:
+            return _over({} if out is None else out, den)
+        rest.extend(pairs)
+        parts = []
+        for lc, s in rest:
+            if s and lc.terms:
+                d = lc.den
+                if type(s) is not int:
+                    s = Fraction(s)
+                    d *= s.denominator
+                    s = s.numerator
+                parts.append((lc.terms, s, d))
+        common = lcm(*(d for _, _, d in parts))
+        if out is not None and common != 1:
+            out = {k: c * common for k, c in out.items()}
+        for terms, s, d in parts:
+            s *= common // d
+            if out is None:
+                out = {k: c * s for k, c in terms.items()}
+                continue
+            get = out.get
+            for k, c in terms.items():
+                x = get(k, 0) + c * s
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        return _over(out, common * den)
 
     def items(self):
-        return self.terms.items()
+        """(key, coefficient) pairs: ints when den is 1, else Fractions."""
+        den = self.den
+        if den == 1:
+            return self.terms.items()
+        return [(k, Fraction(c, den)) for k, c in self.terms.items()]
 
     def coeff(self, key):
         """The coefficient of key, always as a Fraction."""
-        return Fraction(self.terms.get(key, 0))
+        return Fraction(self.terms.get(key, 0), self.den)
 
     def support(self):
         return set(self.terms)
@@ -138,7 +194,7 @@ class LinComb:
 
     def __eq__(self, other):
         if isinstance(other, LinComb):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         if other == 0:
             return not self.terms
         return NotImplemented
@@ -169,16 +225,14 @@ class LinComb:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        res = LinComb.__new__(LinComb)
-        res.terms = _reduced(out)
-        return res
+        return _over(out, self.den * other.den)
 
     def map_keys(self, fn):
         """Linear extension of a key -> LinComb map."""
-        return LinComb.sum((fn(k), c) for k, c in self.terms.items())
+        return LinComb.sum(((fn(k), c) for k, c in self.terms.items()), self.den)
 
     def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kc: serialize_key(kc[0]))
+        return sorted(self.items(), key=lambda kc: serialize_key(kc[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -204,6 +258,29 @@ class _Memo:
         if value is None:
             value = self.values[key] = self.step(key, self)
         return value
+
+
+def _power_memo(first, coproduct, product):
+    """key -> [f(key), f*f(key), ...], convolution powers on a reduced coproduct.
+
+    f^{*n}(key) is the sum of c product(f(k1), f^{*(n-1)}(k2)) over the
+    terms c k1 x k2 of coproduct(key), whose slots have lower degree, so a
+    key of degree d has at most d powers and no list needs a degree bound.
+    f(key) = first(key, [f*f(key), f*f*f(key), ...]): the higher powers of
+    a key read f only below its degree, so first may be defined through
+    them.
+    """
+    def step(key, powers):
+        terms = []
+        for (k1, k2), c in coproduct(key).items():
+            left = powers(k1)[0]
+            for n, right in enumerate(powers(k2)):
+                if n == len(terms):
+                    terms.append([])
+                terms[n].append((product(left, right), c))
+        higher = [LinComb.sum(t) for t in terms]
+        return [first(key, higher)] + higher
+    return _Memo(step)
 
 
 def frac_str(c):
@@ -232,9 +309,7 @@ def tensor_transpose(a):
         if not isinstance(k, tuple) or len(k) != 2:
             raise ValueError("tensor_transpose expects 2-slot tensor keys, got %r" % (k,))
         out[(k[1], k[0])] = c
-    res = LinComb.__new__(LinComb)
-    res.terms = out
-    return res
+    return _over(out, a.den)
 
 
 # --- coordinates ----------------------------------------------------------
@@ -255,14 +330,15 @@ def coords(lincombs, basis=None):
         pos = {k: i for i, k in enumerate(basis)}
         rows = [{} for _ in pos]
     for j, lc in enumerate(lincombs):
-        for k, c in lc.items():
+        den = lc.den
+        for k, c in lc.terms.items():
             i = pos.get(k)
             if i is None:
                 if basis is not None:
                     raise ValueError("key outside the declared basis: %r" % (k,))
                 i = pos[k] = len(rows)
                 rows.append({})
-            rows[i][j] = c
+            rows[i][j] = c if den == 1 else Fraction(c, den)
     return rows
 
 
@@ -354,31 +430,47 @@ def exact_rank(rows):
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of sparse rows over columns 0..ncols-1.
 
-    One vector per free column, in column order.  A vector is a sparse
-    {column: Fraction} dict; it is 1 at its free column and 0 at every other
-    free column (the reduced-echelon kernel).
+    One vector per free column, in column order: a LinComb over column
+    indices that is 1 at its free column and 0 at every other free column
+    (the reduced-echelon kernel).  Back-substitution keeps each pivot's
+    solution as int numerators over one denominator, and divides by the
+    pivot exactly whenever it can, so an integral kernel builds no Fraction.
     """
     ech, pivots = _echelon(rows)
     row_of = {c: r for r, c in enumerate(pivots)}
     # back-substitute, last pivot first, to the reduced echelon form:
-    # x[pivots[r]] is the sum of solved[r][f] * x[f] over free columns f
+    # x[pivots[r]] is the sum of nums[f] / den * x[f] over free columns f,
+    # with (nums, den) = solved[r]
     solved = [None] * len(pivots)
     for r in range(len(pivots) - 1, -1, -1):
+        row = ech[r]
+        den = lcm(*(solved[s][1] for j in row if (s := row_of.get(j)) is not None and s != r))
         acc = {}
-        for j, x in ech[r].items():
+        for j, x in row.items():
             s = row_of.get(j)
             if s is None:
-                acc[j] = acc.get(j, 0) + x
+                acc[j] = acc.get(j, 0) + x * den
             elif s != r:
-                for f, y in solved[s].items():
+                nums, d = solved[s]
+                x *= den // d
+                for f, y in nums.items():
                     acc[f] = acc.get(f, 0) + x * y
-        lead = -ech[r][pivots[r]]
-        solved[r] = {f: Fraction(x, lead) for f, x in acc.items() if x}
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in row_of}
-    for p, sol in zip(pivots, solved):
-        for f, x in sol.items():
-            basis[f][p] = x
-    return list(basis.values())
+        # divide by the pivot: exactly, as far as the gcd allows
+        lead = -row[pivots[r]] * den
+        acc = {f: x for f, x in acc.items() if x}
+        g = gcd(lead, *acc.values()) * (-1 if lead < 0 else 1)
+        solved[r] = ({f: x // g for f, x in acc.items()}, lead // g)
+    entries = {f: [] for f in range(ncols) if f not in row_of}
+    for p, (nums, d) in zip(pivots, solved):
+        for f, x in nums.items():
+            entries[f].append((p, x, d))
+    basis = []
+    for f, column in entries.items():
+        den = lcm(*(d for _, _, d in column))
+        vec = {f: den}
+        vec.update((p, x * (den // d)) for p, x, d in column)
+        basis.append(_over(vec, den))
+    return basis
 
 
 def in_span(lincombs, lc):

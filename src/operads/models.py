@@ -21,11 +21,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 from typing import Callable
 
-from .linalg import LinComb, _Memo, as_slots, coords, exact_rank, in_span, tensor_transpose
+from .linalg import (LinComb, _Memo, _over, _power_memo, as_slots, coords, exact_rank, in_span,
+                     tensor_transpose)
 from . import trees
 from .trees import LEAF, Y, leaf_count
 
@@ -42,9 +43,10 @@ def words(alphabet, n):
 def bilinear(key_fn):
     """Extend a key-level binary map returning LinCombs to LinComb pairs."""
     def ext(a, b):
+        right = b.terms.items()
         return LinComb.sum(
-            (key_fn(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
-        )
+            ((key_fn(k1, k2), c1 * c2) for k1, c1 in a.terms.items() for k2, c2 in right),
+            a.den * b.den)
     return ext
 
 
@@ -322,13 +324,21 @@ def lie_tensor_escape(alphabet, n):
 
 def _cut_first(image, lc):
     """Delta x id x ... x id on tensor keys, with image(key) = Delta(key)."""
-    out = {}
-    for key, c in lc.items():
+    out, den = {}, 1
+    get = out.get
+    for key, c in lc.terms.items():
         slots = as_slots(key)
-        for pair, d in image(slots[0]).items():
-            cut = pair + slots[1:]
-            out[cut] = out.get(cut, 0) + c * d
-    return LinComb(out)
+        cut = image(slots[0])
+        if den % cut.den:  # a new denominator: bring the sum so far to the lcm
+            m = lcm(den, cut.den) // den
+            out, den = {k: x * m for k, x in out.items()}, den * m
+            get = out.get
+        c *= den // cut.den
+        rest = slots[1:]
+        for pair, d in cut.terms.items():
+            t = pair + rest
+            out[t] = get(t, 0) + c * d
+    return _over({k: c for k, c in out.items() if c}, den * lc.den)
 
 
 def iterated_coproduct(coproduct, k):
@@ -354,9 +364,12 @@ class Splitting:
     versal(key) is e(key) for the versal idempotent e, by the PBW recursion
     e(x) = x - sum over n >= 2 and c in C_n of s(c)(e x ... x e)(c(x)),
     whose slots have lower degree: one memo per model, shared by every
-    caller and independent of any degree bound.  cuts, on an associative
-    splitting, is (coproduct, its per-key memo): the coproduct the tower is
-    walked with, and the memo that convolution on that coproduct shares.
+    caller and independent of any degree bound.  A tree splitting reads it
+    off decompose; an associative one off the reduced coproduct alone (see
+    _associative_splitting).  cuts, on an associative splitting, is
+    (coproduct, its per-key memo): the coproduct the tower is walked with,
+    and the memo that the versal memo and convolution on that coproduct
+    share.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
@@ -378,8 +391,8 @@ def _operations(apply):
     """label -> the operation sending each tensor key to apply(label, its slots as LinCombs)."""
     def operation(label):
         def op(tensor_lc):
-            return LinComb.sum((apply(label, tuple(map(LinComb.of, as_slots(key)))), c)
-                               for key, c in tensor_lc.items())
+            return LinComb.sum(((apply(label, tuple(map(LinComb.of, as_slots(key)))), c)
+                                for key, c in tensor_lc.terms.items()), tensor_lc.den)
         return op
     return operation
 
@@ -396,17 +409,20 @@ def _tree_splitting(decompose, labels, apply):
     return Splitting(decompose, labels, _operations(apply), _Memo(step))
 
 
-def _associative_splitting(coproduct, product, scalar=lambda n: 1):
+def _associative_splitting(coproduct, product, exponential=False):
     """The associative cooperad: the one label None in every arity.
 
     Its arity-n part is the tower Delta^[n-1] = (Delta x id) Delta^[n-2],
-    walked once per key through one memo of the coproduct per model.  The
-    operation on a tower term (s_1, ..., s_n) is the right-nested product
-    s_1 (s_2 (... s_n)) times scalar(n).  The versal memo also holds the
-    slot suffixes of the tower terms: on a tuple of slots it is
-    nested_e(slots) = product(e(s_1), nested_e(slots[1:])), so every
-    arity, key and caller shares each suffix, and e(key) takes one product
-    per first slot of its tower.
+    walked once per key through one memo of the reduced coproduct per
+    model.  The operation on a tower term (s_1, ..., s_n) is the
+    right-nested product s_1 (s_2 (... s_n)), times 1/n! when exponential.
+    The versal memo reads that coproduct memo alone, never the tower: by
+    coassociativity the tower terms of x with first slot a are a followed
+    by the tower terms of b, over the terms c a x b of Delta(x).  With
+    scalar 1 the terms of b add up to b itself, so
+    e(x) = x - sum of c e(a) b.  With 1/n! the arity-n terms of x add up
+    to e^{*n}(x) / n!, so e(x) = x - sum over n >= 2 of e^{*n}(x) / n!, read
+    off the per-key list [e, e*e, ...] of convolution powers.
     """
     # pieces are interned: the memo keeps one string per distinct key
     delta = _Memo(lambda key, _: LinComb(
@@ -423,22 +439,25 @@ def _associative_splitting(coproduct, product, scalar=lambda n: 1):
         acc = images[-1]
         for image in images[-2::-1]:
             acc = product(image, acc)
-        return acc.scale(scalar(len(images)))
+        return acc.scale(Fraction(1, factorial(len(images))) if exponential else 1)
 
-    def nested_e(x, nested):
-        # e(s_1) (e(s_2) (... e(s_n))) on a suffix of n >= 2 slots
-        if isinstance(x, tuple):
-            return product(nested(x[0]), nested(x[1] if len(x) == 2 else x[1:]))
-        # e(x), the tower terms of arity >= 2 grouped by their first slot
-        rests = {}
-        for t, c in decompose(x).items():
-            if len(t) > 2:
-                rests.setdefault(t[1], []).append(
-                    (nested(t[2] if len(t) == 3 else t[2:]), c * scalar(len(t) - 1)))
-        return LinComb.of(x) - LinComb.sum(
-            (product(nested(s), LinComb.sum(r)), 1) for s, r in rests.items())
-    return Splitting(decompose, lambda n: [None], _operations(fold), _Memo(nested_e),
-                     (coproduct, delta))
+    if exponential:
+        powers = _power_memo(lambda key, higher: LinComb.sum(
+            [(LinComb.of(key), 1)]
+            + [(p, Fraction(-1, factorial(n))) for n, p in enumerate(higher, 2)]),
+            delta, product)
+
+        def versal(key):
+            return powers(key)[0]
+    else:
+        def step(key, e):
+            rests = {}  # the terms c a x b of Delta(key), grouped by a
+            for (a, b), c in delta(key).items():
+                rests.setdefault(a, {})[b] = c
+            return LinComb.sum([(LinComb.of(key), 1)] + [
+                (product(e(a), LinComb(rest)), -1) for a, rest in rests.items()])
+        versal = _Memo(step)
+    return Splitting(decompose, lambda n: [None], _operations(fold), versal, (coproduct, delta))
 
 
 @dataclass(frozen=True)
@@ -501,10 +520,7 @@ def classical_model(alphabet=2):
         coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
-        splitting=_associative_splitting(
-            as_shuffle_coproduct, as_concat,
-            scalar=lambda k: Fraction(1, factorial(k)),
-        ),
+        splitting=_associative_splitting(as_shuffle_coproduct, as_concat, exponential=True),
         classical=True,
     )
 

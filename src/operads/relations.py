@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
-from .linalg import LinComb, _coef, _reduced, as_slots
+from .linalg import LinComb, _coef, _over, as_slots
 from .models import iterated_coproduct
 
 
@@ -31,6 +33,12 @@ class Term:
 class CompatExpr:
     arity: int
     terms: tuple
+
+    @cached_property
+    def numerators(self):
+        """(den, an int per term): the terms' coefficients over the lcm of their denominators."""
+        den = lcm(*(t.coeff.denominator for t in self.terms))
+        return den, tuple(t.coeff.numerator * (den // t.coeff.denominator) for t in self.terms)
 
 
 def _op_arity(sym):
@@ -121,10 +129,12 @@ def _resolve_op(model, sym, mu_sym):
 def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
     """Evaluate the relation right-hand side on a tuple of LinCombs.
 
-    The sum is taken on keys, into one dict.  `images` maps (function,
-    input keys) to the image's (slot tuple, coefficient) items; check_relation
-    passes one dict to every pair, so each (co)product image is computed
-    once per check.  Without it the images are computed for this call alone.
+    The sum is taken on keys, into one dict of int numerators over the
+    lcm of the terms' denominators times the arguments'.  `images` maps
+    (function, input keys) to the image's (slot tuple, coefficient) items;
+    check_relation passes one dict to every pair, so each (co)product image
+    is computed once per check.  Without it the images are computed for
+    this call alone.
     """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
@@ -134,17 +144,20 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
     def image(fn, *keys):
         items = images.get((fn, keys))
         if items is None:
-            items = images[fn, keys] = tuple(
-                (as_slots(k), c) for k, c in fn(*map(LinComb.of, keys)).items())
+            lc = fn(*map(LinComb.of, keys))
+            if lc.den != 1:
+                images[None] = True  # a non-integral image: the sum below holds Fractions
+            items = images[fn, keys] = tuple((as_slots(k), c) for k, c in lc.items())
         return items
 
+    den, numerators = expr.numerators
     out = {}
     get = out.get
-    for term in expr.terms:
-        inter = [((), term.coeff)]  # the inputs' tensor: (slot tuple, coefficient)
+    for term, num in zip(expr.terms, numerators):
+        inter = [((), num)]  # the inputs' tensor: (slot tuple, numerator)
         for sym, arg in zip(term.in_coops, args):
             coop = None if sym == "id" else _resolve_coop(model, sym, delta)
-            inter = [(s + t, c * x * y) for k, x in arg.items()
+            inter = [(s + t, c * x * y) for k, x in arg.terms.items()
                      for t, y in (((as_slots(k), 1),) if coop is None else image(coop, k))
                      for s, c in inter]
         ops = [None if sym == "id" else _resolve_op(model, sym, mu) for sym in term.out_ops]
@@ -165,9 +178,11 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
                     out[key] = x
                 else:
                     out.pop(key, None)
-    res = LinComb.__new__(LinComb)
-    res.terms = _reduced(out)
-    return res
+    for arg in args:
+        den *= arg.den
+    if None in images:
+        return LinComb(out).scale(Fraction(1, den))
+    return _over(out, den)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import LinComb, as_slots, coords, exact_rank, kernel_basis
+from .linalg import LinComb, _over, as_slots, coords, exact_rank, kernel_basis
 from .models import LETTERS, by_label, key_parts, tree_key
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
@@ -126,7 +126,7 @@ def primitive_part(model, n):
         )
         for key in basis
     )
-    return [LinComb((basis[j], c) for j, c in v.items())
+    return [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
             for v in kernel_basis(rows, len(basis))]
 
 
@@ -147,7 +147,7 @@ def _apply_slotwise(e, tensor_lc):
             if not piece:
                 break
         return piece
-    return LinComb.sum((image(key), c) for key, c in tensor_lc.items())
+    return LinComb.sum(((image(key), c) for key, c in tensor_lc.terms.items()), tensor_lc.den)
 
 
 def pbw_expand(model, a):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,8 +56,8 @@ def dense(rows, ncols):
 
 
 def apply_row(row, v):
-    """A sparse row times a sparse vector, exactly."""
-    return sum(a * v.get(j, 0) for j, a in row.items())
+    """A sparse row times a kernel vector (a LinComb over column indices), exactly."""
+    return sum(a * v.coeff(j) for j, a in row.items())
 
 
 def test_exact_rank_against_naive_oracle_many_samples():
@@ -98,7 +99,7 @@ def test_kernel_basis_annihilates_and_matches_rank_nullity():
                 assert apply_row(row, v) == 0
         # kernel vectors are independent
         if ker:
-            assert exact_rank(ker) == len(ker)
+            assert exact_rank(coords(ker)) == len(ker)
 
 
 def random_sparse(rng, nr, nc):
@@ -139,9 +140,9 @@ def test_kernel_basis_is_the_reduced_echelon_kernel():
         ker = kernel_basis(rows, nc)
         assert len(ker) == len(free)
         for f, v in zip(free, ker):
-            assert all(0 <= j < nc for j in v)
-            assert all(isinstance(x, Fraction) and x for x in v.values())
-            assert [v.get(g, 0) for g in free] == [1 if g == f else 0 for g in free]
+            assert all(0 <= j < nc for j in v.support())
+            assert stored_ok(v)
+            assert [v.coeff(g) for g in free] == [1 if g == f else 0 for g in free]
             for row in rows:
                 assert apply_row(row, v) == 0
 
@@ -184,8 +185,8 @@ def test_sparse_kernel_annihilates_every_row_and_is_reduced_at_free_columns():
         ker = kernel_basis(rows, nc)
         assert len(ker) == len(free) == nc - exact_rank(rows)
         for f, v in zip(free, ker):
-            assert [v.get(g, 0) for g in free] == [1 if g == f else 0 for g in free]
-            assert all(type(x) is Fraction and x for x in v.values())
+            assert [v.coeff(g) for g in free] == [1 if g == f else 0 for g in free]
+            assert stored_ok(v)
             assert all(apply_row(row, v) == 0 for row in rows)
 
 
@@ -194,8 +195,18 @@ def test_matrices_without_columns_or_rows():
     assert rows == [{}, {}, {}]
     assert exact_rank(rows) == 0
     assert kernel_basis(rows, 0) == []
-    assert kernel_basis([], 2) == [{0: 1}, {1: 1}]
+    assert kernel_basis([], 2) == [LinComb.of(0), LinComb.of(1)]
     assert sparse_rows([[0, Fraction(1, 2)], [0, 0]]) == [{1: Fraction(1, 2)}, {}]
+
+
+def test_kernel_vectors_are_integral_when_the_pivots_divide():
+    # x0 = x1 - x2 and x2 = 2 x3: every kernel entry is an int, stored over 1
+    rows = [{0: 1, 1: -1, 2: 1}, {2: 1, 3: -2}]
+    assert kernel_basis(rows, 4) == [LinComb({1: 1, 0: 1}), LinComb({3: 1, 0: -2, 2: 2})]
+    assert all(v.den == 1 for v in kernel_basis(rows, 4))
+    # 2 x0 + x1 = 0 and x1 + 3 x2 = 0: x0 = 3/2 x2 needs a denominator
+    (v,) = kernel_basis([{0: 2, 1: 1}, {1: 1, 2: 3}], 3)
+    assert stored_ok(v) and (v.terms, v.den) == ({2: 2, 0: 3, 1: -6}, 2)
 
 
 def test_in_span_agrees_with_two_ranks_on_random_inputs():
@@ -419,18 +430,27 @@ def test_graded_endo_rejects_images_outside_basis():
         GradedEndo.from_function(bases, lambda lc: LinComb.of("zz"))
 
 
-# --- the coefficient contract: int-first, exact, against a Fraction oracle ----
+# --- the coefficient contract: int numerators over one denominator ----------
 
 exact = st.one_of(st.integers(-6, 6), coeffs)  # ints, and Fractions (some of denominator 1)
 raw_terms = st.dictionaries(keys, exact, max_size=4)
 
 
 def stored_ok(lc):
-    """Every stored coefficient is a nonzero int or a Fraction with a real denominator."""
-    for c in lc.terms.values():
-        assert c != 0
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    """The stored form: nonzero int numerators over one positive denominator, in lowest terms.
+
+    den is 1 exactly when every coefficient is an integer (zero included).
+    """
+    assert all(type(c) is int and c for c in lc.terms.values()), lc.terms
+    assert type(lc.den) is int and lc.den >= 1
+    assert gcd(lc.den, *lc.terms.values()) == 1
+    assert (lc.den == 1) == all(Fraction(c, lc.den).denominator == 1 for c in lc.terms.values())
     return True
+
+
+def values(lc):
+    """The exact coefficients, read through items()."""
+    return {k: Fraction(c) for k, c in lc.items()}
 
 
 def oracle_sum(pairs):
@@ -446,13 +466,15 @@ def oracle_sum(pairs):
 def test_sum_matches_the_fraction_oracle(pairs):
     lc = LinComb.sum((LinComb(terms), s) for terms, s in pairs)
     assert stored_ok(lc)
-    assert lc.terms == oracle_sum(pairs)
+    assert values(lc) == oracle_sum(pairs)
+    # a list is read once as well, whichever summand first has a denominator
+    assert LinComb.sum([(LinComb(terms), s) for terms, s in pairs]) == lc
 
 
 @given(raw_terms, raw_terms, exact)
 def test_add_scale_tensor_and_map_keys_match_the_fraction_oracle(a, b, s):
     la, lb = LinComb(a), LinComb(b)
-    assert stored_ok(la) and la.terms == oracle_sum([(a, 1)])
+    assert stored_ok(la) and values(la) == oracle_sum([(a, 1)])
     for got, want in (
         (la + lb, oracle_sum([(a, 1), (b, 1)])),
         (la - lb, oracle_sum([(a, 1), (b, -1)])),
@@ -460,19 +482,20 @@ def test_add_scale_tensor_and_map_keys_match_the_fraction_oracle(a, b, s):
         (la.scale(s), oracle_sum([(a, s)])),
     ):
         assert stored_ok(got)
-        assert got.terms == want
+        assert values(got) == want
     tensor = la.tensor(lb)
     assert stored_ok(tensor)
-    assert tensor.terms == oracle_sum(
+    assert values(tensor) == oracle_sum(
         [({(k1, k2): Fraction(c1) * Fraction(c2)}, 1) for k1, c1 in a.items() for k2, c2 in b.items()]
     )
+    assert stored_ok(tensor_transpose(tensor))
 
     def image(k):
         return {k + "x": Fraction(1, 2), k[::-1]: Fraction(3), "y": -2}
 
     mapped = la.map_keys(lambda k: LinComb(image(k)))
     assert stored_ok(mapped)
-    assert mapped.terms == oracle_sum([(image(k), c) for k, c in oracle_sum([(a, 1)]).items()])
+    assert values(mapped) == oracle_sum([(image(k), c) for k, c in oracle_sum([(a, 1)]).items()])
 
 
 @given(raw_terms, keys)
@@ -484,13 +507,36 @@ def test_coeff_is_always_a_fraction(a, key):
 
 def test_no_float_is_ever_stored():
     lc = LinComb({"x": 0.5, "y": 2.0, "z": Fraction(4, 2)})
-    assert lc.terms == {"x": Fraction(1, 2), "y": 2, "z": 2}
     assert stored_ok(lc)
-    assert stored_ok(LinComb.of("x", 3.0).scale(0.5)) and LinComb.of("x", 3.0).scale(0.5).terms == {
-        "x": Fraction(3, 2)
-    }
-    assert type(LinComb.of("x", Fraction(6, 3)).terms["x"]) is int
-    assert type(LinComb.of("x", Fraction(1, 2)).scale(2).terms["x"]) is int
+    assert (lc.terms, lc.den) == ({"x": 1, "y": 4, "z": 4}, 2)
+    assert values(lc) == {"x": Fraction(1, 2), "y": 2, "z": 2}
+    assert list(lc.items()) == [("x", Fraction(1, 2)), ("y", 2), ("z", 2)]
+    half = LinComb.of("x", 3.0).scale(0.5)
+    assert stored_ok(half) and (half.terms, half.den) == ({"x": 3}, 2)
+    assert (LinComb.of("x", Fraction(6, 3)).terms, LinComb.of("x", Fraction(6, 3)).den) == ({"x": 2}, 1)
+    whole = LinComb.of("x", Fraction(1, 2)).scale(2)
+    assert stored_ok(whole) and (whole.terms, whole.den) == ({"x": 1}, 1)
+    assert type(next(iter(whole.items()))[1]) is int
+
+
+@given(raw_terms, raw_terms, exact)
+def test_equal_values_built_by_different_paths_compare_equal(a, b, s):
+    # one canonical form: __init__, sum, tensor and scale agree on every value
+    la, lb = LinComb(a), LinComb(b)
+    want = oracle_sum([(a, s)])
+    for got in (LinComb(want), LinComb(want.items()), la.scale(s), LinComb.sum([(la, s)]),
+                LinComb.sum([(la, s), (lb, 1), (lb, -1)]),
+                la.scale(s).scale(2).scale(Fraction(1, 2)),
+                LinComb.sum((LinComb.of(k, c), s) for k, c in la.items())):
+        assert stored_ok(got)
+        assert got == LinComb(want) and values(got) == want
+    # tensoring with s times one key, on either side
+    right = LinComb({(k, "u"): c for k, c in want.items()})
+    assert la.tensor(LinComb.of("u", s)) == la.scale(s).tensor(LinComb.of("u")) == right
+    assert tensor_transpose(LinComb.of("u", s).tensor(la)) == right
+    tensor = LinComb.sum(
+        (LinComb.of((k1, k2), Fraction(c1) * Fraction(c2)), 1) for k1, c1 in a.items() for k2, c2 in b.items())
+    assert la.tensor(lb) == tensor
 
 
 @given(raw_terms, raw_terms, exact)

@@ -9,7 +9,7 @@ import pytest
 
 from operads import models, trees
 from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
-from operads.linalg import LinComb, coords, exact_rank, matrix_json, tensor_transpose
+from operads.linalg import LinComb, _Memo, coords, exact_rank, matrix_json, tensor_transpose
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -439,6 +439,47 @@ def test_tower_terms_map_to_the_right_nested_product(name, alphabet, product, sc
                 for s in reversed(slots[:-1]):
                     folded = product(lc(s), folded)
                 assert operation(lc(slots)) == folded.scale(scalar(len(slots)))
+
+
+def tower_versal(decompose, product, scalar):
+    """The versal memo read off the whole tower, with a memo of slot suffixes.
+
+    e(x) = x - sum over tower terms c (s_1, ..., s_n) of x with n >= 2 of
+    c scalar(n) e(s_1) (e(s_2) (... e(s_n))); on a tuple of slots the memo
+    holds that nested product, so every suffix is built once.
+    """
+    def nested_e(x, nested):
+        if isinstance(x, tuple):
+            return product(nested(x[0]), nested(x[1] if len(x) == 2 else x[1:]))
+        rests = {}  # the tower terms of arity >= 2, grouped by their first slot
+        for t, c in decompose(x).items():
+            if len(t) > 2:
+                rests.setdefault(t[1], []).append(
+                    (nested(t[2] if len(t) == 3 else t[2:]), c * scalar(len(t) - 1)))
+        return LinComb.of(x) - LinComb.sum(
+            (product(nested(s), LinComb.sum(r)), 1) for s, r in rests.items())
+    return _Memo(nested_e)
+
+
+@pytest.mark.parametrize("name, alphabet, max_degree, product, scalar", [
+    ("as", 1, 6, as_concat, lambda n: 1),
+    ("as", 2, 6, as_concat, lambda n: 1),
+    ("as", 3, 6, as_concat, lambda n: 1),
+    ("dup", 1, 6, dup_right, lambda n: 1),
+    ("dup", 2, 6, dup_right, lambda n: 1),
+    # all 96,228 keys of degree 6 would take about half a minute here
+    ("dup", 3, 5, dup_right, lambda n: 1),
+    ("classical", 2, 6, as_concat, lambda n: Fraction(1, factorial(n))),
+    ("classical", 3, 5, as_concat, lambda n: Fraction(1, factorial(n))),
+])
+def test_versal_memo_matches_the_tower_reference(name, alphabet, max_degree, product, scalar):
+    # the versal memo reads the reduced coproduct only; the reference walks a
+    # fresh model's tower
+    model = get_model(name, alphabet)
+    reference = tower_versal(get_model(name, alphabet).splitting.decompose, product, scalar)
+    for n in range(1, max_degree + 1):
+        for key in model.basis(n):
+            assert model.splitting.versal(key) == reference(key), key
 
 
 def test_composed_idempotents_render_as_themselves():

@@ -252,6 +252,24 @@ def test_eval_compat_on_keys_matches_the_lincomb_evaluation(name, alphabet):
                     assert eval_compat(expr, model, (a, b), mu, delta, images=shared) == want
 
 
+def test_eval_compat_with_non_integral_images_matches_the_lincomb_evaluation():
+    # (co)products with coefficients off the integers: the sum holds Fractions
+    model = get_model("as", 2)
+    halved = dataclasses.replace(
+        model,
+        products={"mul": lambda a, b: model.products["mul"](a, b).scale(Fraction(1, 2))},
+        coproducts={"delta": lambda a: model.coproducts["delta"](a).scale(Fraction(2, 3))})
+    one, two = _mixed(halved, 1), _mixed(halved, 2)
+    shared = {}
+    for rel in ("nui", "hopf", "magmatic"):
+        expr = get_relation(rel)
+        for a, b in [(one, two), (two, one), (one + two, two)]:
+            want = reference_eval_compat(expr, halved, (a, b))
+            assert want.den != 1
+            assert eval_compat(expr, halved, (a, b)) == want, rel
+            assert eval_compat(expr, halved, (a, b), images=shared) == want, rel
+
+
 def _counting(ops, calls):
     def count(fn):
         def counted(*args):

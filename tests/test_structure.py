@@ -12,7 +12,8 @@ from operads import idempotents, models, trees
 from operads.idempotents import ConvolutionContext, eulerian, geometric_idempotent, versal_idempotent
 from operads.linalg import LinComb, coords, exact_rank, sparse_rows
 from operads.models import (
-    LETTERS, _tree_key_degree, by_label, get_model, iterated_coproduct, lie_subspace, tree_key,
+    LETTERS, _tree_key_degree, as_deconcat, by_label, get_model, iterated_coproduct, lie_subspace,
+    tree_key,
 )
 from operads.structure import (
     _splitting_section_ok,
@@ -349,6 +350,22 @@ def test_versal_idempotent_cuts_each_key_once(monkeypatch):
     assert seen and set(seen.values()) == {1}
 
 
+@pytest.mark.parametrize("name, alphabet, kernel", [
+    ("as", 2, "_deconcat_key"), ("dup", 1, "_dup_coproduct_key"), ("classical", 2, "_unshuffles"),
+])
+def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
+        monkeypatch, name, alphabet, kernel):
+    seen = count_cuts(monkeypatch, kernel)
+
+    def tower(*args):  # every decompose call walks the tower through _cut_first
+        raise AssertionError("the versal memo walked the tower")
+    monkeypatch.setattr(models, "_cut_first", tower)
+    model = get_model(name, alphabet)
+    versal_idempotent(model, 6)
+    assert seen and set(seen.values()) == {1}
+    assert len(seen) == sum(len(model.basis(n)) for n in range(1, 7))
+
+
 def test_pbw_expand_cuts_each_key_once(monkeypatch):
     seen = [count_cuts(monkeypatch, k) for k in ("_dup_dleft_key", "_dup_dright_key")]
     model = get_model("bidup", 1)
@@ -544,6 +561,22 @@ def test_associative_decompose_is_the_iterated_coproduct(name):
             for n in range(1, d + 1):
                 assert parts[n].keys() == {None}
                 assert parts[n][None] == iterated_coproduct(delta, n - 1)(LinComb.of(key))
+
+
+def test_iterated_coproduct_of_a_non_integral_coproduct():
+    # a coproduct scaled by 1/len(w) on each word: the cuts meet many denominators
+    def scaled(a):
+        return a.map_keys(lambda w: as_deconcat(LinComb.of(w)).scale(Fraction(1, len(w))))
+
+    def cut_first(lc):  # Delta x id x ... x id, one tensor per key
+        return LinComb.sum((scaled(LinComb.of(k[0])).tensor(LinComb.of(k[1:])), c)
+                           for k, c in lc.items())
+    lc = LinComb({"xyxy": Fraction(2, 3), "yxxyx": -1, "xyzzy": Fraction(5, 7)})
+    want = scaled(lc)
+    for k in range(1, 4):
+        got = iterated_coproduct(scaled, k)(lc)
+        assert got == want and got.den != 1
+        want = cut_first(want)
 
 
 # --- structure iso ---------------------------------------------------------------
