@@ -119,52 +119,35 @@ class LinComb:
     def sum(cls, pairs, den=1):
         """The sum of scalar * lc over (lc, scalar) pairs, divided by den, in one dict.
 
-        Terms that cancel are dropped.  While the summands are integral their
-        numerators are added as they come.  From the first one that is not,
-        the rest are listed and brought to the lcm of their denominators at
-        once.  The first nonzero summand is copied (or scaled) whole; every
-        later term is added in place.  The gcd is divided out once, at the end.
+        Terms that cancel are dropped.  The numerators are added in ints over
+        a running common denominator: a summand whose denominator does not
+        divide it brings the sum so far to their lcm, so integral input costs
+        one modulo per summand.  The first nonzero summand is copied (or
+        scaled) whole; every later term is added in place.  The gcd is
+        divided out once, at the end.
         """
-        out = rest = None
-        pairs = iter(pairs)
+        out, common = {}, 1
+        get = out.get
         for lc, s in pairs:
             if not s or not lc.terms:
                 continue
-            if lc.den != 1 or type(s) is not int:
-                rest = [(lc, s)]
-                break
-            if out is None:
+            d = lc.den
+            if type(s) is not int:
+                s = Fraction(s)
+                d *= s.denominator
+                s = s.numerator
+            if common % d:
+                m = lcm(common, d) // common
+                common *= m
+                out = {k: c * m for k, c in out.items()}
+                get = out.get
+            if d != common:
+                s *= common // d
+            if not out:
                 out = dict(lc.terms) if s == 1 else {k: c * s for k, c in lc.terms.items()}
                 get = out.get
                 continue
             for k, c in lc.terms.items():
-                x = get(k, 0) + c * s
-                if x:
-                    out[k] = x
-                else:
-                    del out[k]
-        if rest is None:
-            return _over({} if out is None else out, den)
-        rest.extend(pairs)
-        parts = []
-        for lc, s in rest:
-            if s and lc.terms:
-                d = lc.den
-                if type(s) is not int:
-                    s = Fraction(s)
-                    d *= s.denominator
-                    s = s.numerator
-                parts.append((lc.terms, s, d))
-        common = lcm(*(d for _, _, d in parts))
-        if out is not None and common != 1:
-            out = {k: c * common for k, c in out.items()}
-        for terms, s, d in parts:
-            s *= common // d
-            if out is None:
-                out = {k: c * s for k, c in terms.items()}
-                continue
-            get = out.get
-            for k, c in terms.items():
                 x = get(k, 0) + c * s
                 if x:
                     out[k] = x

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from operator import itemgetter
 from typing import Callable
 
@@ -324,21 +324,14 @@ def lie_tensor_escape(alphabet, n):
 
 def _cut_first(image, lc):
     """Delta x id x ... x id on tensor keys, with image(key) = Delta(key)."""
-    out, den = {}, 1
-    get = out.get
-    for key, c in lc.terms.items():
-        slots = as_slots(key)
-        cut = image(slots[0])
-        if den % cut.den:  # a new denominator: bring the sum so far to the lcm
-            m = lcm(den, cut.den) // den
-            out, den = {k: x * m for k, x in out.items()}, den * m
-            get = out.get
-        c *= den // cut.den
-        rest = slots[1:]
-        for pair, d in cut.terms.items():
-            t = pair + rest
-            out[t] = get(t, 0) + c * d
-    return _over({k: c for k, c in out.items() if c}, den * lc.den)
+    def cuts():
+        for key, c in lc.terms.items():
+            slots = as_slots(key)
+            cut, rest = image(slots[0]), slots[1:]
+            if rest:
+                cut = _over({pair + rest: d for pair, d in cut.terms.items()}, cut.den)
+            yield cut, c
+    return LinComb.sum(cuts(), lc.den)
 
 
 def iterated_coproduct(coproduct, k):

@@ -461,24 +461,25 @@ def tower_versal(decompose, product, scalar):
     return _Memo(nested_e)
 
 
-@pytest.mark.parametrize("name, alphabet, max_degree, product, scalar", [
-    ("as", 1, 6, as_concat, lambda n: 1),
-    ("as", 2, 6, as_concat, lambda n: 1),
-    ("as", 3, 6, as_concat, lambda n: 1),
-    ("dup", 1, 6, dup_right, lambda n: 1),
-    ("dup", 2, 6, dup_right, lambda n: 1),
-    # all 96,228 keys of degree 6 would take about half a minute here
-    ("dup", 3, 5, dup_right, lambda n: 1),
-    ("classical", 2, 6, as_concat, lambda n: Fraction(1, factorial(n))),
-    ("classical", 3, 5, as_concat, lambda n: Fraction(1, factorial(n))),
+@pytest.mark.parametrize("name, alphabet, max_degree, product, scalar, step", [
+    ("as", 1, 6, as_concat, lambda n: 1, 1),
+    ("as", 2, 6, as_concat, lambda n: 1, 1),
+    ("as", 3, 6, as_concat, lambda n: 1, 1),
+    ("dup", 1, 6, dup_right, lambda n: 1, 1),
+    ("dup", 2, 6, dup_right, lambda n: 1, 1),
+    # every 50th of the 96,228 degree-6 keys; all of them take about half a
+    # minute, and reading a key's memo fills the lower-degree keys it needs
+    ("dup", 3, 6, dup_right, lambda n: 1, 50),
+    ("classical", 2, 6, as_concat, lambda n: Fraction(1, factorial(n)), 1),
+    ("classical", 3, 5, as_concat, lambda n: Fraction(1, factorial(n)), 1),
 ])
-def test_versal_memo_matches_the_tower_reference(name, alphabet, max_degree, product, scalar):
+def test_versal_memo_matches_the_tower_reference(name, alphabet, max_degree, product, scalar, step):
     # the versal memo reads the reduced coproduct only; the reference walks a
-    # fresh model's tower
+    # fresh model's tower.  step samples the top degree.
     model = get_model(name, alphabet)
     reference = tower_versal(get_model(name, alphabet).splitting.decompose, product, scalar)
     for n in range(1, max_degree + 1):
-        for key in model.basis(n):
+        for key in model.basis(n)[::step if n == max_degree else 1]:
             assert model.splitting.versal(key) == reference(key), key
 
 
