@@ -1,8 +1,8 @@
 """Convolution algebra of graded endomorphisms and the idempotent zoo.
 
-All idempotents are built as plain LinComb -> LinComb functions and then
-materialized degreewise into exact matrices (GradedEndo) over a model's
-declared basis; only materializing takes a degree bound.  The versal
+Every idempotent is a map from a basis key to its image LinComb, which
+`materialize` turns degreewise into exact matrices (GradedEndo) over a
+model's declared basis; only materializing takes a degree bound.  The versal
 idempotent is the model's own memo, built by the PBW recursion of its
 splitting (see models.Splitting); on an associative splitting that memo
 reads the reduced coproduct of each key once and never the tower.  The
@@ -23,7 +23,7 @@ from functools import cached_property
 from math import factorial
 
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import BialgebraModel, by_label, left_nested_bracket
+from .models import BialgebraModel, by_label, classical_model, left_nested_bracket
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -56,6 +56,7 @@ def model_bases(model, max_degree):
 
 
 def materialize(model, fn, max_degree):
+    """The GradedEndo through max_degree of fn, a map from a basis key to its image LinComb."""
     return GradedEndo.from_function(model_bases(model, max_degree), fn)
 
 
@@ -79,43 +80,29 @@ def eulerian_family(ctx):
     return family
 
 
-def eulerian_map(ctx, i):
-    """The i-th Eulerian idempotent as a function (classical context)."""
+def eulerian(ctx, i, max_degree):
+    """The i-th Eulerian idempotent (classical): the i-th e^(1)-power over i!, 0 below degree i."""
     if i < 1:
         raise ValueError("Eulerian index must be >= 1")
     powers, scale = eulerian_family(ctx), factorial(i)
-    return lambda lc: LinComb.sum(
-        ((p[i - 1], c) for k, c in lc.terms.items() if len(p := powers(k)) >= i),
-        lc.den * scale)
-
-
-def eulerian(ctx, i, max_degree):
-    return materialize(ctx.model, eulerian_map(ctx, i), max_degree)
-
-
-def dynkin_map(lc):
-    """word -> (1/n) [..[[x1,x2],x3]..,xn]."""
-    return LinComb.sum((left_nested_bracket(w), Fraction(c, len(w))) for w, c in lc.items())
+    return materialize(ctx.model, lambda key: LinComb.sum(
+        ((p, 1) for p in powers(key)[i - 1:i]), scale), max_degree)
 
 
 def dynkin(max_degree, alphabet=2):
-    from .models import classical_model
-    return materialize(classical_model(alphabet), dynkin_map, max_degree)
-
-
-def geometric_map(ctx):
-    """e = sum_{n>=1} (-1)^{n-1} Id*^n, read per key off the context's Id powers."""
-    powers = ctx.identity_powers
-    return lambda lc: LinComb.sum(
-        ((p, c * (-1) ** n) for k, c in lc.terms.items() for n, p in enumerate(powers(k))),
-        lc.den)
+    """The Dynkin map word -> (1/n) [..[[x1,x2],x3]..,xn] on the classical model."""
+    return materialize(classical_model(alphabet),
+                       lambda w: left_nested_bracket(w).scale(Fraction(1, len(w))), max_degree)
 
 
 def geometric_idempotent(ctx, max_degree):
-    return materialize(ctx.model, geometric_map(ctx), max_degree)
+    """e = sum_{n>=1} (-1)^{n-1} Id*^n, read per key off the context's Id powers."""
+    powers = ctx.identity_powers
+    return materialize(ctx.model, lambda key: LinComb.sum(
+        (p, (-1) ** n) for n, p in enumerate(powers(key))), max_degree)
 
 
-def omega_map(model, n):
+def omega(model, n, max_degree):
     """omega^[n] = s(n) o Delta^[n]: the arity-n labels of each key, through their operations.
 
     Read straight off the splitting, with no memo of its own: the factors
@@ -129,16 +116,11 @@ def omega_map(model, n):
     def om(key):
         group = by_label(splitting.decompose(key)).get(n, {})
         return LinComb.sum((splitting.operation(label)(t), 1) for label, t in group.items())
-    return lambda lc: lc.map_keys(om)
-
-
-def omega(model, n, max_degree):
-    return materialize(model, omega_map(model, n), max_degree)
+    return materialize(model, om, max_degree)
 
 
 def versal_idempotent(model, max_degree=6):
     """The versal idempotent through max_degree, read off the model's versal memo."""
     if model.splitting is None:
         raise ValueError("model %s declares no splitting scheme" % model.name)
-    versal = model.splitting.versal
-    return materialize(model, lambda lc: lc.map_keys(versal), max_degree)
+    return materialize(model, model.splitting.versal, max_degree)

@@ -531,17 +531,23 @@ class GradedEndo:
 
     @classmethod
     def from_function(cls, bases, fn):
+        """The endomorphism whose column of each basis key is fn(key), a LinComb.
+
+        fn is called once per key, with the key, and its values are read,
+        never changed, so a memo may hand out what it keeps.  An image key
+        outside the basis of its degree raises ValueError.
+        """
         mats = {}
         for n, basis in bases.items():
             mats[n] = mat = [[0] * len(basis) for _ in basis]
-            for dense, row in zip(mat, coords((fn(LinComb.of(key)) for key in basis), basis)):
+            for dense, row in zip(mat, coords(map(fn, basis), basis)):
                 for j, x in row.items():
                     dense[j] = x
         return cls(bases, mats)
 
     @classmethod
     def identity(cls, bases):
-        return cls.from_function(bases, lambda lc: lc)
+        return cls.from_function(bases, LinComb.of)
 
     def apply(self, lc):
         def column(key):

@@ -478,7 +478,7 @@ def _is_key(alphabet, extra_leaves=None, top_degree=None):
         if ok and extra_leaves is not None:
             try:
                 trees.validate(t)
-            except (ValueError, RecursionError):
+            except ValueError:
                 return False
             return leaf_count(t) == len(w) + extra_leaves
         return ok

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
 from math import lcm
@@ -95,23 +95,20 @@ def load_library():
     return library
 
 
-_LIBRARY = None
+@cache
+def _library():
+    return load_library()
 
 
 def get_relation(name):
-    global _LIBRARY
-    if _LIBRARY is None:
-        _LIBRARY = load_library()
-    if name not in _LIBRARY:
-        raise KeyError("unknown relation %r (choose from %s)" % (name, sorted(_LIBRARY)))
-    return _LIBRARY[name]
+    library = _library()
+    if name not in library:
+        raise KeyError("unknown relation %r (choose from %s)" % (name, sorted(library)))
+    return library[name]
 
 
 def relation_names():
-    global _LIBRARY
-    if _LIBRARY is None:
-        _LIBRARY = load_library()
-    return sorted(_LIBRARY)
+    return sorted(_library())
 
 
 def _resolve_coop(model, sym, delta_sym):

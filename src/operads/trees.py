@@ -24,8 +24,11 @@ def leaf_count(t):
 
 
 def validate(t):
-    """Raise ValueError unless t is a well-formed tree string."""
-    pos, ok = _scan(t, 0)
+    """Raise ValueError unless t is a well-formed tree string shallow enough to work on."""
+    try:
+        pos, ok = _scan(t, 0)
+    except RecursionError:
+        raise ValueError("tree nested too deeply (%d characters)" % len(t)) from None
     if not ok or pos != len(t):
         raise ValueError("malformed tree: %r" % t)
 

@@ -105,6 +105,8 @@ def test_exit_one_on_falsified_check():
 
 
 def test_exit_two_on_usage_errors(capsys):
+    # well-formed trees nested deeper than the recursive tree scan can go
+    deep = ["(" * d + "." + ",.)" * d for d in (995, 1200)]
     for argv in (
         ["check", "--model", "nope", "--relation", "nui"],
         ["check", "--model", "as", "--relation", "nope"],
@@ -127,6 +129,8 @@ def test_exit_two_on_usage_errors(capsys):
         ["idempotent", "--model", "dup", "--kind", "versal", "--max-degree", "0"],
         ["prim", "--model", "lie", "--degree", "2"],
         ["idempotent", "--model", "lie", "--kind", "geometric", "--max-degree", "3"],
+        *(["trees", "cut", "--tree", t, "--index", "1"] for t in deep),
+        *(["trees", "graft", "--kind", "over", "--left", t, "--right", "."] for t in deep),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -153,6 +157,8 @@ def test_exit_two_on_usage_errors(capsys):
         (["trees", "graft", "--kind", "over", "--left", "(.,.", "--right", "."],
          "malformed tree: '(.,.'"),
         (["trees", "cut", "--tree", "(.,.", "--index", "1"], "malformed tree: '(.,.'"),
+        (["trees", "graft", "--kind", "under", "--left", ".", "--right", deep[1]],
+         "tree nested too deeply (4801 characters)"),
         (["trees", "cut", "--tree", "((.,.),.)", "--index", "2"],
          "cut index 2 out of range for a tree with 3 leaves"),
         (["trees", "cut", "--tree", "((.,.),.)", "--index", "0"],

@@ -5,19 +5,19 @@ from functools import lru_cache
 
 import pytest
 
+from operads import idempotents
 from operads.idempotents import (
     ConvolutionContext,
     dynkin,
     eulerian,
     eulerian_family,
-    eulerian_map,
     geometric_idempotent,
     materialize,
     model_bases,
     omega,
     versal_idempotent,
 )
-from operads.linalg import GradedEndo, LinComb, same_column_space
+from operads.linalg import GradedEndo, LinComb, _Memo, same_column_space
 from operads.models import get_model, lie_subspace
 from operads.structure import primitive_part
 from operads.trees import catalan
@@ -162,11 +162,13 @@ def test_eulerian_family_is_a_complete_orthogonal_system():
 def test_eulerian_values_on_small_words():
     model = get_model("classical", 2)
     ctx = ConvolutionContext(model)
-    e1 = eulerian_map(ctx, 1)
+
+    def e1(key):
+        return eulerian_family(ctx)(key)[0]
     # e(xy) = (xy - yx)/2
-    assert e1(LinComb.of("xy")) == LinComb({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)})
+    assert e1("xy") == LinComb({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)})
     # symmetric words are killed
-    assert e1(LinComb({"xy": 1, "yx": 1})) == LinComb.zero()
+    assert e1("xy") + e1("yx") == LinComb.zero()
 
 
 def test_dynkin_image_equals_first_eulerian_image():
@@ -202,5 +204,75 @@ def test_geometric_idempotent_on_the_tensor_bialgebra():
 
 def test_materialize_matches_function_application():
     model = get_model("as", 2)
-    double = materialize(model, lambda lc: lc.scale(2), 3)
+    double = materialize(model, lambda key: LinComb.of(key, 2), 3)
     assert double.apply(LinComb.of("xyx")) == LinComb.of("xyx", 2)
+
+
+# --- the map contract: materialize takes a function of a basis key ----------
+
+def record_maps(monkeypatch):
+    """Every (fn, [(key, fn(key)), ...]) that materialize receives, calls logged."""
+    seen = []
+
+    def recording(model, fn, max_degree):
+        calls = []
+
+        def spy(arg):
+            value = fn(arg)
+            calls.append((arg, value))
+            return value
+        seen.append((fn, calls))
+        return materialize(model, spy, max_degree)
+    monkeypatch.setattr(idempotents, "materialize", recording)
+    return seen
+
+
+def classical_context():
+    return ConvolutionContext(get_model("classical", 2))
+
+
+CONTRACT_CASES = [
+    ("versal as/2", lambda: versal_idempotent(get_model("as", 2), 4)),
+    ("versal dup/1", lambda: versal_idempotent(get_model("dup", 1), 4)),
+    ("versal bidup/1", lambda: versal_idempotent(get_model("bidup", 1), 4)),
+    ("versal classical/2", lambda: versal_idempotent(get_model("classical", 2), 4)),
+    ("eulerian:1", lambda: eulerian(classical_context(), 1, 4)),
+    ("eulerian:2", lambda: eulerian(classical_context(), 2, 4)),
+    ("eulerian:3", lambda: eulerian(classical_context(), 3, 4)),
+    ("geometric as/2", lambda: geometric_idempotent(ConvolutionContext(get_model("as", 2)), 4)),
+    ("dynkin", lambda: dynkin(4, 2)),
+    ("omega:2 dup/1", lambda: omega(get_model("dup", 1), 2, 4)),
+    ("omega:3 dup/1", lambda: omega(get_model("dup", 1), 3, 4)),
+]
+
+
+@pytest.mark.parametrize("case,build", CONTRACT_CASES, ids=[case for case, _ in CONTRACT_CASES])
+def test_each_column_is_the_map_on_its_basis_key(case, build, monkeypatch):
+    seen = record_maps(monkeypatch)
+    endo = build()
+    (fn, calls), = seen
+    # called once per basis key, in basis order, on the key itself
+    assert not any(isinstance(arg, LinComb) for arg, _ in calls)
+    assert [arg for arg, _ in calls] == [key for n in sorted(endo.bases) for key in endo.bases[n]]
+    for n, basis in endo.bases.items():
+        for j, key in enumerate(basis):
+            column = LinComb((k, row[j]) for k, row in zip(basis, endo.mats[n]))
+            assert column == fn(key), (case, key)
+
+
+@pytest.mark.parametrize("name,alphabet", [("as", 2), ("dup", 1), ("bidup", 1), ("classical", 2)])
+def test_versal_memo_values_are_read_never_changed(name, alphabet, monkeypatch):
+    seen = record_maps(monkeypatch)
+    model = get_model(name, alphabet)
+    e = versal_idempotent(model, 5)
+    assert e.compose(e) == e
+    fresh = get_model(name, alphabet).splitting.versal
+    (_, calls), = seen
+    # the very objects the memo handed to the matrices
+    for key, value in calls:
+        assert value == fresh(key), key
+    versal = model.splitting.versal
+    if isinstance(versal, _Memo):
+        assert versal.values
+        for key, value in versal.values.items():
+            assert value == fresh(key), key

@@ -411,9 +411,8 @@ def test_same_column_space_with_different_widths():
 def test_graded_endo_roundtrip_and_algebra():
     bases = {1: ["x", "y"], 2: ["xx", "xy", "yx", "yy"]}
 
-    def swap_letters(lc):
-        table = str.maketrans("xy", "yx")
-        return LinComb((k.translate(table), c) for k, c in lc.items())
+    def swap_letters(key):
+        return LinComb.of(key.translate(str.maketrans("xy", "yx")))
 
     s = GradedEndo.from_function(bases, swap_letters)
     ident = GradedEndo.identity(bases)
@@ -427,7 +426,7 @@ def test_graded_endo_roundtrip_and_algebra():
 def test_graded_endo_rejects_images_outside_basis():
     bases = {1: ["x"]}
     with pytest.raises(ValueError):
-        GradedEndo.from_function(bases, lambda lc: LinComb.of("zz"))
+        GradedEndo.from_function(bases, lambda key: LinComb.of("zz"))
 
 
 # --- the coefficient contract: int numerators over one denominator ----------
