@@ -5,6 +5,9 @@ Exit codes: 0 when the requested check holds (or for plain computations),
 2 on usage errors, 3 on an internal error (a bug in this program), 141
 when standard output is closed before everything is written (as a shell
 reports a process killed by SIGPIPE), so a cut-off run never reads as a pass.
+Usage errors are `operads.errors.UsageError`s: the library raises them for its
+own input rules (tree syntax, degrees, what a model can compute), with the same
+text for a library caller, and this module only for rules that name a flag.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import traceback
 from fractions import Fraction
 
 from . import trees
+from .errors import UsageError
 from .linalg import (
     GradedEndo,
     LinComb,
@@ -26,7 +30,7 @@ from .linalg import (
     matrix_json,
     same_column_space,
 )
-from .models import LETTERS, get_model, lie_tensor_escape, model_names
+from .models import get_model, lie_tensor_escape, model_names
 from .relations import (
     check_nap_colaw,
     check_relation,
@@ -58,10 +62,6 @@ from .series import (
 from .homology import check_differentials, homology_report, total_homology_dims
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_element(model, text):
     """Parse `c1*K1 + c2*K2`; keys are TREE:WORD or plain words."""
     compact = text.replace(" ", "")
@@ -84,14 +84,10 @@ def parse_element(model, text):
                 raise UsageError("bad coefficient %r" % coeff_text)
         else:
             coeff, key = 1, tok
-        _validate_key(model, key)
+        if not model.is_key(key):
+            raise UsageError("key %r is not a basis element of model %s" % (key, model.name))
         terms.append((key, sign * coeff))
     return LinComb(terms)
-
-
-def _validate_key(model, key):
-    if not model.is_key(key):
-        raise UsageError("key %r is not a basis element of model %s" % (key, model.name))
 
 
 def _emit(report, fmt="json"):
@@ -106,61 +102,28 @@ def _emit(report, fmt="json"):
 
 
 def _get_model_arg(args):
-    alphabet = getattr(args, "alphabet", None)
-    if alphabet is not None and alphabet < 1:
-        raise UsageError("alphabet size must be >= 1")
-    if alphabet is not None and alphabet > len(LETTERS):
-        raise UsageError("alphabet size must be <= %d" % len(LETTERS))
     try:
-        return get_model(args.model, alphabet)
+        return get_model(args.model, args.alphabet)
     except KeyError:
         raise UsageError(
             "unknown model %r (choose from %s)" % (args.model, ", ".join(model_names()))
         )
 
 
-def _atomic_model_arg(args):
-    """The model of args, refused when its basis entries are not atomic keys.
-
-    The lie model's basis entries are LinCombs, which the matrix builders
-    cannot use as coordinates.
-    """
-    model = _get_model_arg(args)
-    if model.name == "lie":
-        raise UsageError("%s does not support model lie (its basis entries are "
-                         "linear combinations, not keys)" % args.command)
-    return model
-
-
 # --- subcommand handlers -----------------------------------------------------
-
-def _validate_tree(t):
-    try:
-        trees.validate(t)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
 
 def cmd_trees(args):
     if args.action == "enumerate":
-        if args.leaves < 1:
-            raise UsageError("need at least one leaf")
-        ts = list(trees.enumerate_trees(args.leaves))
-        _emit(ts if args.format == "text" else list(ts), args.format)
+        _emit(list(trees.enumerate_trees(args.leaves)), args.format)
         return 0
     if args.action == "graft":
         for t in (args.left, args.right):
-            _validate_tree(t)
+            trees.validate(t)
         fn = {"over": trees.over, "under": trees.under, "vee": trees.vee}[args.kind]
         _emit(fn(args.left, args.right), "text")
         return 0
-    _validate_tree(args.tree)
-    leaves = trees.leaf_count(args.tree)
-    if not 1 <= args.index <= leaves - 2:
-        raise UsageError("cut index %d out of range for a tree with %d leaves"
-                         % (args.index, leaves))
-    left, right = trees.path_cut(args.tree, args.index)
-    _emit([left, right])
+    trees.validate(args.tree)
+    _emit(list(trees.path_cut(args.tree, args.index)))
     return 0
 
 
@@ -228,7 +191,7 @@ def _check_relation_symbols(model, relation):
 
 
 def cmd_prim(args):
-    model = _atomic_model_arg(args)
+    model = _get_model_arg(args)
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
     basis = primitive_part(model, args.degree)
@@ -240,8 +203,6 @@ def cmd_prim(args):
 
 def cmd_pbw(args):
     model = _get_model_arg(args)
-    if model.splitting is None:
-        raise UsageError("model %s has no splitting scheme" % model.name)
     lc = parse_element(model, args.element)
     comps = pbw_expand(model, lc)
     back = pbw_reassemble(model, comps)
@@ -260,41 +221,28 @@ def cmd_pbw(args):
     return 0 if ok else 1
 
 
-def _convolution_context(model):
-    """The convolution context of the model, refused without product mul or coproduct delta."""
-    if "mul" not in model.products:
-        raise UsageError("model %s has no product 'mul'" % model.name)
-    if "delta" not in model.coproducts:
-        raise UsageError("model %s has no coproduct 'delta'" % model.name)
-    return ConvolutionContext(model)
-
-
 def cmd_idempotent(args):
-    model = _atomic_model_arg(args)
+    model = _get_model_arg(args)
     n = args.max_degree
     if n < 1:
         raise UsageError("--max-degree must be >= 1")
     kind = args.kind
     if kind == "versal":
-        if model.splitting is None:
-            raise UsageError("model %s has no splitting scheme" % model.name)
         endo = versal_idempotent(model, max_degree=n)
     elif kind.startswith("eulerian:"):
         try:
             i = int(kind.split(":", 1)[1])
         except ValueError:
             raise UsageError("eulerian index must be an integer")
-        if i < 1:
-            raise UsageError("eulerian index must be >= 1")
         if i > n:
             raise UsageError("eulerian index must be <= --max-degree")
-        endo = eulerian(_convolution_context(model), i, n)
+        endo = eulerian(ConvolutionContext(model), i, n)
     elif kind == "dynkin":
         if not model.classical:
             raise UsageError("dynkin is defined on the classical model only")
         endo = dynkin(n, model.alphabet)
     elif kind == "geometric":
-        endo = geometric_idempotent(_convolution_context(model), n)
+        endo = geometric_idempotent(ConvolutionContext(model), n)
     else:
         raise UsageError("unknown idempotent kind %r" % kind)
     report = {"model": model.name, "kind": kind, "maxDegree": n}
@@ -324,11 +272,6 @@ def cmd_verify(args):
     if args.what == "h2":
         if args.max_degree < 2:
             raise UsageError("h2 needs --max-degree >= 2")
-        if model.splitting is None:
-            raise UsageError("model %s has no splitting scheme" % model.name)
-        if model.classical:
-            raise UsageError(
-                "h2 is unsupported on model %s: its cooperad Com is symmetric" % model.name)
         report = check_h2(model, args.max_degree)
         _emit(report.to_json_dict())
         return 0 if report.verdict in ("iso", "epi-with-splitting") else 1
@@ -342,14 +285,8 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
-def _check_order(order):
-    if order < 1:
-        raise UsageError("order must be >= 1")
-
-
 def cmd_series(args):
     if args.show:
-        _check_order(args.order)
         try:
             s = gen_series(args.show, args.order)
         except KeyError:
@@ -368,22 +305,16 @@ def cmd_series(args):
     if args.check == "triple":
         if len(names) != 3:
             raise UsageError("--check triple needs --names C,A,P")
-        _check_order(args.order)
         ok = check_triple_identity(names[0], names[1], names[2], args.order)
-    elif args.check == "koszul":
+    else:  # argparse allows triple and koszul only
         if len(names) != 2:
             raise UsageError("--check koszul needs --names P,PDUAL")
-        _check_order(args.order)
         ok = check_koszul_dual(names[0], names[1], args.order)
-    else:
-        raise UsageError("unknown series check %r" % args.check)
     _emit({"check": args.check, "names": names, "order": args.order, "holds": ok})
     return 0 if ok else 1
 
 
 def cmd_homology(args):
-    if args.internal_degree < 1:
-        raise UsageError("internal degree must be >= 1")
     report = homology_report(args.internal_degree, check_only=args.check_only)
     _emit(report)
     return 0 if report["differentialChecks"] else 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .errors import UsageError
 from .linalg import LinComb, coords, exact_rank
 from .models import get_model
 
@@ -59,7 +60,7 @@ class BicomplexSlice:
 def build_bicomplex(n):
     """Assemble the internal-degree-n slice over one generator."""
     if n < 1:
-        raise ValueError("internal degree must be >= 1")
+        raise UsageError("internal degree must be >= 1")
     model = get_model("dup", 1)
     monomials = {d: list(model.basis(d)) for d in range(1, n + 1)}
     bases = {

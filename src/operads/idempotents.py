@@ -22,8 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
+from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import BialgebraModel, by_label, classical_model, left_nested_bracket
+from .models import (BialgebraModel, by_label, classical_model, left_nested_bracket, require_keys,
+                     require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -32,6 +34,12 @@ class ConvolutionContext:
     """Convolution on a model: its product "mul" after its reduced coproduct "delta"."""
 
     model: BialgebraModel
+
+    def __post_init__(self):
+        if "mul" not in self.model.products:
+            raise UsageError("model %s has no product 'mul'" % self.model.name)
+        if "delta" not in self.model.coproducts:
+            raise UsageError("model %s has no coproduct 'delta'" % self.model.name)
 
     @property
     def product(self):
@@ -57,7 +65,9 @@ def model_bases(model, max_degree):
 
 def materialize(model, fn, max_degree):
     """The GradedEndo through max_degree of fn, a map from a basis key to its image LinComb."""
-    return GradedEndo.from_function(model_bases(model, max_degree), fn)
+    bases = model_bases(model, max_degree)
+    require_keys(model, bases.get(1))
+    return GradedEndo.from_function(bases, fn)
 
 
 # e^(1)-power memos by (name, alphabet): bench/tracer.py counts them, and suite runs reuse them
@@ -83,7 +93,7 @@ def eulerian_family(ctx):
 def eulerian(ctx, i, max_degree):
     """The i-th Eulerian idempotent (classical): the i-th e^(1)-power over i!, 0 below degree i."""
     if i < 1:
-        raise ValueError("Eulerian index must be >= 1")
+        raise UsageError("eulerian index must be >= 1")
     powers, scale = eulerian_family(ctx), factorial(i)
     return materialize(ctx.model, lambda key: LinComb.sum(
         ((p, 1) for p in powers(key)[i - 1:i]), scale), max_degree)
@@ -110,8 +120,8 @@ def omega(model, n, max_degree):
     oracle for the versal memo.
     """
     if n < 2:
-        raise ValueError("omega is defined for arity >= 2")
-    splitting = model.splitting
+        raise UsageError("omega is defined for arity >= 2")
+    splitting = require_splitting(model)
 
     def om(key):
         group = by_label(splitting.decompose(key)).get(n, {})
@@ -121,6 +131,4 @@ def omega(model, n, max_degree):
 
 def versal_idempotent(model, max_degree=6):
     """The versal idempotent through max_degree, read off the model's versal memo."""
-    if model.splitting is None:
-        raise ValueError("model %s declares no splitting scheme" % model.name)
-    return materialize(model, model.splitting.versal, max_degree)
+    return materialize(model, require_splitting(model).versal, max_degree)

@@ -25,7 +25,8 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable
 
-from .linalg import (LinComb, _Memo, _over, _power_memo, as_slots, coords, exact_rank, in_span,
+from .errors import UsageError
+from .linalg import (LinComb, _Memo, _echelon, _over, _power_memo, as_slots, coords, exact_rank,
                      tensor_transpose)
 from . import trees
 from .trees import LEAF, Y, leaf_count
@@ -283,16 +284,15 @@ def left_nested_bracket(word):
 
 
 def lie_subspace(alphabet, n):
-    """An ordered basis of the degree-n Lie polynomials, by bracket span."""
+    """An ordered basis of the degree-n Lie polynomials, by bracket span.
+
+    The left-nested brackets of the words in order that lie outside the span
+    of those before them: the pivot columns of one echelon form.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    all_words = words(alphabet, n)
-    basis = []
-    for w in all_words:
-        cand = left_nested_bracket(w)
-        if cand and exact_rank(coords(basis + [cand], all_words)) > len(basis):
-            basis.append(cand)
-    return basis
+    brackets = [left_nested_bracket(w) for w in words(alphabet, n)]
+    return [brackets[j] for j in _echelon(coords(brackets))[1]]
 
 
 def lie_cobracket(a):
@@ -310,14 +310,14 @@ def lie_cobracket(a):
 
 
 def lie_tensor_escape(alphabet, n):
-    """Does the cobracket leave the span of Lie x Lie in degree n?"""
-    span = [
-        a.tensor(b)
-        for i in range(1, n)
-        for a in lie_subspace(alphabet, i)
-        for b in lie_subspace(alphabet, n - i)
-    ]
-    return not all(in_span(span, lie_cobracket(x)) for x in lie_subspace(alphabet, n))
+    """Does the cobracket leave the span of Lie x Lie in degree n?
+
+    Exactly when adding the cobracket images to that span raises its rank.
+    """
+    lie = {d: lie_subspace(alphabet, d) for d in range(1, n + 1)}
+    span = [a.tensor(b) for i in range(1, n) for a in lie[i] for b in lie[n - i]]
+    images = [lie_cobracket(x) for x in lie[n]]
+    return exact_rank(coords(span + images)) > exact_rank(coords(span))
 
 
 # --- model plumbing -----------------------------------------------------------
@@ -369,6 +369,13 @@ class Splitting:
     operation: Callable[[object], Callable]
     versal: Callable[[object], LinComb]
     cuts: tuple | None = None
+
+
+def require_splitting(model):
+    """The model's Splitting; the versal idempotent, PBW, omega and phi need one."""
+    if model.splitting is None:
+        raise UsageError("model %s has no splitting scheme" % model.name)
+    return model.splitting
 
 
 def by_label(decomposition):
@@ -466,6 +473,13 @@ class BialgebraModel:
     is_key: Callable[[str], bool]
     splitting: Splitting | None = None
     classical: bool = False
+
+
+def require_keys(model, basis):
+    """Refuse a listed basis of LinCombs (lie's): a matrix needs keys as coordinates."""
+    if basis and isinstance(basis[0], LinComb):
+        raise UsageError("model %s has no basis keys: its basis entries are linear combinations"
+                         % model.name)
 
 
 def _is_key(alphabet, extra_leaves=None, top_degree=None):
@@ -712,6 +726,10 @@ _MODEL_FACTORIES = {
 
 
 def get_model(name, alphabet=None):
+    if alphabet is not None and alphabet < 1:
+        raise UsageError("alphabet size must be >= 1")
+    if alphabet is not None and alphabet > len(LETTERS):
+        raise UsageError("alphabet size must be <= %d" % len(LETTERS))
     if name not in _MODEL_FACTORIES:
         raise KeyError("unknown model %r (choose from %s)" % (name, sorted(_MODEL_FACTORIES)))
     factory = _MODEL_FACTORIES[name]

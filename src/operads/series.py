@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .errors import UsageError
+
 
 class TruncatedSeries:
     """Power series with zero constant term, exact to a fixed order."""
@@ -19,7 +21,7 @@ class TruncatedSeries:
 
     def __init__(self, order, coeffs=()):
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise UsageError("order must be >= 1")
         cs = [Fraction(c) for c in coeffs][:order]
         cs += [Fraction(0)] * (order - len(cs))
         self.order = order

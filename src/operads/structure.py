@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import UsageError
 from .linalg import LinComb, _over, as_slots, coords, exact_rank, kernel_basis
-from .models import LETTERS, by_label, key_parts, tree_key
+from .models import LETTERS, by_label, key_parts, require_keys, require_splitting, tree_key
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
 
@@ -35,6 +36,15 @@ def generator_key(model, letter):
     return multilinear_basis(model, 1, letter)[0]
 
 
+def _nonsymmetric_splitting(model):
+    """The model's splitting, refused on a symmetric cooperad, where phi cannot be read."""
+    splitting = require_splitting(model)
+    if model.classical:
+        raise UsageError(
+            "h2 is unsupported on model %s: its cooperad Com is symmetric" % model.name)
+    return splitting
+
+
 def phi_map(model, n):
     """Matrix of phi in degree n as (sparse rows, column count).
 
@@ -44,20 +54,19 @@ def phi_map(model, n):
     words, so it is read on the model's own one-letter keys t:x...x at
     (g:x)^(x n), one decomposition per column.
     """
-    if model.classical:
-        raise ValueError("phi is read on nonsymmetric models; Com is symmetric")
+    splitting = _nonsymmetric_splitting(model)
     x = LETTERS[0]
     target = (generator_key(model, x),) * n
-    rows = [(label,) + target for label in model.splitting.labels(n)]
+    rows = [(label,) + target for label in splitting.labels(n)]
     wanted = set(rows)
     keys = multilinear_basis(model, n, x * n)
-    return coords((LinComb({k: c for k, c in model.splitting.decompose(key).items() if k in wanted})
+    return coords((LinComb({k: c for k, c in splitting.decompose(key).items() if k in wanted})
                    for key in keys), rows), len(keys)
 
 
 @dataclass
 class H2Report:
-    verdict: str  # "iso", "epi-with-splitting", "fail", "unsupported"
+    verdict: str  # "iso", "epi-with-splitting" or "fail"; check_h2 refuses any other model
     per_degree: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -73,11 +82,10 @@ class H2Report:
 def check_h2(model, max_degree):
     """Classify phi degreewise: isomorphism, split epimorphism, or failure.
 
-    Unsupported without a splitting, and on the classical model, whose
-    cooperad Com is symmetric while the multilinear basis is not.
+    Refused without a splitting, and on the classical model, whose cooperad
+    Com is symmetric while the multilinear basis is not.
     """
-    if model.splitting is None or model.classical:
-        return H2Report(verdict="unsupported")
+    _nonsymmetric_splitting(model)
     rows = []
     all_iso = True
     all_epi = True
@@ -118,6 +126,7 @@ def _splitting_section_ok(model, max_degree):
 def primitive_part(model, n):
     """Exact basis of the joint kernel of all generating reduced coproducts."""
     basis = list(model.basis(n))
+    require_keys(model, basis)
     rows = coords(
         LinComb(
             ((sym, tkey), c)
@@ -159,7 +168,7 @@ def pbw_expand(model, a):
     reassembling them through the splitting operations returns the input
     exactly; see pbw_reassemble.
     """
-    splitting = model.splitting
+    splitting = require_splitting(model)
     parts = by_label(a.map_keys(splitting.decompose))
     comps = []
     for k in sorted(parts):

@@ -15,8 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from .errors import UsageError
+
 LEAF = "."
 Y = "(.,.)"  # the unique tree with two leaves
+# the deepest nesting validate accepts: the recursive tree kernels take up to two
+# frames per level, which leaves room under the default recursion limit for callers
+MAX_DEPTH = 400
 
 
 def leaf_count(t):
@@ -24,24 +29,24 @@ def leaf_count(t):
 
 
 def validate(t):
-    """Raise ValueError unless t is a well-formed tree string shallow enough to work on."""
-    try:
-        pos, ok = _scan(t, 0)
-    except RecursionError:
-        raise ValueError("tree nested too deeply (%d characters)" % len(t)) from None
+    """Raise UsageError unless t is a well-formed tree string at most MAX_DEPTH levels deep."""
+    pos, ok = _scan(t, 0, MAX_DEPTH)
     if not ok or pos != len(t):
-        raise ValueError("malformed tree: %r" % t)
+        raise UsageError("malformed tree: %r" % t)
 
 
-def _scan(s, i):
+def _scan(s, i, room):
+    """(end, ok) of the tree starting at s[i], at most `room` levels deep."""
     if i < len(s) and s[i] == LEAF:
         return i + 1, True
     if i >= len(s) or s[i] != "(":
         return i, False
-    i, ok = _scan(s, i + 1)
+    if not room:
+        raise UsageError("tree nested too deeply (%d characters)" % len(s))
+    i, ok = _scan(s, i + 1, room - 1)
     if not ok or i >= len(s) or s[i] != ",":
         return i, False
-    i, ok = _scan(s, i + 1)
+    i, ok = _scan(s, i + 1, room - 1)
     if not ok or i >= len(s) or s[i] != ")":
         return i, False
     return i + 1, True
@@ -86,7 +91,7 @@ def enumerate_trees(n):
     The list length is the Catalan number c_{n-1}.
     """
     if n < 1:
-        raise ValueError("need at least one leaf")
+        raise UsageError("need at least one leaf")
     if n == 1:
         return (LEAF,)
     out = []
@@ -130,7 +135,7 @@ def path_cut(t, i):
     """
     n = leaf_count(t) - 1
     if not 1 <= i <= n - 1:
-        raise ValueError("cut index %d out of range for a tree with %d leaves" % (i, n + 1))
+        raise UsageError("cut index %d out of range for a tree with %d leaves" % (i, n + 1))
     return path_cuts(t)[i]
 
 

@@ -4,15 +4,19 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from operads import models
 from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
 from operads.linalg import LinComb
 from operads.models import get_model, model_names, tree_key, words
-from operads.trees import catalan, enumerate_trees
+from operads.trees import MAX_DEPTH, catalan, enumerate_trees
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*argv):
@@ -135,7 +139,7 @@ def test_exit_two_on_usage_errors(capsys):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:")
-    # checked in the handlers, so each names what is wrong with the input
+    # refused by the library or the handler, each naming what is wrong with the input
     for argv, message in (
         (["idempotent", "--model", "dup", "--kind", "geometric"],
          "model dup has no product 'mul'"),
@@ -175,11 +179,60 @@ def test_exit_two_on_usage_errors(capsys):
          "model zinb has no splitting scheme"),
         (["verify", "--model", "classical", "--what", "h2", "--max-degree", "3"],
          "h2 is unsupported on model classical: its cooperad Com is symmetric"),
+        (["prim", "--model", "lie", "--degree", "2"],
+         "model lie has no basis keys: its basis entries are linear combinations"),
+        (["idempotent", "--model", "lie", "--kind", "versal"],
+         "model lie has no splitting scheme"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert capsys.readouterr().err == "error: %s\n" % message, argv
+
+
+def _exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    return exc.value.code
+
+
+def test_deep_trees_are_answered_or_refused_never_an_internal_error(capsys):
+    # every recursive tree kernel runs on a tree validate accepts; a deeper
+    # tree is refused up front, however deep
+    coproducts = [("mag", c, 0) for c in ("delta", "liv", "hopf")] + [
+        (m, c, 1) for m, cs in (("dup", ("delta", "dleft", "dright")),
+                                ("bidup", ("dleft", "dright"))) for c in cs]
+    try:
+        for depth in (100, MAX_DEPTH, MAX_DEPTH + 1, 500, 700, 987, 1200):
+            expected = 0 if depth <= MAX_DEPTH else 2
+            for tree in ("(" * depth + "." + ",.)" * depth, "(.," * depth + "." + ")" * depth):
+                argv = ["trees", "cut", "--tree", tree, "--index", "1"]
+                assert _exit_code(argv, capsys) == expected, (depth, argv[:2])
+                for name, coproduct, extra in coproducts:
+                    key = tree + ":" + "x" * (depth + 1 - extra)
+                    argv = ["coproduct", "--model", name, "--alphabet", "1",
+                            "--coproduct", coproduct, "--element", key]
+                    assert _exit_code(argv, capsys) == expected, (depth, name, coproduct)
+    finally:
+        # the Livernet and Hopf memos would keep every deep key for the session
+        models._mag_liv_key.cache_clear()
+        models._mag_hopf_key.cache_clear()
+
+
+def _readme_commands():
+    text = open(README).read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("operads ")]
+
+
+def test_every_readme_command_runs(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        # the one example of a falsified identity, shown with its witness
+        expected = 1 if argv[:1] == ["check"] and "hopf" in argv and "--witness" in argv else 0
+        assert _exit_code(argv, capsys) == expected, argv
 
 
 def test_nap_colaw_names_a_missing_coproduct():

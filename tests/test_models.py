@@ -9,7 +9,8 @@ import pytest
 
 from operads import models, trees
 from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
-from operads.linalg import LinComb, _Memo, coords, exact_rank, matrix_json, tensor_transpose
+from operads.linalg import (LinComb, _Memo, coords, exact_rank, in_span, matrix_json,
+                            tensor_transpose)
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -419,6 +420,36 @@ def test_lie_tensor_escape_first_happens_in_degree_4():
     assert not lie_tensor_escape(2, 2)
     assert not lie_tensor_escape(2, 3)
     assert lie_tensor_escape(2, 4)
+
+
+def greedy_lie_subspace(alphabet, n):
+    """Reference: each left-nested bracket, in word order, kept when it raises the rank."""
+    all_words = words(alphabet, n)
+    basis = []
+    for w in all_words:
+        cand = left_nested_bracket(w)
+        if cand and exact_rank(coords(basis + [cand], all_words)) > len(basis):
+            basis.append(cand)
+    return basis
+
+
+def lie_tensor_escape_reference(alphabet, n):
+    """Reference: some cobracket image lies outside the span of Lie x Lie, one test each."""
+    span = [a.tensor(b) for i in range(1, n)
+            for a in greedy_lie_subspace(alphabet, i) for b in greedy_lie_subspace(alphabet, n - i)]
+    return not all(in_span(span, lie_cobracket(x)) for x in greedy_lie_subspace(alphabet, n))
+
+
+@pytest.mark.parametrize("alphabet, top", [(1, 6), (2, 6), (3, 5)])
+def test_lie_subspace_is_the_greedy_bracket_basis(alphabet, top):
+    for n in range(1, top + 1):
+        assert lie_subspace(alphabet, n) == greedy_lie_subspace(alphabet, n)
+
+
+@pytest.mark.parametrize("alphabet, top", [(1, 5), (2, 5), (3, 4)])
+def test_lie_tensor_escape_matches_one_span_test_per_element(alphabet, top):
+    for n in range(2, top + 1):
+        assert lie_tensor_escape(alphabet, n) == lie_tensor_escape_reference(alphabet, n)
 
 
 # --- the associative splitting -------------------------------------------------

@@ -9,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 from operads import idempotents, models, trees
+from operads.errors import UsageError
 from operads.idempotents import ConvolutionContext, eulerian, geometric_idempotent, versal_idempotent
 from operads.linalg import LinComb, coords, exact_rank, sparse_rows
 from operads.models import (
@@ -79,10 +80,14 @@ def test_h2_verdicts(name, verdict):
 
 
 def test_h2_unsupported_without_cooperad():
-    assert check_h2(get_model("classical", 2), 3).verdict == "unsupported"
-    # phi is read on one-letter keys, which only a nonsymmetric cooperad allows
-    with pytest.raises(ValueError):
-        phi_map(get_model("classical", 2), 3)
+    # phi is read on one-letter keys, which only a nonsymmetric cooperad
+    # allows: check_h2 and phi_map refuse Com with one message
+    model = get_model("classical", 2)
+    for call in (check_h2, phi_map):
+        with pytest.raises(UsageError) as exc:
+            call(model, 3)
+        assert str(exc.value) == (
+            "h2 is unsupported on model classical: its cooperad Com is symmetric")
 
 
 @pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup"])
