@@ -27,6 +27,6 @@ for n in range(1, deg + 1):
     ))
 
 xy = LinComb.of("xy")
-print("\ne(1) projects xy onto its Lie part:", e1.apply(xy))
+print("\ne(1) projects xy onto its Lie part:", xy.map_keys(model.splitting.versal))
 yx = LinComb.of("yx")
-print("e(1) kills the symmetric part xy + yx:", e1.apply(xy + yx))
+print("e(1) kills the symmetric part xy + yx:", (xy + yx).map_keys(model.splitting.versal))

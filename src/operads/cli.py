@@ -63,7 +63,11 @@ from .homology import check_differentials, homology_report, total_homology_dims
 
 
 def parse_element(model, text):
-    """Parse `c1*K1 + c2*K2`; keys are TREE:WORD or plain words."""
+    """Parse `c1*K1 + c2*K2`; keys are TREE:WORD or plain words.
+
+    A coefficient is an integer, a decimal or p/q.  An exponent is refused,
+    so the length of the text bounds the digits of every coefficient.
+    """
     compact = text.replace(" ", "")
     if not compact:
         raise UsageError("empty element")
@@ -78,6 +82,9 @@ def parse_element(model, text):
             tok = tok[1:]
         if "*" in tok:
             coeff_text, key = tok.split("*", 1)
+            if "e" in coeff_text.lower():
+                raise UsageError("bad coefficient %r: write an integer, a decimal or p/q"
+                                 % coeff_text)
             try:
                 coeff = Fraction(coeff_text)
             except (ValueError, ZeroDivisionError):
@@ -619,6 +626,9 @@ def build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact coefficients of any size print; parse_element bounds their input
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

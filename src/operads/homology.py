@@ -35,8 +35,8 @@ def _degree_tuples(n, slots):
 class BicomplexSlice:
     n: int
     bases: dict          # m -> ordered list of (m+1)-tuples of Dup keys
-    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1
-    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p
+    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1; a key kernel
+    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p; a key kernel
 
     def tot_dim(self, m):
         return (m + 1) * len(self.bases[m]) if m in self.bases else 0
@@ -51,7 +51,7 @@ class BicomplexSlice:
         terms = []
         for i in range(len(tup) - 1):
             product, block = (self.right, p - 1) if i < p else (self.left, p)
-            merged = product(LinComb.of(tup[i]), LinComb.of(tup[i + 1]))
+            merged = product(tup[i], tup[i + 1])
             terms.extend(((block, tup[:i] + (k,) + tup[i + 2:]), (-1) ** i * c)
                          for k, c in merged.items())
         return LinComb(terms)
@@ -68,8 +68,8 @@ def build_bicomplex(n):
                   for combo in iproduct(*(monomials[d] for d in degs)))
         for m in range(n)
     }
-    return BicomplexSlice(n=n, bases=bases, right=model.products["right"],
-                          left=model.products["left"])
+    return BicomplexSlice(n=n, bases=bases, right=model.key_products["right"],
+                          left=model.key_products["left"])
 
 
 def _slice(slice_or_n):

@@ -48,10 +48,10 @@ class ConvolutionContext:
     @cached_property
     def coproduct(self):
         """The reduced coproduct per key: the splitting's own memo where its tower cuts with delta."""
-        delta, splitting = self.model.coproducts["delta"], self.model.splitting
+        delta, splitting = self.model.key_coproducts["delta"], self.model.splitting
         if splitting is not None and splitting.cuts and splitting.cuts[0] is delta:
             return splitting.cuts[1]
-        return _Memo(lambda key, _: delta(LinComb.of(key)))
+        return _Memo(lambda key, _: delta(key))
 
     @cached_property
     def identity_powers(self):

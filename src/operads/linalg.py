@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 
@@ -524,11 +523,6 @@ class GradedEndo:
         self.bases = bases
         self.mats = mats
 
-    @cached_property
-    def _index(self):
-        """key -> (degree, column), built on the first apply."""
-        return {key: (n, i) for n, basis in self.bases.items() for i, key in enumerate(basis)}
-
     @classmethod
     def from_function(cls, bases, fn):
         """The endomorphism whose column of each basis key is fn(key), a LinComb.
@@ -548,12 +542,6 @@ class GradedEndo:
     @classmethod
     def identity(cls, bases):
         return cls.from_function(bases, LinComb.of)
-
-    def apply(self, lc):
-        def column(key):
-            n, j = self._index[key]
-            return LinComb((k, row[j]) for k, row in zip(self.bases[n], self.mats[n]) if row[j])
-        return LinComb.sum((column(key), c) for key, c in lc.items())
 
     def compose(self, other):
         mats = {n: mat_mul(self.mats[n], other.mats[n]) for n in self.mats}

@@ -5,9 +5,12 @@ algebras; planar binary trees decorated with words carry the free
 magmatic and duplicial algebras.  On trees every product is one graft
 (vee, over or under) and every cut coproduct one kernel over a cut
 family: the root split, the path cuts, or the right or left edge cuts.
-Each model packages its graded basis, named products and named reduced
-coproducts behind one interface so the relation checker and the
-idempotent engine can treat them uniformly.
+Every named product and reduced coproduct is defined once, on basis keys,
+as in the paper: a product is a kernel (key, key) -> LinComb and a
+coproduct a kernel key -> LinComb, under its module-level name.  Each
+model packages its graded basis and its kernels behind one interface, and
+BialgebraModel extends the kernels to LinCombs in one place, so the
+relation checker and the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting decomposes each key into all of its
 labeled cooperations of every arity in one pass, and looks up the
 splitting operation of each label; the associative cooperad is the case
@@ -20,7 +23,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
 from typing import Callable
@@ -81,18 +84,14 @@ def _cut_keys(key, cuts, extra):
 
 # --- free associative algebra ----------------------------------------------
 
-def as_concat(a, b):
-    """Concatenation product on words, extended bilinearly."""
-    return bilinear(lambda u, v: LinComb.of(u + v))(a, b)
+def as_concat(u, v):
+    """Concatenation of two words."""
+    return LinComb.of(u + v)
 
 
-def _deconcat_key(w):
-    return LinComb((( w[:i], w[i:] ), 1) for i in range(1, len(w)))
-
-
-def as_deconcat(a):
+def as_deconcat(w):
     """Reduced deconcatenation: w -> sum of proper two-block cuts."""
-    return a.map_keys(_deconcat_key)
+    return LinComb(((w[:i], w[i:]), 1) for i in range(1, len(w)))
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +110,9 @@ def _unshuffles(w):
     return [("".join(left(w)), "".join(rest(w))) for left, rest in _unshuffle_getters(len(w))]
 
 
-def as_shuffle_coproduct(a):
+def as_shuffle_coproduct(w):
     """Reduced unshuffle coproduct (the cocommutative Hopf coproduct)."""
-    return a.map_keys(lambda w: LinComb(((p, 1) for p in _unshuffles(w))))
+    return LinComb((p, 1) for p in _unshuffles(w))
 
 
 @lru_cache(maxsize=None)
@@ -127,19 +126,15 @@ def _shuffles(u, v):
     )
 
 
-def shuffle_product(a, b):
-    return bilinear(
-        lambda u, v: LinComb((w, 1) for w in _shuffles(u, v))
-    )(a, b)
+def shuffle_product(u, v):
+    return LinComb((w, 1) for w in _shuffles(u, v))
 
 
-def zinb_half_shuffle(a, b):
+def zinb_half_shuffle(u, v):
     """Half-shuffle u < v: the first letter of u stays first."""
-    def key_fn(u, v):
-        if not u or not v:
-            raise ValueError("half-shuffle needs positive-degree arguments")
-        return LinComb((u[0] + w, 1) for w in _shuffles(u[1:], v))
-    return bilinear(key_fn)(a, b)
+    if not u or not v:
+        raise ValueError("half-shuffle needs positive-degree arguments")
+    return LinComb((u[0] + w, 1) for w in _shuffles(u[1:], v))
 
 
 # --- free magmatic algebra --------------------------------------------------
@@ -148,8 +143,8 @@ def _vee_keys(k1, k2):
     return _graft_keys(trees.vee, k1, k2)
 
 
-def mag_product(a, b):
-    return bilinear(lambda k1, k2: LinComb.of(_vee_keys(k1, k2)))(a, b)
+def mag_product(k1, k2):
+    return LinComb.of(_vee_keys(k1, k2))
 
 
 def mag_split(key):
@@ -160,13 +155,9 @@ def mag_split(key):
     return tree_key(l, w[:nl]), tree_key(r, w[nl:])
 
 
-def _mag_dual_key(key):
-    return _cut_keys(key, lambda t: [] if t == LEAF else [trees.split(t)], 0)
-
-
-def mag_dual_coproduct(a):
+def mag_dual_coproduct(key):
     """delta(t vee s; uw) = (t;u) x (s;w); zero on generators."""
-    return a.map_keys(_mag_dual_key)
+    return _cut_keys(key, lambda t: [] if t == LEAF else [trees.split(t)], 0)
 
 
 @lru_cache(maxsize=None)
@@ -181,9 +172,9 @@ def _mag_liv_key(key):
     return LinComb(terms)
 
 
-def mag_livernet_coproduct(a):
+def mag_livernet_coproduct(key):
     """The coproduct defined recursively by the Livernet compatibility."""
-    return a.map_keys(_mag_liv_key)
+    return _mag_liv_key(key)
 
 
 @lru_cache(maxsize=None)
@@ -205,30 +196,26 @@ def _mag_hopf_key(key):
     return LinComb(terms)
 
 
-def mag_hopf_coproduct(a):
+def mag_hopf_coproduct(key):
     """The cocommutative coproduct built by recursion on the Hopf relation."""
-    return a.map_keys(_mag_hopf_key)
+    return _mag_hopf_key(key)
 
 
 # --- free duplicial algebra --------------------------------------------------
 
-def dup_left(a, b):
+def dup_left(k1, k2):
     """x < y, realized by the Under grafting t\\s."""
-    return bilinear(lambda k1, k2: LinComb.of(_graft_keys(trees.under, k1, k2)))(a, b)
+    return LinComb.of(_graft_keys(trees.under, k1, k2))
 
 
-def dup_right(a, b):
+def dup_right(k1, k2):
     """x > y, realized by the Over grafting t/s."""
-    return bilinear(lambda k1, k2: LinComb.of(_graft_keys(trees.over, k1, k2)))(a, b)
+    return LinComb.of(_graft_keys(trees.over, k1, k2))
 
 
-def _dup_coproduct_key(key):
-    return _cut_keys(key, lambda t: trees.path_cuts(t)[1:-1], 1)
-
-
-def dup_coproduct(a):
+def dup_coproduct(key):
     """Path-cut coproduct: one term per interior leaf of the tree."""
-    return a.map_keys(_dup_coproduct_key)
+    return _cut_keys(key, lambda t: trees.path_cuts(t)[1:-1], 1)
 
 
 def _right_edge_cuts(t):
@@ -251,35 +238,28 @@ def _left_edge_cuts(t):
     return [(l, trees.vee(LEAF, r))] + [(a, trees.vee(b, r)) for a, b in _left_edge_cuts(l)]
 
 
-def _dup_dleft_key(key):
+def dup_dleft(key):
+    """Right-edge cutting coproduct, dual to the > product."""
     return _cut_keys(key, _right_edge_cuts, 1)
 
 
-def _dup_dright_key(key):
-    return _cut_keys(key, _left_edge_cuts, 1)
-
-
-def dup_dleft(a):
-    """Right-edge cutting coproduct, dual to the > product."""
-    return a.map_keys(_dup_dleft_key)
-
-
-def dup_dright(a):
+def dup_dright(key):
     """Left-edge cutting coproduct, dual to the < product."""
-    return a.map_keys(_dup_dright_key)
+    return _cut_keys(key, _left_edge_cuts, 1)
 
 
 # --- Lie inside the tensor algebra -------------------------------------------
 
-def lie_bracket(a, b):
-    return as_concat(a, b) - as_concat(b, a)
+def lie_bracket(u, v):
+    """The commutator uv - vu of two words; [u, u] = 0."""
+    return LinComb(((u + v, 1), (v + u, -1)))
 
 
 def left_nested_bracket(word):
     """[..[[x1,x2],x3]..,xn] expanded into words; a single letter is itself."""
     acc = LinComb.of(word[0])
     for ch in word[1:]:
-        acc = lie_bracket(acc, LinComb.of(ch))
+        acc = acc.map_keys(lambda u: lie_bracket(u, ch))
     return acc
 
 
@@ -295,7 +275,7 @@ def lie_subspace(alphabet, n):
     return [brackets[j] for j in _echelon(coords(brackets))[1]]
 
 
-def lie_cobracket(a):
+def lie_cobracket(w):
     """delta - tau delta, with delta the deconcatenation.
 
     Restricted to Lie polynomials this lands in the span of Lie tensor Lie
@@ -305,7 +285,7 @@ def lie_cobracket(a):
     variant of the deconcatenation repairs this; see the package tests for
     the exact witnesses.
     """
-    d = as_deconcat(a)
+    d = as_deconcat(w)
     return d - tensor_transpose(d)
 
 
@@ -316,18 +296,18 @@ def lie_tensor_escape(alphabet, n):
     """
     lie = {d: lie_subspace(alphabet, d) for d in range(1, n + 1)}
     span = [a.tensor(b) for i in range(1, n) for a in lie[i] for b in lie[n - i]]
-    images = [lie_cobracket(x) for x in lie[n]]
+    images = [x.map_keys(lie_cobracket) for x in lie[n]]
     return exact_rank(coords(span + images)) > exact_rank(coords(span))
 
 
 # --- model plumbing -----------------------------------------------------------
 
-def _cut_first(image, lc):
-    """Delta x id x ... x id on tensor keys, with image(key) = Delta(key)."""
+def _cut_first(coproduct, lc):
+    """Delta x id x ... x id on tensor keys, with coproduct(key) = Delta(key)."""
     def cuts():
         for key, c in lc.terms.items():
             slots = as_slots(key)
-            cut, rest = image(slots[0]), slots[1:]
+            cut, rest = coproduct(slots[0]), slots[1:]
             if rest:
                 cut = _over({pair + rest: d for pair, d in cut.terms.items()}, cut.den)
             yield cut, c
@@ -335,13 +315,13 @@ def _cut_first(image, lc):
 
 
 def iterated_coproduct(coproduct, k):
-    """The k-iterated reduced coproduct (k+1 output slots); k=0 is Id."""
-    def image(key):
-        return coproduct(LinComb.of(key))
+    """The k-iterated reduced coproduct (k+1 output slots) on LinCombs; k=0 is Id.
 
+    coproduct is key-level: a basis key -> its image LinComb.
+    """
     def iterate(lc):
         for _ in range(k):
-            lc = _cut_first(image, lc)
+            lc = _cut_first(coproduct, lc)
         return lc
     return iterate
 
@@ -360,9 +340,9 @@ class Splitting:
     caller and independent of any degree bound.  A tree splitting reads it
     off decompose; an associative one off the reduced coproduct alone (see
     _associative_splitting).  cuts, on an associative splitting, is
-    (coproduct, its per-key memo): the coproduct the tower is walked with,
-    and the memo that the versal memo and convolution on that coproduct
-    share.
+    (coproduct kernel, its per-key memo): the coproduct the tower is walked
+    with, and the memo that the versal memo and convolution on that
+    coproduct share.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
@@ -426,7 +406,8 @@ def _associative_splitting(coproduct, product, exponential=False):
     """
     # pieces are interned: the memo keeps one string per distinct key
     delta = _Memo(lambda key, _: LinComb(
-        (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(LinComb.of(key)).items()))
+        (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(key).items()))
+    product = bilinear(product)
 
     def decompose(key):
         terms, level = {}, LinComb.of(key)
@@ -462,17 +443,32 @@ def _associative_splitting(coproduct, product, exponential=False):
 
 @dataclass(frozen=True)
 class BialgebraModel:
-    """A graded basis, named products and coproducts, and an optional Splitting."""
+    """A graded basis, named products and coproducts, and an optional Splitting.
+
+    Each operation is given once, on basis keys: key_products maps a name to
+    a kernel (key, key) -> LinComb, key_coproducts to a kernel
+    key -> LinComb.  products and coproducts are their linear extensions to
+    LinCombs, built here and nowhere else; a caller with keys in hand calls
+    the kernel.
+    """
     name: str
     alphabet: int
     basis: Callable[[int], list]
-    products: dict
-    coproducts: dict
+    key_products: dict
+    key_coproducts: dict
     generating_coproducts: tuple
     # structural basis membership of a key string, without listing a basis
     is_key: Callable[[str], bool]
     splitting: Splitting | None = None
     classical: bool = False
+
+    @cached_property
+    def products(self):
+        return {sym: bilinear(fn) for sym, fn in self.key_products.items()}
+
+    @cached_property
+    def coproducts(self):
+        return {sym: partial(LinComb.map_keys, fn=fn) for sym, fn in self.key_coproducts.items()}
 
 
 def require_keys(model, basis):
@@ -509,8 +505,8 @@ def as_model(alphabet=1):
         name="as",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        products={"mul": as_concat},
-        coproducts={"delta": as_deconcat},
+        key_products={"mul": as_concat},
+        key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
         splitting=_associative_splitting(as_deconcat, as_concat),
@@ -523,8 +519,8 @@ def classical_model(alphabet=2):
         name="classical",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        products={"mul": as_concat},
-        coproducts={"delta": as_shuffle_coproduct},
+        key_products={"mul": as_concat},
+        key_coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
         splitting=_associative_splitting(as_shuffle_coproduct, as_concat, exponential=True),
@@ -538,8 +534,8 @@ def zinbiel_model(alphabet=2):
         name="zinb",
         alphabet=alphabet,
         basis=lambda n: words(alphabet, n),
-        products={"left": zinb_half_shuffle, "star": shuffle_product},
-        coproducts={"delta": as_deconcat},
+        key_products={"left": zinb_half_shuffle, "star": shuffle_product},
+        key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
     )
@@ -562,7 +558,7 @@ def _mag_tree_apply(t, images):
         return images[0]
     l, r = trees.split(t)
     nl = leaf_count(l)
-    return mag_product(_mag_tree_apply(l, images[:nl]), _mag_tree_apply(r, images[nl:]))
+    return bilinear(mag_product)(_mag_tree_apply(l, images[:nl]), _mag_tree_apply(r, images[nl:]))
 
 
 def _mag_decompose(key):
@@ -589,8 +585,8 @@ def mag_model(alphabet=1):
         name="mag",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 0),
-        products={"mul": mag_product},
-        coproducts={
+        key_products={"mul": mag_product},
+        key_coproducts={
             "delta": mag_dual_coproduct,
             "liv": mag_livernet_coproduct,
             "hopf": mag_hopf_coproduct,
@@ -607,8 +603,8 @@ def dup_model(alphabet=1):
         name="dup",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 1),
-        products={"left": dup_left, "right": dup_right},
-        coproducts={
+        key_products={"left": dup_left, "right": dup_right},
+        key_coproducts={
             "delta": dup_coproduct,
             "dleft": dup_dleft,
             "dright": dup_dright,
@@ -623,15 +619,15 @@ def _dup_tree_apply(t, images):
     """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs."""
     if t == Y:
         return images[0]
+    left, right = bilinear(dup_left), bilinear(dup_right)
     l, r = trees.split(t)
     if r == LEAF:
-        return dup_right(_dup_tree_apply(l, images[:-1]), images[-1])
+        return right(_dup_tree_apply(l, images[:-1]), images[-1])
     p = leaf_count(l) - 1  # degree carried by the left factor
-    right = _dup_tree_apply(r, images[p + 1:])
+    after = _dup_tree_apply(r, images[p + 1:])
     if l == LEAF:
-        return dup_left(images[0], right)
-    u = dup_right(_dup_tree_apply(l, images[:p]), images[p])
-    return dup_left(u, right)
+        return left(images[0], after)
+    return left(right(_dup_tree_apply(l, images[:p]), images[p]), after)
 
 
 def _bidup_decompose(key, decompose):
@@ -643,11 +639,11 @@ def _bidup_decompose(key, decompose):
     on trees (t_l, leaf) ending in a generator.  Memoized per model.
     """
     terms = [((Y, key), 1)]
-    for (ka, km), c in dup_dright(LinComb.of(key)).items():
+    for (ka, km), c in dup_dright(key).items():
         if _tree_key_degree(km) == 1:
             terms += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
                       for a, c2 in decompose(ka).items()]
-    for (ku, kb), c in dup_dleft(LinComb.of(key)).items():
+    for (ku, kb), c in dup_dleft(key).items():
         right = decompose(kb).items()
         for u, c2 in decompose(ku).items():
             # u's tree is (t_l, leaf) and its last slot a generator
@@ -666,8 +662,8 @@ def bidup_model(alphabet=1):
         name="bidup",
         alphabet=alphabet,
         basis=_tree_basis(alphabet, 1),
-        products={"left": dup_left, "right": dup_right},
-        coproducts={"dleft": dup_dleft, "dright": dup_dright},
+        key_products={"left": dup_left, "right": dup_right},
+        key_coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
         is_key=_is_key(alphabet, extra_leaves=1),
         splitting=_tree_splitting(_Memo(_bidup_decompose), lambda n: trees.enumerate_trees(n + 1),
@@ -686,8 +682,8 @@ def lie_model(alphabet=2):
         name="lie",
         alphabet=alphabet,
         basis=lambda n: lie_subspace(alphabet, n),
-        products={"mul": lie_bracket},
-        coproducts={"delta": lie_cobracket},
+        key_products={"mul": lie_bracket},
+        key_coproducts={"delta": lie_cobracket},
         generating_coproducts=("delta",),
         is_key=lambda key: False,
     )
@@ -695,9 +691,8 @@ def lie_model(alphabet=2):
 
 def nil_model(alphabet=2):
     """Associative algebra truncated at degree 2: triple products vanish."""
-    def trunc_concat(a, b):
-        out = as_concat(a, b)
-        return LinComb((k, c) for k, c in out.items() if len(k) <= 2)
+    def trunc_concat(u, v):
+        return as_concat(u, v) if len(u) + len(v) <= 2 else LinComb.zero()
 
     def basis(n):
         return words(alphabet, n) if n <= 2 else []
@@ -706,8 +701,8 @@ def nil_model(alphabet=2):
         name="nil",
         alphabet=alphabet,
         basis=basis,
-        products={"mul": trunc_concat},
-        coproducts={"delta": as_deconcat},
+        key_products={"mul": trunc_concat},
+        key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, top_degree=2),
     )

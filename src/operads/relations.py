@@ -114,24 +114,24 @@ def relation_names():
 def _resolve_coop(model, sym, delta_sym):
     if sym == "delta":
         sym = delta_sym
-    return model.coproducts[sym]
+    return model.key_coproducts[sym]
 
 
 def _resolve_op(model, sym, mu_sym):
     if sym == "mu":
         sym = mu_sym
-    return model.products[sym]
+    return model.key_products[sym]
 
 
 def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
     """Evaluate the relation right-hand side on a tuple of LinCombs.
 
     The sum is taken on keys, into one dict of int numerators over the
-    lcm of the terms' denominators times the arguments'.  `images` maps
-    (function, input keys) to the image's (slot tuple, coefficient) items;
-    check_relation passes one dict to every pair, so each (co)product image
-    is computed once per check.  Without it the images are computed for
-    this call alone.
+    lcm of the terms' denominators times the arguments'; the model's
+    kernels are applied to keys.  `images` maps (kernel, input keys) to the
+    image's (slot tuple, coefficient) items; check_relation passes one dict
+    to every pair, so each (co)product image is computed once per check.
+    Without it the images are computed for this call alone.
     """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
@@ -141,7 +141,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
     def image(fn, *keys):
         items = images.get((fn, keys))
         if items is None:
-            lc = fn(*map(LinComb.of, keys))
+            lc = fn(*keys)
             if lc.den != 1:
                 images[None] = True  # a non-integral image: the sum below holds Fractions
             items = images[fn, keys] = tuple((as_slots(k), c) for k, c in lc.items())
@@ -207,7 +207,7 @@ def _as_lincomb(entry):
 
 def check_nap_colaw(model, delta_sym, max_degree):
     """(delta x Id) delta = (Id x tau)(delta x Id) delta on every basis key."""
-    twice = iterated_coproduct(model.coproducts[delta_sym], 2)
+    twice = iterated_coproduct(model.key_coproducts[delta_sym], 2)
     checked = 0
     for n in range(1, max_degree + 1):
         for key in model.basis(n):

@@ -131,7 +131,7 @@ def primitive_part(model, n):
         LinComb(
             ((sym, tkey), c)
             for sym in model.generating_coproducts
-            for tkey, c in model.coproducts[sym](LinComb.of(key)).items()
+            for tkey, c in model.key_coproducts[sym](key).items()
         )
         for key in basis
     )

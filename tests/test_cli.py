@@ -304,12 +304,100 @@ def test_trees_enumerate_and_graft():
     assert proc.stdout.strip() == "((.,.),.)"
 
 
-def test_coproduct_and_product_json():
-    proc = run_cli("coproduct", "--model", "as", "--alphabet", "2", "--element", "xy")
-    assert json.loads(proc.stdout) == {"x|y": "1"}
-    proc = run_cli("product", "--model", "as", "--alphabet", "2",
-                   "--left", "x", "--right", "y - x")
-    assert json.loads(proc.stdout) == {"xy": "1", "xx": "-1"}
+# (command, model, operation, elements, printed JSON): every named coproduct
+# and product of every model with basis keys, on two-key elements with a
+# fractional coefficient, alphabet 2; the JSON is recorded output, not
+# recomputed by the code under test
+PINNED_OPERATIONS = [
+    ("coproduct", "as", "delta", ("xy - 1/2*yx",), {"x|y": "1", "y|x": "-1/2"}),
+    ("product", "as", "mul", ("x + 1/2*y", "y - 2*xy"),
+     {"xxy": "-2", "xy": "1", "yxy": "-1", "yy": "1/2"}),
+    ("coproduct", "classical", "delta", ("xyx + 2/3*yy",),
+     {"xx|y": "1", "xy|x": "1", "x|xy": "1", "x|yx": "1", "yx|x": "1", "y|xx": "1",
+      "y|y": "4/3"}),
+    ("product", "classical", "mul", ("x - 1/3*yx", "y + 1/2*xx"),
+     {"xxx": "1/2", "xy": "1", "yxxx": "-1/6", "yxy": "-1/3"}),
+    ("coproduct", "zinb", "delta", ("xy + 1/2*yx",), {"x|y": "1", "y|x": "1/2"}),
+    ("product", "zinb", "left", ("xy + 1/2*y", "yx - 1/3*x"),
+     {"xxy": "-1/3", "xyx": "-1/3", "xyxy": "1", "xyyx": "2", "yx": "-1/6", "yyx": "1/2"}),
+    ("product", "zinb", "star", ("xy + 1/2*y", "yx - 1/3*x"),
+     {"xxy": "-2/3", "xy": "-1/6", "xyx": "-1/3", "xyxy": "1", "xyyx": "2", "yx": "-1/6",
+      "yxxy": "2", "yxy": "1/2", "yxyx": "1", "yyx": "1"}),
+    ("coproduct", "nil", "delta", ("xy - 3/2*yy",), {"x|y": "1", "y|y": "-3/2"}),
+    ("product", "nil", "mul", ("x - 1/2*y", "y + 2/5*x"),
+     {"xx": "2/5", "xy": "1", "yx": "-1/5", "yy": "-1/2"}),
+    ("coproduct", "mag", "delta", ("((.,.),.):xyx + 1/2*(.,(.,.)):yxx",),
+     {"(.,.):xy|.:x": "1", ".:y|(.,.):xx": "1/2"}),
+    ("coproduct", "mag", "liv", ("((.,.),.):xyx + 1/2*(.,(.,.)):yxx",),
+     {"(.,.):xx|.:y": "1", "(.,.):xy|.:x": "1", ".:x|(.,.):yx": "1", ".:y|(.,.):xx": "1/2"}),
+    ("coproduct", "mag", "hopf", ("((.,.),.):xyx + 1/2*(.,(.,.)):yxx",),
+     {"(.,.):xx|.:y": "3/2", "(.,.):xy|.:x": "1", "(.,.):yx|.:x": "2", ".:x|(.,.):xy": "1",
+      ".:x|(.,.):yx": "2", ".:y|(.,.):xx": "3/2"}),
+    ("product", "mag", "mul", ("(.,.):xy + 1/2*.:x", ".:y - 1/3*(.,.):yx"),
+     {"((.,.),(.,.)):xyyx": "-1/3", "((.,.),.):xyy": "1", "(.,(.,.)):xyx": "-1/6",
+      "(.,.):xy": "1/2"}),
+    ("coproduct", "dup", "delta", ("((.,.),.):xy - 2/3*(.,(.,.)):yx",),
+     {"(.,.):x|(.,.):y": "1", "(.,.):y|(.,.):x": "-2/3"}),
+    ("coproduct", "dup", "dleft", ("((.,.),.):xy - 2/3*(.,(.,.)):yx",),
+     {"(.,.):y|(.,.):x": "-2/3"}),
+    ("coproduct", "dup", "dright", ("((.,.),.):xy - 2/3*(.,(.,.)):yx",),
+     {"(.,.):x|(.,.):y": "1"}),
+    ("product", "dup", "left", ("(.,.):x - 1/2*((.,.),.):xy", "(.,(.,.)):yx + 1/4*(.,.):y"),
+     {"((.,.),(.,(.,.))):xyyx": "-1/2", "((.,.),(.,.)):xyy": "-1/8",
+      "(.,(.,(.,.))):xyx": "1", "(.,(.,.)):xy": "1/4"}),
+    ("product", "dup", "right", ("(.,.):x - 1/2*((.,.),.):xy", "(.,(.,.)):yx + 1/4*(.,.):y"),
+     {"(((.,.),.),(.,.)):xyyx": "-1/2", "(((.,.),.),.):xyy": "-1/8",
+      "((.,.),(.,.)):xyx": "1", "((.,.),.):xy": "1/4"}),
+    ("coproduct", "bidup", "dleft", ("(((.,.),.),.):xyy + 1/3*(.,((.,.),.)):yxy",),
+     {"(.,.):y|((.,.),.):xy": "1/3"}),
+    ("coproduct", "bidup", "dright", ("(((.,.),.),.):xyy + 1/3*(.,((.,.),.)):yxy",),
+     {"((.,.),.):xy|(.,.):y": "1", "(.,.):x|((.,.),.):yy": "1"}),
+    ("product", "bidup", "left", ("(.,.):y + 2/3*(.,(.,.)):xx", "(.,.):x - 1/5*((.,.),.):xy"),
+     {"(.,((.,.),.)):yxy": "-1/5", "(.,(.,((.,.),.))):xxxy": "-2/15",
+      "(.,(.,(.,.))):xxx": "2/3", "(.,(.,.)):yx": "1"}),
+    ("product", "bidup", "right", ("(.,.):y + 2/3*(.,(.,.)):xx", "(.,.):x - 1/5*((.,.),.):xy"),
+     {"(((.,(.,.)),.),.):xxxy": "-2/15", "(((.,.),.),.):yxy": "-1/5",
+      "((.,(.,.)),.):xxx": "2/3", "((.,.),.):yx": "1"}),
+]
+
+
+def test_coproduct_and_product_json(capsys):
+    covered = set()
+    for command, name, op, elements, want in PINNED_OPERATIONS:
+        flags = ("--element",) if command == "coproduct" else ("--left", "--right")
+        argv = [command, "--model", name, "--alphabet", "2", "--" + command, op]
+        argv += [x for flag, element in zip(flags, elements) for x in (flag, element)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n", argv
+        covered.add((command, name, op))
+    for name in model_names():
+        if name != "lie":
+            model = get_model(name)
+            assert {("coproduct", name, op) for op in model.coproducts} <= covered, name
+            assert {("product", name, op) for op in model.products} <= covered, name
+
+
+def test_large_coefficients_print_exactly_and_exponents_are_refused(capsys):
+    big = "9" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main(["coproduct", "--model", "as", "--alphabet", "2", "--element", big + "*xy"])
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"x|y": big}
+    left, right = "7" * 3000, "3" * 2999 + "1"
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "--model", "as", "--left", left + "*x", "--right=-" + right + "*x"])
+    assert exc.value.code == 0
+    product = json.loads(capsys.readouterr().out)["xx"]
+    assert product == str(-int(left) * int(right)) and len(product) == 6001
+    for argv in (["coproduct", "--model", "as", "--alphabet", "2", "--element", "1e5000*xy"],
+                 ["product", "--model", "as", "--left", "1e3000*x", "--right", "1E3000*x"],
+                 ["pbw", "--model", "as", "--element", "1e5000*x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("error: bad coefficient '1"), argv
 
 
 def test_prim_and_idempotent_reports():

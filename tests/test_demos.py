@@ -75,3 +75,24 @@ def test_bench_tracer_counts_one_eval_compat_call_per_checked_pair():
     # name would make relations.eval_compat_calls read 0
     proc = run_script("-c", TRACED_CHECK, paths=[ROOT / "bench"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+TRACED_KERNELS = """
+import operads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+report = operads.check_relation(operads.get_model("mag", 1), "liv", "mul", "livernet", 5)
+assert report.holds
+metrics, spans = tracer.report()
+for name in ("models.coproduct_calls", "models.product_calls", "models.cache_lookups"):
+    assert metrics[name][0] > 0, (name, metrics[name])
+"""
+
+
+def test_bench_tracer_counts_the_kernels_a_model_calls():
+    # the tracer wraps the module-level kernels; a model built after install()
+    # must hold the wrapped ones, and the Livernet kernel must read its memo
+    proc = run_script("-c", TRACED_KERNELS, paths=[ROOT / "bench"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr

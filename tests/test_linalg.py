@@ -417,7 +417,8 @@ def test_graded_endo_roundtrip_and_algebra():
     s = GradedEndo.from_function(bases, swap_letters)
     ident = GradedEndo.identity(bases)
     assert s.compose(s) == ident
-    assert s.apply(LinComb.of("xy")) == LinComb.of("yx")
+    # the column of xy is the image yx
+    assert [row[bases[2].index("xy")] for row in s.mats[2]] == [0, 0, 1, 0]
     assert (s + s).scale(Fraction(1, 2)) == s
     assert (s - s).rank(2) == 0
     assert s.rank(1) == 2 and s.rank(2) == 4

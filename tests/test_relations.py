@@ -198,7 +198,7 @@ def reference_eval_compat(expr, model, args, mu="mul", delta="delta"):
     def pieces(term):
         inter = LinComb.of(())
         for sym, arg in zip(term.in_coops, args):
-            piece = arg if sym == "id" else relations._resolve_coop(model, sym, delta)(arg)
+            piece = arg if sym == "id" else arg.map_keys(relations._resolve_coop(model, sym, delta))
             inter = inter.tensor(piece)
             if not inter:
                 return
@@ -213,7 +213,7 @@ def reference_eval_compat(expr, model, args, mu="mul", delta="delta"):
                     block = LinComb.of(slots[pos])
                     pos += 1
                 else:
-                    block = op(LinComb.of(slots[pos]), LinComb.of(slots[pos + 1]))
+                    block = op(slots[pos], slots[pos + 1])
                     pos += 2
                 out = block if out is None else out.tensor(block)
             yield out, c * term.coeff
@@ -257,8 +257,8 @@ def test_eval_compat_with_non_integral_images_matches_the_lincomb_evaluation():
     model = get_model("as", 2)
     halved = dataclasses.replace(
         model,
-        products={"mul": lambda a, b: model.products["mul"](a, b).scale(Fraction(1, 2))},
-        coproducts={"delta": lambda a: model.coproducts["delta"](a).scale(Fraction(2, 3))})
+        key_products={"mul": lambda u, v: model.key_products["mul"](u, v).scale(Fraction(1, 2))},
+        key_coproducts={"delta": lambda w: model.key_coproducts["delta"](w).scale(Fraction(2, 3))})
     one, two = _mixed(halved, 1), _mixed(halved, 2)
     shared = {}
     for rel in ("nui", "hopf", "magmatic"):
@@ -287,8 +287,9 @@ def _pairs_up_to(dim, n):
 def test_check_relation_computes_each_image_once_per_check():
     model = get_model("classical", 2)
     coproduct_calls, product_calls = Counter(), Counter()
-    counted = dataclasses.replace(model, coproducts=_counting(model.coproducts, coproduct_calls),
-                                  products=_counting(model.products, product_calls))
+    counted = dataclasses.replace(
+        model, key_coproducts=_counting(model.key_coproducts, coproduct_calls),
+        key_products=_counting(model.key_products, product_calls))
     report = check_relation(counted, "delta", "mul", "hopf", 5)
     assert report.holds and report.checked_pairs == _pairs_up_to(lambda d: 2 ** d, 5) == 196
     # one coproduct per pair's left side, one per key of degree < 5 on the right

@@ -350,13 +350,13 @@ def count_cuts(monkeypatch, kernel):
 
 def test_versal_idempotent_cuts_each_key_once(monkeypatch):
     # every arity and every key of one model's versal memo read one coproduct memo
-    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    seen = count_cuts(monkeypatch, "dup_coproduct")
     versal_idempotent(get_model("dup", 1), 6)
     assert seen and set(seen.values()) == {1}
 
 
 @pytest.mark.parametrize("name, alphabet, kernel", [
-    ("as", 2, "_deconcat_key"), ("dup", 1, "_dup_coproduct_key"), ("classical", 2, "_unshuffles"),
+    ("as", 2, "as_deconcat"), ("dup", 1, "dup_coproduct"), ("classical", 2, "_unshuffles"),
 ])
 def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
         monkeypatch, name, alphabet, kernel):
@@ -372,7 +372,7 @@ def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
 
 
 def test_pbw_expand_cuts_each_key_once(monkeypatch):
-    seen = [count_cuts(monkeypatch, k) for k in ("_dup_dleft_key", "_dup_dright_key")]
+    seen = [count_cuts(monkeypatch, k) for k in ("dup_dleft", "dup_dright")]
     model = get_model("bidup", 1)
     a = LinComb((k, i % 3 - 1) for i, k in enumerate(model.basis(5)))
     comps = pbw_expand(model, a)
@@ -383,13 +383,13 @@ def test_pbw_expand_cuts_each_key_once(monkeypatch):
 
 def test_check_h2_cuts_each_key_once(monkeypatch):
     # phi and the section check read the model's own memo in every degree
-    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    seen = count_cuts(monkeypatch, "dup_coproduct")
     assert check_h2(get_model("dup"), 6).verdict == "epi-with-splitting"
     assert seen and set(seen.values()) == {1}
 
 
 def test_bidup_versal_idempotent_cuts_each_key_once(monkeypatch):
-    seen = [count_cuts(monkeypatch, k) for k in ("_dup_dleft_key", "_dup_dright_key")]
+    seen = [count_cuts(monkeypatch, k) for k in ("dup_dleft", "dup_dright")]
     versal_idempotent(get_model("bidup", 1), 6)
     for counts in seen:
         assert counts and set(counts.values()) == {1}
@@ -446,7 +446,7 @@ def test_memoized_cooperations_match_a_fresh_model(name):
 
 
 def test_models_do_not_share_a_memo(monkeypatch):
-    seen = count_cuts(monkeypatch, "_dup_coproduct_key")
+    seen = count_cuts(monkeypatch, "dup_coproduct")
     key = tree_key("((.,.),(.,.))", "xxx")
     one, two = get_model("dup", 1), get_model("dup", 2)
     one.splitting.decompose(key)
@@ -467,7 +467,7 @@ def test_models_do_not_share_a_memo(monkeypatch):
 def mag_tree_cooperation(t, delta):
     """The cooperation dual to the tree t in the comagmatic cooperad.
 
-    delta is the dual coproduct (mag_dual_coproduct, possibly per_key).
+    delta is the dual coproduct on LinCombs (per_key of mag_dual_coproduct).
     """
     if t == LEAF:
         return lambda lc: lc
@@ -488,7 +488,7 @@ def dup_tree_cooperation(t, dleft, dright):
 
     Mirrors the unique writing of t with n+1 leaves as
     (m(t_left) > x) < m(t_right) at the root.  dleft and dright are the
-    edge-cutting coproducts (dup_dleft and dup_dright, possibly per_key).
+    edge-cutting coproducts on LinCombs (per_key of dup_dleft and dup_dright).
     """
     if t == Y:
         return lambda lc: lc
@@ -527,8 +527,8 @@ def dup_tree_cooperation(t, dleft, dright):
 
 
 def per_key(fn):
-    """The linear map fn, evaluated at most once per basis key."""
-    image = lru_cache(maxsize=None)(lambda key: fn(LinComb.of(key)))
+    """The linear extension of the key kernel fn, evaluated at most once per basis key."""
+    image = lru_cache(maxsize=None)(fn)
     return lambda lc: LinComb.sum((image(key), c) for key, c in lc.items())
 
 
@@ -558,7 +558,7 @@ def test_decompose_matches_the_tree_cooperations(name, extra_leaves):
 @pytest.mark.parametrize("name", ["as", "dup", "classical"])
 def test_associative_decompose_is_the_iterated_coproduct(name):
     model = get_model(name, 2)
-    delta = model.coproducts["delta"]
+    delta = model.key_coproducts["delta"]
     for d in range(1, 6):
         for key in model.basis(d):
             parts = by_label(model.splitting.decompose(key))
@@ -570,14 +570,14 @@ def test_associative_decompose_is_the_iterated_coproduct(name):
 
 def test_iterated_coproduct_of_a_non_integral_coproduct():
     # a coproduct scaled by 1/len(w) on each word: the cuts meet many denominators
-    def scaled(a):
-        return a.map_keys(lambda w: as_deconcat(LinComb.of(w)).scale(Fraction(1, len(w))))
+    def scaled(w):
+        return as_deconcat(w).scale(Fraction(1, len(w)))
 
     def cut_first(lc):  # Delta x id x ... x id, one tensor per key
-        return LinComb.sum((scaled(LinComb.of(k[0])).tensor(LinComb.of(k[1:])), c)
+        return LinComb.sum((scaled(k[0]).tensor(LinComb.of(k[1:])), c)
                            for k, c in lc.items())
     lc = LinComb({"xyxy": Fraction(2, 3), "yxxyx": -1, "xyzzy": Fraction(5, 7)})
-    want = scaled(lc)
+    want = lc.map_keys(scaled)
     for k in range(1, 4):
         got = iterated_coproduct(scaled, k)(lc)
         assert got == want and got.den != 1

@@ -179,7 +179,7 @@ def test_path_cuts_split_each_node_once(monkeypatch, t):
         return orig(u)
     monkeypatch.setattr(trees, "split", counted)
     key = tree_key(t, "x" * 8)
-    assert len(dup_coproduct(LinComb.of(key))) == 7
+    assert len(dup_coproduct(key)) == 7
     assert leaf_count(t) == 9 and len(calls) == 8
 
 
