@@ -74,12 +74,8 @@ def parse_element(model, text):
     tokens = [t for t in re.split(r"(?=[+-])", compact) if t]
     terms = []
     for tok in tokens:
-        sign = 1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign = -1
-            tok = tok[1:]
+        sign = -1 if tok[0] == "-" else 1
+        tok = tok[1:] if tok[0] in "+-" else tok
         if "*" in tok:
             coeff_text, key = tok.split("*", 1)
             if "e" in coeff_text.lower():
@@ -98,23 +94,18 @@ def parse_element(model, text):
 
 
 def _emit(report, fmt="json"):
-    if fmt == "text":
-        if isinstance(report, list):
-            for item in report:
-                print(item)
-        else:
-            print(report)
-    else:
+    if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(report) if isinstance(report, list) else report)
 
 
 def _get_model_arg(args):
     try:
         return get_model(args.model, args.alphabet)
     except KeyError:
-        raise UsageError(
-            "unknown model %r (choose from %s)" % (args.model, ", ".join(model_names()))
-        )
+        raise UsageError("unknown model %r (choose from %s)"
+                         % (args.model, ", ".join(model_names())))
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -165,10 +156,8 @@ def cmd_check(args):
         try:
             get_relation(args.relation)
         except KeyError:
-            raise UsageError(
-                "unknown relation %r (choose from %s)"
-                % (args.relation, ", ".join(relation_names() + ["nap-colaw"]))
-            )
+            raise UsageError("unknown relation %r (choose from %s)"
+                             % (args.relation, ", ".join(relation_names() + ["nap-colaw"])))
         if args.product not in model.products:
             raise UsageError("model %s has no product %r" % (model.name, args.product))
         _check_relation_symbols(model, args.relation)
@@ -297,9 +286,8 @@ def cmd_series(args):
         try:
             s = gen_series(args.show, args.order)
         except KeyError:
-            raise UsageError(
-                "unknown series %r (choose from %s)" % (args.show, ", ".join(series_names()))
-            )
+            raise UsageError("unknown series %r (choose from %s)"
+                             % (args.show, ", ".join(series_names())))
         _emit({"name": args.show, "order": args.order,
                "coefficients": [frac_str(c) for c in s.coeffs]})
         return 0
@@ -530,6 +518,15 @@ def cmd_suite(args):
 
 # --- parser -------------------------------------------------------------------
 
+def _model_command(sub, name, summary, fn):
+    """The subcommand `name` run by fn on one model: --model and --alphabet first."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(fn=fn)
+    p.add_argument("--model", required=True)
+    p.add_argument("--alphabet", type=int, default=None)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="operads",
@@ -551,58 +548,37 @@ def build_parser():
     pc.add_argument("--index", type=int, required=True)
     p.set_defaults(fn=cmd_trees)
 
-    p = sub.add_parser("coproduct", help="apply a named coproduct to an element")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "coproduct", "apply a named coproduct to an element", cmd_coproduct)
     p.add_argument("--coproduct", default="delta")
     p.add_argument("--element", required=True)
-    p.set_defaults(fn=cmd_coproduct)
 
-    p = sub.add_parser("product", help="apply a named product to two elements")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "product", "apply a named product to two elements", cmd_product)
     p.add_argument("--product", default="mul")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_product)
 
-    p = sub.add_parser("check", help="check a compatibility relation exhaustively")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "check", "check a compatibility relation exhaustively", cmd_check)
     p.add_argument("--coproduct", default="delta")
     p.add_argument("--product", default="mul")
     p.add_argument("--relation", required=True)
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--witness", action="store_true")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("prim", help="basis of the primitive part in one degree")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "prim", "basis of the primitive part in one degree", cmd_prim)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=cmd_prim)
 
-    p = sub.add_parser("pbw", help="expand an element into primitive components")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "pbw", "expand an element into primitive components", cmd_pbw)
     p.add_argument("--element", required=True)
-    p.set_defaults(fn=cmd_pbw)
 
-    p = sub.add_parser("idempotent", help="materialize an idempotent degreewise")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "idempotent", "materialize an idempotent degreewise", cmd_idempotent)
     p.add_argument("--kind", required=True,
                    help="versal | eulerian:I | dynkin | geometric")
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--report", choices=["ranks", "matrix"], default="ranks")
-    p.set_defaults(fn=cmd_idempotent)
 
-    p = sub.add_parser("verify", help="degreewise structure verifications")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alphabet", type=int, default=None)
+    p = _model_command(sub, "verify", "degreewise structure verifications", cmd_verify)
     p.add_argument("--what", choices=["h2", "structure-iso"], required=True)
     p.add_argument("--max-degree", type=int, default=5)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("series", help="generating series and their identities")
     p.add_argument("--show")
@@ -625,12 +601,27 @@ def build_parser():
     return parser
 
 
+# an element may start with a minus sign ("-xy"), which argparse would take
+# for an option: such an option is joined to the word after it, as --element=-xy
+_ELEMENT_OPTIONS = ("--element", "--left", "--right")
+
+
+def _attach_elements(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _ELEMENT_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         # exact coefficients of any size print; parse_element bounds their input
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_elements(sys.argv[1:] if argv is None else argv))
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -9,9 +9,9 @@ built only at the boundary: `items` of a non-integral combination,
 `coeff`, `frac_str`.  A matrix on its way to elimination is a list of
 sparse rows, {column: coefficient} dicts of the nonzero entries: `coords`
 is the one way from LinCombs to such rows, and one sparse fraction-free
-integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis`,
-`in_span` and `same_column_space`) is the one way to ranks, kernel vectors
-and span membership.  Only `GradedEndo` keeps dense matrices;
+integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis` and
+`same_column_space`) is the one way to ranks, kernel vectors and column
+spaces.  Only `GradedEndo` keeps dense matrices;
 `sparse_rows` hands them to the eliminator, and its `compose` multiplies
 them as sparse integer rows (`mat_mul`).  No floating point anywhere.
 """
@@ -223,12 +223,22 @@ class LinComb:
         return " + ".join(parts)
 
 
+_NESTING, _open = 16, 0  # the most _Memo steps open at once, and those open now (one thread)
+
+
+class _Deeper(Exception):
+    """A miss past _NESTING open steps, as args (memo, key)."""
+
+
 class _Memo:
     """key -> step(key, self), each key computed once.
 
     The step recurses through its argument, not a closure naming the memo,
     so reference counting alone frees a dropped memo and whatever owns it.
-    A kept value is read, never changed, by the sums built from it.
+    A kept value is read, never changed, by the sums built from it.  A miss
+    _NESTING open steps deep unwinds to the outermost call, which evaluates
+    the misses from an explicit stack, deepest first, retrying each above:
+    a chain of keys of any length needs a bounded Python stack.
     """
     __slots__ = ("step", "values")
 
@@ -236,10 +246,26 @@ class _Memo:
         self.step, self.values = step, {}
 
     def __call__(self, key):
+        global _open
         value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = self.step(key, self)
-        return value
+        if value is not None:
+            return value
+        if _open == _NESTING:
+            raise _Deeper(self, key)
+        pending, outermost = [(self, key)], not _open
+        while pending:
+            memo, k = pending[-1]
+            _open += 1
+            try:
+                memo.values[k] = memo.step(k, memo)
+                pending.pop()
+            except _Deeper as deeper:
+                if not outermost:
+                    raise
+                pending.append(deeper.args)
+            finally:
+                _open -= 1
+        return self.values[key]
 
 
 def _power_memo(first, coproduct, product):
@@ -247,7 +273,8 @@ def _power_memo(first, coproduct, product):
 
     f^{*n}(key) is the sum of c product(f(k1), f^{*(n-1)}(k2)) over the
     terms c k1 x k2 of coproduct(key), whose slots have lower degree, so a
-    key of degree d has at most d powers and no list needs a degree bound.
+    key of degree d has at most d powers and no list needs a degree bound;
+    a term with f(k1) = 0 is skipped, so a list may end early.
     f(key) = first(key, [f*f(key), f*f*f(key), ...]): the higher powers of
     a key read f only below its degree, so first may be defined through
     them.
@@ -256,6 +283,8 @@ def _power_memo(first, coproduct, product):
         terms = []
         for (k1, k2), c in coproduct(key).items():
             left = powers(k1)[0]
+            if not left:
+                continue
             for n, right in enumerate(powers(k2)):
                 if n == len(terms):
                     terms.append([])
@@ -267,10 +296,7 @@ def _power_memo(first, coproduct, product):
 
 def frac_str(c):
     """Rationals render as "p/q", or "p" when the denominator is 1."""
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+    return str(Fraction(c))
 
 
 def lincomb_json(lc):
@@ -453,17 +479,6 @@ def kernel_basis(rows, ncols):
         vec.update((p, x * (den // d)) for p, x, d in column)
         basis.append(_over(vec, den))
     return basis
-
-
-def in_span(lincombs, lc):
-    """Is lc a linear combination of the given LinCombs?
-
-    With pivots taken left to right, exactly when lc's column (the last)
-    is not a pivot column.
-    """
-    cols = [*lincombs, lc]
-    pivots = _echelon(coords(cols))[1]
-    return not pivots or pivots[-1] != len(cols) - 1
 
 
 def mat_mul(a, b):

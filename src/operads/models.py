@@ -11,10 +11,10 @@ coproduct a kernel key -> LinComb, under its module-level name.  Each
 model packages its graded basis and its kernels behind one interface, and
 BialgebraModel extends the kernels to LinCombs in one place, so the
 relation checker and the idempotent engine can treat them uniformly.
-A model with a coalgebra splitting decomposes each key into all of its
-labeled cooperations of every arity in one pass, and looks up the
-splitting operation of each label; the associative cooperad is the case
-of one label.  Each key is cut at most once per model.
+A model with a coalgebra splitting keeps per-key memos of each key's
+labeled cooperations and of its PBW components (the same with the versal
+idempotent in every slot), and looks up the splitting operation of each
+label; the associative cooperad is the case of one label.
 """
 
 from __future__ import annotations
@@ -219,23 +219,29 @@ def dup_coproduct(key):
 
 
 def _right_edge_cuts(t):
-    """Splittings t = t1 \\ t2 with both factors non-leaves, top edge first."""
-    if t == LEAF:
-        return []
-    l, r = trees.split(t)
-    if r == LEAF:
-        return []
-    return [(trees.vee(l, LEAF), r)] + [(trees.vee(l, a), b) for a, b in _right_edge_cuts(r)]
+    """Splittings t = t1 \\ t2 with both factors non-leaves, top edge first.
+
+    t2 is a subtree on the right edge, t1 the tree above it with a leaf in its place.
+    """
+    out, above, below = [], "", ""
+    while t[-2:] == "))":  # the right subtree is not a leaf
+        l, r = trees.split(t)
+        out.append((above + "(" + l + ",.)" + below, r))
+        above, below, t = above + "(" + l + ",", ")" + below, r
+    return out
 
 
 def _left_edge_cuts(t):
-    """Splittings t = t1 / t2 with both factors non-leaves, top edge first."""
-    if t == LEAF:
-        return []
-    l, r = trees.split(t)
-    if l == LEAF:
-        return []
-    return [(l, trees.vee(LEAF, r))] + [(a, trees.vee(b, r)) for a, b in _left_edge_cuts(l)]
+    """Splittings t = t1 / t2 with both factors non-leaves, top edge first.
+
+    t1 is a subtree on the left edge, t2 the tree above it with a leaf in its place.
+    """
+    out, above, below = [], "", ""
+    while t[:2] == "((":  # the left subtree is not a leaf
+        l, r = trees.split(t)
+        out.append((l, above + "(.," + r + ")" + below))
+        above, below, t = above + "(", "," + r + ")" + below, l
+    return out
 
 
 def dup_dleft(key):
@@ -336,18 +342,17 @@ class Splitting:
     operation(label) the splitting operation s(label) on tensor LinCombs.
     versal(key) is e(key) for the versal idempotent e, by the PBW recursion
     e(x) = x - sum over n >= 2 and c in C_n of s(c)(e x ... x e)(c(x)),
-    whose slots have lower degree: one memo per model, shared by every
-    caller and independent of any degree bound.  A tree splitting reads it
-    off decompose; an associative one off the reduced coproduct alone (see
-    _associative_splitting).  cuts, on an associative splitting, is
-    (coproduct kernel, its per-key memo): the coproduct the tower is walked
-    with, and the memo that the versal memo and convolution on that
-    coproduct share.
+    and components(key), which pbw_expand reads, is (id x e^n)(decompose(key)):
+    per-model memos with no degree bound.  A tree splitting writes its
+    cooperad's recursion once (see _tree_splitting); an associative one
+    reads the reduced coproduct, and cuts is (its kernel, its per-key memo),
+    the memo that convolution on that coproduct shares.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
     operation: Callable[[object], Callable]
     versal: Callable[[object], LinComb]
+    components: Callable[[object], LinComb]
     cuts: tuple | None = None
 
 
@@ -377,16 +382,31 @@ def _operations(apply):
     return operation
 
 
-def _tree_splitting(decompose, labels, apply):
+def _tree_splitting(step, labels, apply):
     """A splitting with one tree per label, s(label) = apply(label, slot LinCombs).
 
-    Its versal memo applies s(label) to the e-images of the slots.
+    step(key, memo, unit) is the cooperad's root recursion: the terms of
+    arity >= 2 of a key, read off the memo of its root factors, and its
+    arity-1 term on the slot unit(key, those terms).  decompose puts the key
+    in that slot, components e(key): the key less s(label)(slots) over the
+    other terms, which carry e in every slot already.
     """
-    def step(key, e):
+    def versal_unit(key, higher):
         return LinComb.of(key) - LinComb.sum(
-            (apply(t[0], tuple(map(e, t[1:]))), c)
-            for t, c in decompose(key).items() if len(t) > 2)
-    return Splitting(decompose, labels, _operations(apply), _Memo(step))
+            (apply(t[0], tuple(map(LinComb.of, t[1:]))), c) for t, c in higher)
+
+    components = _Memo(lambda key, memo: step(key, memo, versal_unit))
+
+    def versal(key):
+        comps = components(key)
+        return _over({t[1]: c for t, c in comps.terms.items() if len(t) == 2}, comps.den)
+    return Splitting(_Memo(lambda key, memo: step(key, memo, lambda key, _: LinComb.of(key))),
+                     labels, _operations(apply), versal, components)
+
+
+def _labeled(powers):
+    """key -> the LinComb over (None, slot_1, ..., slot_n) of the tensors powers(key)."""
+    return lambda key: LinComb.of(None).tensor(LinComb.sum((p, 1) for p in powers(key)))
 
 
 def _associative_splitting(coproduct, product, exponential=False):
@@ -409,12 +429,11 @@ def _associative_splitting(coproduct, product, exponential=False):
         (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(key).items()))
     product = bilinear(product)
 
-    def decompose(key):
-        terms, level = {}, LinComb.of(key)
+    def tower(key):  # the levels Delta^[n-1](key), n = 1, 2, ..., while nonzero
+        level = LinComb.of(key)
         while level:
-            terms.update(((None,) + as_slots(k), c) for k, c in level.items())
+            yield level
             level = _cut_first(delta, level)
-        return LinComb(terms)
 
     def fold(_, images):
         acc = images[-1]
@@ -438,7 +457,9 @@ def _associative_splitting(coproduct, product, exponential=False):
             return LinComb.sum([(LinComb.of(key), 1)] + [
                 (product(e(a), LinComb(rest)), -1) for a, rest in rests.items()])
         versal = _Memo(step)
-    return Splitting(decompose, lambda n: [None], _operations(fold), versal, (coproduct, delta))
+    components = _labeled(_power_memo(lambda key, _: versal(key), delta, LinComb.tensor))
+    return Splitting(_labeled(tower), lambda n: [None], _operations(fold), versal, components,
+                     (coproduct, delta))
 
 
 @dataclass(frozen=True)
@@ -561,22 +582,20 @@ def _mag_tree_apply(t, images):
     return bilinear(mag_product)(_mag_tree_apply(l, images[:nl]), _mag_tree_apply(r, images[nl:]))
 
 
-def _mag_decompose(key):
+def _mag_step(key, memo, unit):
     """The comagmatic cooperad: one label per tree, its arity the leaf count.
 
     The cooperation of a tree t sends a key whose tree is t with a subtree
-    grafted on each leaf to those decorated subtrees, every other key to 0;
-    decompose recurses over the unique split at the root.
+    grafted on each leaf to those decorated subtrees, every other key to 0:
+    past the leaf, the terms of the two root factors joined under vee.
     """
-    terms = [((LEAF, key), 1)]
+    higher = []
     if key_parts(key)[0] != LEAF:
         kl, kr = mag_split(key)
-        right = _mag_decompose(kr).items()
-        terms += [
-            ((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
-            for l, c1 in _mag_decompose(kl).items() for r, c2 in right
-        ]
-    return LinComb(terms)
+        right = memo(kr).items()
+        higher = [((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
+                  for l, c1 in memo(kl).items() for r, c2 in right]
+    return LinComb([((LEAF, k), c) for k, c in unit(key, higher).items()] + higher)
 
 
 def mag_model(alphabet=1):
@@ -593,7 +612,7 @@ def mag_model(alphabet=1):
         },
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=0),
-        splitting=_tree_splitting(_mag_decompose, trees.enumerate_trees, _mag_tree_apply),
+        splitting=_tree_splitting(_mag_step, trees.enumerate_trees, _mag_tree_apply),
     )
 
 
@@ -630,30 +649,30 @@ def _dup_tree_apply(t, images):
     return left(right(_dup_tree_apply(l, images[:p]), images[p]), after)
 
 
-def _bidup_decompose(key, decompose):
+def _bidup_step(key, memo, unit):
     """The biduplicial cooperad: one label per tree, n+1 leaves in arity n.
 
     A tree other than Y is the monomial (m(t_l) > x) < m(t_r) at its root.
     dright cuts off the last generator x when t_r is a leaf; otherwise dleft
     cuts off m(t_r), and the rest gives the terms of its own decomposition
-    on trees (t_l, leaf) ending in a generator.  Memoized per model.
+    on trees (t_l, leaf) ending in a generator.
     """
-    terms = [((Y, key), 1)]
+    higher = []
     for (ka, km), c in dup_dright(key).items():
         if _tree_key_degree(km) == 1:
-            terms += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
-                      for a, c2 in decompose(ka).items()]
+            higher += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
+                       for a, c2 in memo(ka).items()]
     for (ku, kb), c in dup_dleft(key).items():
-        right = decompose(kb).items()
-        for u, c2 in decompose(ku).items():
+        right = memo(kb).items()
+        for u, c2 in memo(ku).items():
             # u's tree is (t_l, leaf) and its last slot a generator
             if _tree_key_degree(u[-1]) != 1:
                 continue
             tl, tr = trees.split(u[0])
             if tr == LEAF:
-                terms += [((trees.vee(tl, r[0]),) + u[1:] + r[1:], c * c2 * c3)
-                          for r, c3 in right]
-    return LinComb(terms)
+                higher += [((trees.vee(tl, r[0]),) + u[1:] + r[1:], c * c2 * c3)
+                           for r, c3 in right]
+    return LinComb([((Y, k), c) for k, c in unit(key, higher).items()] + higher)
 
 
 def bidup_model(alphabet=1):
@@ -666,7 +685,7 @@ def bidup_model(alphabet=1):
         key_coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
         is_key=_is_key(alphabet, extra_leaves=1),
-        splitting=_tree_splitting(_Memo(_bidup_decompose), lambda n: trees.enumerate_trees(n + 1),
+        splitting=_tree_splitting(_bidup_step, lambda n: trees.enumerate_trees(n + 1),
                                   _dup_tree_apply),
     )
 

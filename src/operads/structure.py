@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UsageError
-from .linalg import LinComb, _over, as_slots, coords, exact_rank, kernel_basis
+from .linalg import LinComb, _over, coords, exact_rank, kernel_basis
 from .models import LETTERS, by_label, key_parts, require_keys, require_splitting, tree_key
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
@@ -86,21 +86,14 @@ def check_h2(model, max_degree):
     Com is symmetric while the multilinear basis is not.
     """
     _nonsymmetric_splitting(model)
-    rows = []
-    all_iso = True
-    all_epi = True
+    rows = []  # (degree, dim A, dim C, rank phi)
     for n in range(1, max_degree + 1):
         mat, dim_a = phi_map(model, n)
-        dim_c = len(mat)
-        rank = exact_rank(mat)
-        rows.append((n, dim_a, dim_c, rank))
-        if not (dim_a == dim_c == rank):
-            all_iso = False
-        if rank != dim_c:
-            all_epi = False
-    if all_iso:
+        rows.append((n, dim_a, len(mat), exact_rank(mat)))
+    if all(dim_a == dim_c == rank for _, dim_a, dim_c, rank in rows):
         return H2Report(verdict="iso", per_degree=rows)
-    if all_epi and _splitting_section_ok(model, max_degree):
+    onto = all(rank == dim_c for _, _, dim_c, rank in rows)
+    if onto and _splitting_section_ok(model, max_degree):
         return H2Report(verdict="epi-with-splitting", per_degree=rows)
     return H2Report(verdict="fail", per_degree=rows)
 
@@ -146,38 +139,19 @@ class PbwComponent:
     tensor: LinComb
 
 
-def _apply_slotwise(e, tensor_lc):
-    """(e x ... x e)(tensor_lc), with e a key -> LinComb map."""
-    def image(key):
-        piece = None
-        for slot in as_slots(key):
-            img = e(slot)
-            piece = img if piece is None else piece.tensor(img)
-            if not piece:
-                break
-        return piece
-    return LinComb.sum(((image(key), c) for key, c in tensor_lc.terms.items()), tensor_lc.den)
-
-
 def pbw_expand(model, a):
     """Decompose a into primitive tensor components, one per cooperation.
 
-    One decomposition of each key of a gives every labeled cooperation, of
-    every arity it has; the model's versal memo then acts slot by slot.
-    Components come by arity, then in cooperad basis order, and
-    reassembling them through the splitting operations returns the input
-    exactly; see pbw_reassemble.
+    Each key of a is read once off the splitting's components memo, which
+    holds its labeled cooperations with e already in every slot; the memo
+    lists a key's nonzero components only, so the cost follows the output.
+    Components come by arity, then in cooperad basis order (sorted labels),
+    and reassembling them through the splitting operations returns the
+    input exactly; see pbw_reassemble.
     """
-    splitting = require_splitting(model)
-    parts = by_label(a.map_keys(splitting.decompose))
-    comps = []
-    for k in sorted(parts):
-        group = parts[k]
-        for label in splitting.labels(k):
-            comp = _apply_slotwise(splitting.versal, group[label]) if label in group else None
-            if comp:
-                comps.append(PbwComponent(arity=k, label=label, tensor=comp))
-    return comps
+    parts = by_label(a.map_keys(require_splitting(model).components))
+    return [PbwComponent(arity=k, label=label, tensor=parts[k][label])
+            for k in sorted(parts) for label in sorted(parts[k])]
 
 
 def pbw_reassemble(model, comps):

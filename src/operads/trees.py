@@ -61,6 +61,8 @@ def split(u):
     """Inverse of vee: the two subtrees of the root."""
     if u == LEAF:
         raise ValueError("cannot split a leaf")
+    if u[1] == LEAF or u[-2] == LEAF:  # a leaf on either side: no scan
+        return (LEAF, u[3:-1]) if u[1] == LEAF else (u[1:-3], LEAF)
     depth = 0
     for i, ch in enumerate(u):
         if ch == "(":
@@ -110,20 +112,14 @@ def left_comb(n):
     """The tree with n+1 leaves whose internal nodes sit on the left branch."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = Y
-    for _ in range(n - 1):
-        t = over(Y, t)
-    return t
+    return "(" * n + LEAF + ",.)" * n
 
 
 def right_comb(n):
     """Mirror of left_comb: all internal nodes on the right branch."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = Y
-    for _ in range(n - 1):
-        t = under(Y, t)
-    return t
+    return "(.," * n + LEAF + ")" * n
 
 
 def path_cut(t, i):
@@ -139,13 +135,16 @@ def path_cut(t, i):
     return path_cuts(t)[i]
 
 
-def path_cuts(t):
+def path_cuts(t, a0="", a1="", b0="", b1=""):
     """Every path cut of t, leaf 0 first, splitting each node once.
 
     Entry i is the cut along the path from leaf i to the root, trivial
-    cuts included: entry 0 is (LEAF, t) and the last is (t, LEAF).
+    cuts included: entry 0 is (LEAF, t) and the last is (t, LEAF).  Each
+    cut (a, b) comes wrapped as (a0 + a + a1, b0 + b + b1): a node hands its
+    subtrees that context, so no cut is rebuilt on the way up.
     """
     if t == LEAF:
-        return [(LEAF, LEAF)]
+        return [(a0 + LEAF + a1, b0 + LEAF + b1)]
     l, r = split(t)
-    return [(a, vee(b, r)) for a, b in path_cuts(l)] + [(vee(l, a), b) for a, b in path_cuts(r)]
+    return (path_cuts(l, a0, a1, b0 + "(", "," + r + ")" + b1)
+            + path_cuts(r, a0 + "(" + l + ",", ")" + a1, b0, b1))

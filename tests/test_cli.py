@@ -14,7 +14,7 @@ from operads import models
 from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
 from operads.linalg import LinComb
 from operads.models import get_model, model_names, tree_key, words
-from operads.trees import MAX_DEPTH, catalan, enumerate_trees
+from operads.trees import MAX_DEPTH, catalan, enumerate_trees, left_comb, right_comb
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -218,6 +218,46 @@ def test_deep_trees_are_answered_or_refused_never_an_internal_error(capsys):
         # the Livernet and Hopf memos would keep every deep key for the session
         models._mag_liv_key.cache_clear()
         models._mag_hopf_key.cache_clear()
+
+
+def test_deep_pbw_keys_are_answered_or_refused_never_an_internal_error(capsys):
+    # the memos evaluate a chain of keys deeper than the stack on their own
+    # explicit stack, so a comb as deep as validate allows gets its answer
+    combs = [("dup", "left", 1), ("mag", "left", 0), ("bidup", "left", 1),
+             ("mag", "right", 0), ("bidup", "right", 1)]
+    for depth in (100, 200, 300, MAX_DEPTH):
+        for name, side, extra in combs:
+            tree = left_comb(depth) if side == "left" else right_comb(depth)
+            argv = ["pbw", "--model", name, "--alphabet", "1",
+                    "--element", tree + ":" + "x" * (depth + 1 - extra)]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code in (0, 2), (depth, name, side, err[-300:])
+            if exc.value.code == 0:
+                assert json.loads(out)["matchesInput"] is True
+            else:
+                assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def _run(argv, capsys):
+    """(exit code, stdout) of main(argv) in this process."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().out
+
+
+def test_an_element_may_start_with_a_minus_sign(capsys):
+    coproduct = ["coproduct", "--model", "as", "--alphabet", "2"]
+    for argv in (["--element", "-xy"], ["--element=-xy"]):
+        code, out = _run(coproduct + argv, capsys)
+        assert code == 0 and json.loads(out) == {"x|y": "-1"}
+    product = ["product", "--model", "as", "--alphabet", "2"]
+    code, out = _run(product + ["--left", "-x", "--right", "y"], capsys)
+    assert code == 0 and json.loads(out) == {"xy": "-1"}
+    # an unknown option is still refused, also beside an element that starts with "-"
+    for argv in (["--bogus", "1", "--element", "-xy"], ["--element", "-xy", "-z"]):
+        assert _exit_code(coproduct + argv, capsys) == 2
 
 
 def _readme_commands():

@@ -1,6 +1,7 @@
 """Exact linear algebra: LinComb arithmetic, coordinates, ranks, kernels, spans."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from operads.linalg import (
     GradedEndo,
     LinComb,
+    _Memo,
+    _echelon,
     coords,
     exact_rank,
     frac_str,
-    in_span,
     kernel_basis,
     lincomb_json,
     mat_mul,
@@ -207,6 +209,32 @@ def test_kernel_vectors_are_integral_when_the_pivots_divide():
     # 2 x0 + x1 = 0 and x1 + 3 x2 = 0: x0 = 3/2 x2 needs a denominator
     (v,) = kernel_basis([{0: 2, 1: 1}, {1: 1, 2: 3}], 3)
     assert stored_ok(v) and (v.terms, v.den) == ({2: 2, 0: 3, 1: -6}, 2)
+
+
+def test_memos_evaluate_chains_longer_than_the_recursion_limit():
+    depth = 3 * sys.getrecursionlimit()
+    chain = _Memo(lambda n, memo: memo(n - 1) + 1 if n else 0)
+    assert chain(depth) == depth
+    # two memos reading each other: the bound counts the open steps of both
+    half = _Memo(lambda n, memo: whole(n - 1) + 1 if n else 0)
+    whole = _Memo(lambda n, memo: half(n) + 1 if n else 0)
+    assert whole(depth) == 2 * depth
+    # a failing step leaves no step open behind it
+    broken = _Memo(lambda n, memo: memo(n - 1) if n else 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        broken(depth)
+    assert chain(2 * depth) == 2 * depth
+
+
+def in_span(lincombs, lc):
+    """Is lc a linear combination of the given LinCombs?
+
+    With pivots taken left to right, exactly when lc's column (the last) is
+    not a pivot column of one echelon form.
+    """
+    cols = [*lincombs, lc]
+    pivots = _echelon(coords(cols))[1]
+    return not pivots or pivots[-1] != len(cols) - 1
 
 
 def test_in_span_agrees_with_two_ranks_on_random_inputs():

@@ -9,8 +9,7 @@ import pytest
 
 from operads import models, trees
 from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
-from operads.linalg import (LinComb, _Memo, coords, exact_rank, in_span, matrix_json,
-                            tensor_transpose)
+from operads.linalg import LinComb, _Memo, coords, exact_rank, matrix_json, tensor_transpose
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -440,7 +439,8 @@ def lie_tensor_escape_reference(alphabet, n):
     """Reference: some cobracket image lies outside the span of Lie x Lie, one test each."""
     span = [a.tensor(b) for i in range(1, n)
             for a in greedy_lie_subspace(alphabet, i) for b in greedy_lie_subspace(alphabet, n - i)]
-    return not all(in_span(span, x.map_keys(lie_cobracket))
+    rank = exact_rank(coords(span))
+    return not all(exact_rank(coords(span + [x.map_keys(lie_cobracket)])) == rank
                    for x in greedy_lie_subspace(alphabet, n))
 
 
@@ -517,6 +517,33 @@ def test_versal_memo_matches_the_tower_reference(name, alphabet, max_degree, pro
                              scalar)
     for n in range(1, max_degree + 1):
         for key in model.basis(n)[::step if n == max_degree else 1]:
+            assert model.splitting.versal(key) == reference(key), key
+
+
+def tree_versal_reference(decompose, apply):
+    """The tree versal memo as it was read off the whole decomposition.
+
+    e(x) = x - the sum of c s(label)(e(s_1), ..., e(s_n)) over the labeled
+    cooperations c (label, s_1, ..., s_n) of x of arity >= 2, with
+    s(label) = apply(label, slot LinCombs).
+    """
+    def step(key, e):
+        return LinComb.of(key) - LinComb.sum(
+            (apply(t[0], tuple(map(e, t[1:]))), c)
+            for t, c in decompose(key).items() if len(t) > 2)
+    return _Memo(step)
+
+
+@pytest.mark.parametrize("name, apply", [
+    ("mag", models._mag_tree_apply), ("bidup", models._dup_tree_apply),
+])
+def test_tree_versal_matches_the_decomposition_reference(name, apply):
+    # the versal is the arity-1 part of the components memo; the reference
+    # walks a fresh model's raw decomposition
+    model = get_model(name, 2)
+    reference = tree_versal_reference(get_model(name, 2).splitting.decompose, apply)
+    for n in range(1, 7):
+        for key in model.basis(n):
             assert model.splitting.versal(key) == reference(key), key
 
 

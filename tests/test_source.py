@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "operads"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "operads"
 
 
 def unused_imports(path):
@@ -46,3 +47,44 @@ def test_the_check_sees_an_unused_import(tmp_path):
     probe.write_text("import os\nfrom sys import argv, path  # used below\n"
                      "from json import dumps  # noqa: F401\nprint(path)\n")
     assert unused_imports(probe) == ["probe.py:1 os", "probe.py:2 argv"]
+
+
+def _read_names(node):
+    """Every name a node reads: names, attributes, imported names and whole strings.
+
+    A whole string counts because bench/tracer.py looks attributes up by name.
+    """
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def unreferenced(defining, readers):
+    """Module-level functions and classes of the `defining` files that no reader reads.
+
+    Every defining file is a reader too.  A definition's own body does not
+    count, so recursion alone keeps nothing.
+    """
+    modules = {path: ast.parse(path.read_text()) for path in {*defining, *readers}}
+    read = [(stmt, set(_read_names(stmt))) for module in modules.values() for stmt in module.body]
+    return ["%s %s" % (path.name, node.name) for path in defining for node in modules[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in names for stmt, names in read if stmt is not node)]
+
+
+def test_every_function_and_class_is_read_by_the_package_or_the_benchmark():
+    package = sorted(SRC.glob("*.py"))
+    assert unreferenced(package, sorted((ROOT / "bench").glob("*.py"))) == []
+
+
+def test_the_check_sees_an_unused_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\n"
+                     "class Named:\n    pass\n\n\nprint(used(), 'Named')\n")
+    assert unreferenced([probe], []) == ["probe.py unused"]

@@ -4,19 +4,20 @@ import dataclasses
 import gc
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
-from operads import idempotents, models, trees
+from operads import idempotents, linalg, models, structure, trees
 from operads.errors import UsageError
 from operads.idempotents import ConvolutionContext, eulerian, geometric_idempotent, versal_idempotent
-from operads.linalg import LinComb, coords, exact_rank, sparse_rows
+from operads.linalg import LinComb, as_slots, coords, exact_rank, sparse_rows
 from operads.models import (
     LETTERS, _tree_key_degree, as_deconcat, by_label, get_model, iterated_coproduct, lie_subspace,
     tree_key,
 )
 from operads.structure import (
+    PbwComponent,
     _splitting_section_ok,
     check_h2,
     generator_key,
@@ -332,6 +333,73 @@ def test_mag_pbw_roundtrip_with_dual_scheme():
         comps = pbw_expand(model, elt)
         assert pbw_reassemble(model, comps) == elt
         assert all(c.label is not None for c in comps)
+
+
+# --- the components memo against the PBW it replaces -----------------------------
+
+def pbw_reference(model, a):
+    """pbw_expand as it read the whole decomposition of each key.
+
+    Every labeled cooperation of every key, grouped by arity and label, the
+    labels of each arity scanned in cooperad basis order, and the versal
+    memo of a fresh model applied slot by slot to each group.
+    """
+    splitting = model.splitting
+    e = get_model(model.name, model.alphabet).splitting.versal
+    parts = by_label(a.map_keys(splitting.decompose))
+    comps = []
+    for k in sorted(parts):
+        for label in splitting.labels(k):
+            if label not in parts[k]:
+                continue
+            tensor = LinComb.sum((reduce(LinComb.tensor, map(e, as_slots(key))), c)
+                                 for key, c in parts[k][label].items())
+            if tensor:
+                comps.append(PbwComponent(arity=k, label=label, tensor=tensor))
+    return comps
+
+
+@pytest.mark.parametrize("name, alphabet, top", [
+    ("as", 2, 6), ("classical", 2, 6), ("dup", 1, 7), ("mag", 1, 7), ("bidup", 1, 7),
+    ("dup", 2, 5), ("mag", 2, 5), ("bidup", 2, 5),
+])
+def test_pbw_expand_matches_the_decomposition_reference(name, alphabet, top):
+    model = get_model(name, alphabet)
+    for n in range(1, top + 1):
+        for key in model.basis(n):
+            a = LinComb.of(key)
+            assert pbw_expand(model, a) == pbw_reference(model, a), key
+
+
+def record_memos(monkeypatch):
+    """A list that gets every _Memo made from now on."""
+    made, init = [], linalg._Memo.__init__
+
+    def recording(memo, step):
+        init(memo, step)
+        made.append(memo)
+    monkeypatch.setattr(linalg._Memo, "__init__", recording)
+    return made
+
+
+@pytest.mark.parametrize("name, extra_leaves", [("dup", 1), ("mag", 0), ("bidup", 1)])
+def test_pbw_of_a_left_comb_costs_what_its_one_component_does(monkeypatch, name, extra_leaves):
+    # no label scan, and memo entries linear in the leaf count: the cost
+    # follows the output, one component, and not the Catalan many labels
+    def no_scan(n):
+        raise AssertionError("pbw_expand listed the trees with %d leaves" % n)
+    for module in (trees, structure):
+        monkeypatch.setattr(module, "enumerate_trees", no_scan)
+    memos = record_memos(monkeypatch)
+    for leaves in (30, 60):
+        del memos[:]
+        model = get_model(name, 1)
+        a = LinComb.of(tree_key(trees.left_comb(leaves - 1), "x" * (leaves - extra_leaves)))
+        comps = pbw_expand(model, a)
+        assert len(comps) == 1 and pbw_reassemble(model, comps) == a
+        # dup keeps three memos (cuts, versal, components), each with a key per subcomb
+        entries = sum(len(memo.values) for memo in memos)
+        assert 0 < entries <= 3 * leaves, (leaves, entries)
 
 
 # --- one coproduct memo per model ------------------------------------------------
