@@ -1,5 +1,6 @@
 """Exact linear algebra: LinComb arithmetic, coordinates, ranks, kernels, spans."""
 
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -224,6 +225,19 @@ def test_memos_evaluate_chains_longer_than_the_recursion_limit():
     with pytest.raises(ZeroDivisionError):
         broken(depth)
     assert chain(2 * depth) == 2 * depth
+
+
+def test_a_memo_chain_past_the_nesting_bound_leaves_no_reference_cycle():
+    # the misses unwound on the way hold no memo once they are evaluated
+    gc.collect()
+    gc.disable()
+    try:
+        chain = _Memo(lambda n, memo: memo(n - 1) + 1 if n else 0)
+        assert chain(1000) == 1000
+        del chain
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def in_span(lincombs, lc):
