@@ -243,7 +243,7 @@ def cmd_idempotent(args):
         raise UsageError("unknown idempotent kind %r" % kind)
     report = {"model": model.name, "kind": kind, "maxDegree": n}
     if args.report == "ranks":
-        report["ranks"] = {str(d): endo.rank(d) for d in sorted(endo.mats)}
+        report["ranks"] = {str(d): endo.rank(d) for d in sorted(endo.cols)}
     else:
         report["matrices"] = {
             str(d): {"basis": [str(k) for k in endo.bases[d]],
@@ -378,9 +378,7 @@ def _suite_eulerian():
         model_bases(model, deg)
     )
     dk = dynkin(deg, model.alphabet)
-    same = all(
-        same_column_space(dk.mats[n], e[0].mats[n]) for n in range(1, deg + 1)
-    )
+    same = all(same_column_space(dk.cols[n], e[0].cols[n]) for n in range(1, deg + 1))
     yield "image of dynkin equals image of e(1)", same
 
 

@@ -1,8 +1,8 @@
 """Convolution algebra of graded endomorphisms and the idempotent zoo.
 
 Every idempotent is a map from a basis key to its image LinComb, which
-`materialize` turns degreewise into exact matrices (GradedEndo) over a
-model's declared basis; only materializing takes a degree bound.  The versal
+`materialize` keeps per key of a model's declared basis, degree by degree
+(GradedEndo); only materializing takes a degree bound.  The versal
 idempotent is the model's own memo, built by the PBW recursion of its
 splitting (see models.Splitting); on an associative splitting that memo
 reads the reduced coproduct of each key once and never the tower.  The

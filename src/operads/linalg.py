@@ -11,15 +11,17 @@ sparse rows, {column: coefficient} dicts of the nonzero entries: `coords`
 is the one way from LinCombs to such rows, and one sparse fraction-free
 integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis` and
 `same_column_space`) is the one way to ranks, kernel vectors and column
-spaces.  Only `GradedEndo` keeps dense matrices;
-`sparse_rows` hands them to the eliminator, and its `compose` multiplies
-them as sparse integer rows (`mat_mul`).  No floating point anywhere.
+spaces.  `GradedEndo` keeps the image LinComb of each basis key, and
+makes dense matrices, through `coords`, only when output reads them;
+`mat_mul` and `sparse_rows` are the dense reference its per-key algebra is
+tested against.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -508,77 +510,73 @@ def mat_mul(a, b):
 
 
 def same_column_space(a, b):
-    """Do the columns of the dense matrices a and b span the same subspace?  Exact ranks."""
-    if not a and not b:
-        return True
-    rows_a, rows_b = sparse_rows(a), sparse_rows(b)
-    ra, rb = exact_rank(rows_a), exact_rank(rows_b)
-    if ra != rb:
-        return False
-    if ra == 0:
-        return True
-    width = len(a[0])
-    stacked = [{**x, **{j + width: y for j, y in z.items()}} for x, z in zip(rows_a, rows_b)]
-    return exact_rank(stacked) == ra
+    """Do the LinCombs in a and those in b span the same subspace?  Exact ranks."""
+    r = exact_rank(coords(a))
+    return r == exact_rank(coords(b)) == exact_rank(coords([*a, *b]))
 
 
 class GradedEndo:
-    """A degree-indexed family of exact matrices over a declared basis.
+    """A degree-indexed linear map over declared bases, kept as image columns.
 
     ``bases[n]`` is the ordered basis of the degree-n component and
-    ``mats[n]`` the matrix of the map there (columns = images of basis
-    elements, written in the same basis).
+    ``cols[n][j]`` the image LinComb of ``bases[n][j]`` in that basis;
+    ``mats`` is the dense view (columns = images), built on first read.
     """
 
-    def __init__(self, bases, mats):
-        for n, mat in mats.items():
-            d = len(bases[n])
-            if len(mat) != d or any(len(row) != d for row in mat):
-                raise ValueError("matrix shape mismatch in degree %d" % n)
+    def __init__(self, bases, cols):
         self.bases = bases
-        self.mats = mats
+        self.cols = cols
 
     @classmethod
     def from_function(cls, bases, fn):
         """The endomorphism whose column of each basis key is fn(key), a LinComb.
 
-        fn is called once per key, with the key, and its values are read,
-        never changed, so a memo may hand out what it keeps.  An image key
-        outside the basis of its degree raises ValueError.
+        fn is called once per key, with the key, and its values are kept
+        and read, never changed, so a memo may hand out what it keeps.  An
+        image key outside the basis of its degree raises ValueError.
         """
-        mats = {}
+        cols = {}
         for n, basis in bases.items():
-            mats[n] = mat = [[0] * len(basis) for _ in basis]
-            for dense, row in zip(mat, coords(map(fn, basis), basis)):
-                for j, x in row.items():
-                    dense[j] = x
-        return cls(bases, mats)
+            cols[n] = images = list(map(fn, basis))
+            outside = set().union(*(lc.terms for lc in images)).difference(basis)
+            if outside:
+                raise ValueError("key outside the declared basis: %r" % (outside.pop(),))
+        return cls(bases, cols)
 
     @classmethod
     def identity(cls, bases):
         return cls.from_function(bases, LinComb.of)
 
+    @cached_property
+    def mats(self):
+        """The dense matrices, degree by degree, made from the columns by `coords`."""
+        mats = {}
+        for n, col in self.cols.items():
+            width = range(len(col))
+            mats[n] = [[row.get(j, 0) for j in width] for row in coords(col, self.bases[n])]
+        return mats
+
     def compose(self, other):
-        mats = {n: mat_mul(self.mats[n], other.mats[n]) for n in self.mats}
-        return GradedEndo(self.bases, mats)
+        """self after other: each image of other, mapped key by key through self."""
+        cols = {}
+        for n, col in other.cols.items():
+            image = dict(zip(self.bases[n], self.cols[n])).__getitem__
+            cols[n] = [lc.map_keys(image) for lc in col]
+        return GradedEndo(self.bases, cols)
 
     def __add__(self, other):
-        mats = {
-            n: [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.mats[n], other.mats[n])]
-            for n in self.mats
-        }
-        return GradedEndo(self.bases, mats)
+        return GradedEndo(self.bases, {n: [a + b for a, b in zip(col, other.cols[n])]
+                                       for n, col in self.cols.items()})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
-        mats = {n: [[x * scalar for x in row] for row in mat] for n, mat in self.mats.items()}
-        return GradedEndo(self.bases, mats)
+        return GradedEndo(self.bases, {n: [lc.scale(scalar) for lc in col]
+                                       for n, col in self.cols.items()})
 
     def rank(self, n):
-        return exact_rank(sparse_rows(self.mats[n]))
+        return exact_rank(coords(self.cols[n], self.bases[n]))
 
     def __eq__(self, other):
-        return isinstance(other, GradedEndo) and self.mats == other.mats
+        return isinstance(other, GradedEndo) and self.cols == other.cols

@@ -1,5 +1,6 @@
 """Idempotents: versal, Eulerian family, Dynkin, geometric."""
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ from operads.idempotents import (
     omega,
     versal_idempotent,
 )
-from operads.linalg import GradedEndo, LinComb, _Memo, same_column_space
+from operads.linalg import GradedEndo, LinComb, _Memo, exact_rank, mat_mul, same_column_space, sparse_rows
 from operads.models import get_model, lie_subspace
 from operads.structure import primitive_part
 from operads.trees import catalan
@@ -178,7 +179,7 @@ def test_dynkin_image_equals_first_eulerian_image():
     dk = dynkin(deg, 2)
     e1 = eulerian(ctx, 1, deg)
     for n in range(1, deg + 1):
-        assert same_column_space(dk.mats[n], e1.mats[n])
+        assert same_column_space(dk.cols[n], e1.cols[n])
     # dynkin restricted to its image is the identity there, so dk is
     # idempotent as well (Dynkin, Specht, Wever)
     assert dk.compose(dk) == dk
@@ -275,7 +276,7 @@ def test_versal_memo_values_are_read_never_changed(name, alphabet, monkeypatch):
     assert e.compose(e) == e
     fresh = get_model(name, alphabet).splitting.versal
     (_, calls), = seen
-    # the very objects the memo handed to the matrices
+    # the very objects the memo handed to the columns
     for key, value in calls:
         assert value == fresh(key), key
     versal = model.splitting.versal
@@ -283,3 +284,62 @@ def test_versal_memo_values_are_read_never_changed(name, alphabet, monkeypatch):
         assert versal.values
         for key, value in versal.values.items():
             assert value == fresh(key), key
+
+
+# --- the per-key algebra against the dense matrices it stands for ------------
+
+def versal_and_omegas(name, alphabet, arities=(2,)):
+    model = get_model(name, alphabet)
+    return [versal_idempotent(model, 4)] + [omega(model, n, 4) for n in arities]
+
+
+def classical_maps():
+    ctx = classical_context()
+    return [eulerian(ctx, i, 5) for i in range(1, 6)] + [geometric_idempotent(ctx, 5), dynkin(5, 2)]
+
+
+DENSE_CASES = [
+    ("as/2", lambda: versal_and_omegas("as", 2)),
+    ("dup/1", lambda: versal_and_omegas("dup", 1, (2, 3))),
+    ("dup/2", lambda: versal_and_omegas("dup", 2)),
+    ("mag/1", lambda: versal_and_omegas("mag", 1)),
+    ("bidup/1", lambda: versal_and_omegas("bidup", 1)),
+    ("classical/2", classical_maps),
+]
+
+
+@pytest.mark.parametrize("case,build", DENSE_CASES, ids=[case for case, _ in DENSE_CASES])
+def test_graded_maps_compose_add_scale_and_rank_as_their_matrices(case, build):
+    maps = build()
+    q = Fraction(-2, 3)
+    for a in maps:
+        scaled = a.scale(q)
+        for n, mat in a.mats.items():
+            assert scaled.mats[n] == [[x * q for x in row] for row in mat], (case, n)
+            assert a.rank(n) == exact_rank(sparse_rows(mat)), (case, n)
+        for b in maps:
+            composed, total = a.compose(b), a + b
+            for n in a.mats:
+                assert composed.mats[n] == mat_mul(a.mats[n], b.mats[n]), (case, n)
+                assert total.mats[n] == [[x + y for x, y in zip(r, s)]
+                                         for r, s in zip(a.mats[n], b.mats[n])], (case, n)
+
+
+def test_graded_maps_stay_per_key_until_output():
+    tracemalloc.start()
+    try:
+        e = versal_idempotent(get_model("dup", 2), 5)
+        ranks = [e.rank(n) for n in range(1, 6)]
+        squares_to_itself = e.compose(e) == e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks == [catalan(n - 1) * 2 ** n for n in range(1, 6)]
+    assert squares_to_itself
+    # a dense 1344 x 1344 matrix in degree 5 alone is about 15 MB of row lists
+    assert peak < 8 * 2 ** 20
+    derived = [e.compose(e), e + e, e.scale(Fraction(1, 2)), e - e]
+    assert e == e and derived[0] == e
+    for endo in [e, *derived]:
+        assert "mats" not in vars(endo)
+    assert e.mats is e.mats

@@ -432,22 +432,28 @@ def test_mat_mul_on_random_rationals_against_the_triple_loop():
         assert mat_mul(a, b) == naive_mat_mul(a, b)
 
 
+def columns(m):
+    """The columns of a dense matrix, as LinCombs over its row indices."""
+    return [LinComb((i, row[j]) for i, row in enumerate(m)) for j in range(len(m[0]))]
+
+
 def test_same_column_space():
-    a = [[1, 0], [0, 1], [0, 0]]
-    b = [[1, 1], [1, -1], [0, 0]]
-    c = [[1, 0], [0, 0], [0, 1]]
+    a = columns([[1, 0], [0, 1], [0, 0]])
+    b = columns([[1, 1], [1, -1], [0, 0]])
+    c = columns([[1, 0], [0, 0], [0, 1]])
     assert same_column_space(a, b)
     assert not same_column_space(a, c)
 
 
 def test_same_column_space_with_different_widths():
-    a = [[1, 0, 0], [0, 0, 0], [0, 1, 0]]
-    b = [[2], [0], [Fraction(-1, 3)]]
+    a = columns([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+    b = columns([[2], [0], [Fraction(-1, 3)]])
     assert not same_column_space(a, b)
-    assert same_column_space([[1, 0], [0, 0], [1, 0]], [[Fraction(1, 2), 0, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]])
-    assert not same_column_space([[0, 1], [1, 0]], [[0, 1], [0, 1]])
-    assert not same_column_space([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    assert same_column_space([[0, 0]], [[0]])
+    assert same_column_space(columns([[1, 0], [0, 0], [1, 0]]),
+                             columns([[Fraction(1, 2), 0, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]]))
+    assert not same_column_space(columns([[0, 1], [1, 0]]), columns([[0, 1], [0, 1]]))
+    assert not same_column_space(columns([[0, 1], [0, 0]]), columns([[0, 0], [1, 0]]))
+    assert same_column_space(columns([[0, 0]]), columns([[0]]))
 
 
 def test_graded_endo_roundtrip_and_algebra():
