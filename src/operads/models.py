@@ -45,12 +45,30 @@ def words(alphabet, n):
 
 
 def bilinear(key_fn):
-    """Extend a key-level binary map returning LinCombs to LinComb pairs."""
+    """Extend a key-level binary map returning LinCombs to LinComb pairs.
+
+    The image of each key pair, times c1 c2, goes straight into one dict of
+    int numerators over a.den b.den; a non-integral image sends all the
+    pairs through LinComb.sum instead.
+    """
     def ext(a, b):
         right = b.terms.items()
-        return LinComb.sum(
-            ((key_fn(k1, k2), c1 * c2) for k1, c1 in a.terms.items() for k2, c2 in right),
-            a.den * b.den)
+        out = {}
+        get = out.get
+        for k1, c1 in a.terms.items():
+            for k2, c2 in right:
+                image = key_fn(k1, k2)
+                if image.den != 1:
+                    return LinComb.sum(((key_fn(u, v), d * e) for u, d in a.terms.items()
+                                        for v, e in right), a.den * b.den)
+                c = c1 * c2
+                for k, d in image.terms.items():
+                    x = get(k, 0) + c * d
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+        return _over(out, a.den * b.den)
     return ext
 
 

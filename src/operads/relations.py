@@ -233,16 +233,18 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     failing pair is reported, not raised.
     """
     expr = get_relation(relation_name)
-    coproduct = model.coproducts[delta_sym]
-    product = model.products[mu_sym]
-    basis = {n: [_as_lincomb(k) for k in model.basis(n)] for n in range(1, max_degree)}
+    coproduct, key_coproduct = model.coproducts[delta_sym], model.key_coproducts[delta_sym]
+    product, key_product = model.products[mu_sym], model.key_products[mu_sym]
+    basis = {n: [(k, _as_lincomb(k)) for k in model.basis(n)] for n in range(1, max_degree)}
     images = {}
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
-            for la in basis[da]:
-                for lb in basis[db]:
-                    lhs = coproduct(product(la, lb))
+            for a, la in basis[da]:
+                for b, lb in basis[db]:
+                    # the kernels on a key pair; lie's basis entries are LinCombs
+                    lhs = (coproduct(product(la, lb)) if isinstance(a, LinComb)
+                           else key_product(a, b).map_keys(key_coproduct))
                     rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
                                       images=images)
                     checked += 1

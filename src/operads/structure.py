@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UsageError
-from .linalg import LinComb, _over, coords, exact_rank, kernel_basis
+from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
 from .models import LETTERS, by_label, key_parts, require_keys, require_splitting, tree_key
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
@@ -45,6 +45,22 @@ def _nonsymmetric_splitting(model):
     return splitting
 
 
+def _generator_part(splitting, g):
+    """key -> the LinComb over labels of its cooperations' coefficients at (g, ..., g).
+
+    Tree splittings read decompose.  On the one associative label, by
+    coassociativity, paths(x) is [x = g] plus c paths(b) over the terms
+    c g x b of the reduced coproduct memo, in a memo local to the caller.
+    """
+    if splitting.cuts is None:
+        return lambda key: LinComb({t[0]: c for t, c in splitting.decompose(key).items()
+                                    if t.count(g) == len(t) - 1})
+    delta = splitting.cuts[1]
+    paths = _Memo(lambda key, paths: (key == g) + sum(
+        c * paths(b) for (a, b), c in delta(key).items() if a == g))
+    return lambda key: LinComb.of(None, paths(key))
+
+
 def phi_map(model, n):
     """Matrix of phi in degree n as (sparse rows, column count).
 
@@ -52,16 +68,15 @@ def phi_map(model, n):
     the coefficient of x1 x ... x xn in the i-th labeled cooperation of the
     j-th key on the word x1...xn.  The nonsymmetric models only slice
     words, so it is read on the model's own one-letter keys t:x...x at
-    (g:x)^(x n), one decomposition per column.
+    (g:x)^(x n), one generator part per column: on the associative
+    splitting a key's generator paths, off the reduced coproduct memo with
+    no tower walked; on a tree splitting the terms of its decomposition.
     """
     splitting = _nonsymmetric_splitting(model)
     x = LETTERS[0]
-    target = (generator_key(model, x),) * n
-    rows = [(label,) + target for label in splitting.labels(n)]
-    wanted = set(rows)
+    part = _generator_part(splitting, generator_key(model, x))
     keys = multilinear_basis(model, n, x * n)
-    return coords((LinComb({k: c for k, c in splitting.decompose(key).items() if k in wanted})
-                   for key in keys), rows), len(keys)
+    return coords(map(part, keys), splitting.labels(n)), len(keys)
 
 
 @dataclass
@@ -102,16 +117,18 @@ def _splitting_section_ok(model, max_degree):
     """Check phi(s(n)) = id on the cooperad side, exactly, per degree.
 
     With x = x1 x ... x xn, read on one-letter keys as in phi_map, the
-    decomposition of op_j(x) must hold (label_i, x) with coefficient 1 for
-    i = j and 0 otherwise: one decomposition per operation reads every i.
+    generator part of op_j(x) must be label_i with coefficient 1 for i = j
+    and 0 otherwise (on the associative label: its generator paths add up
+    to 1), so one generator part per operation reads every i.
     """
     splitting = model.splitting
+    g = generator_key(model, LETTERS[0])
+    part = _generator_part(splitting, g)
     for n in range(2, max_degree + 1):
-        target = (generator_key(model, LETTERS[0]),) * n
         labels = splitting.labels(n)
         for j in labels:
-            image = splitting.operation(j)(LinComb.of(target)).map_keys(splitting.decompose)
-            if any(image.coeff((i,) + target) != (1 if i == j else 0) for i in labels):
+            image = splitting.operation(j)(LinComb.of((g,) * n)).map_keys(part)
+            if any(image.coeff(i) != (1 if i == j else 0) for i in labels):
                 return False
     return True
 

@@ -131,6 +131,32 @@ def test_concat_is_associative_and_deconcat_coassociative():
     assert coassociative(as_deconcat, list(basis_elements(model, 6)))
 
 
+def test_bilinear_matches_the_sum_of_its_pair_images():
+    # the reference adds one LinComb per pair of terms; bilinear adds numerators in one dict
+    def half_bracket(u, v):  # non-integral: (uv - vu) / 2
+        return LinComb(((u + v, Fraction(1, 2)), (v + u, Fraction(-1, 2))))
+
+    def reference(key_fn, a, b):
+        return LinComb.sum((key_fn(k1, k2), c1 * c2)
+                           for k1, c1 in a.items() for k2, c2 in b.items())
+
+    x_plus_y = LinComb((("x", 1), ("y", 1)))
+    cases = [
+        # the pairs (x, y) and (y, x) cancel; the xy pairs are non-integral
+        (half_bracket, x_plus_y + LinComb.of("xy", Fraction(2, 3)), x_plus_y),
+        (half_bracket, x_plus_y, x_plus_y),
+        (lie_bracket, x_plus_y, x_plus_y),
+        (lie_bracket, LinComb((("x", Fraction(1, 3)), ("yx", 2))), LinComb((("y", 3), ("x", -1)))),
+        (as_concat, LinComb((("x", 2), ("xy", Fraction(-1, 4)))), LinComb((("yy", 6),))),
+        (zinb_half_shuffle, x_plus_y, LinComb.zero()),
+    ]
+    for key_fn, a, b in cases:
+        got, want = bilinear(key_fn)(a, b), reference(key_fn, a, b)
+        assert (got.terms, got.den) == (want.terms, want.den), (key_fn.__name__, a, b)
+    assert bilinear(half_bracket)(x_plus_y, x_plus_y) == LinComb.zero()
+    assert bilinear(lie_bracket)(x_plus_y, x_plus_y) == LinComb.zero()
+
+
 def test_shuffle_coproduct_is_coassociative_and_cocommutative():
     model = get_model("classical", 2)
     elems = list(basis_elements(model, 6))

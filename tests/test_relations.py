@@ -270,6 +270,44 @@ def test_eval_compat_with_non_integral_images_matches_the_lincomb_evaluation():
             assert eval_compat(expr, halved, (a, b), images=shared) == want, rel
 
 
+def reference_check_relation(model, delta, mu, rel, top):
+    """(checked pairs, first failure) with the left side as LinCombs: delta(mu(a, b))."""
+    checked = 0
+    for da in range(1, top):
+        for db in range(1, top - da + 1):
+            for a in model.basis(da):
+                for b in model.basis(db):
+                    la, lb = relations._as_lincomb(a), relations._as_lincomb(b)
+                    lhs = model.coproducts[delta](model.products[mu](la, lb))
+                    rhs = eval_compat(get_relation(rel), model, (la, lb), mu, delta)
+                    checked += 1
+                    if lhs != rhs:
+                        return checked, ((da, db), (la, lb), lhs, rhs)
+    return checked, None
+
+
+def test_check_relation_left_side_on_keys_matches_the_lincomb_left_side():
+    model = get_model("as", 2)
+    product, coproduct = model.key_products["mul"], model.key_coproducts["delta"]
+    halved = [  # a non-integral product image, coproduct image, or both
+        dataclasses.replace(model, **changes) for changes in (
+            {"key_products": {"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))}},
+            {"key_coproducts": {"delta": lambda w: coproduct(w).scale(Fraction(2, 3))}},
+            {"key_products": {"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))},
+             "key_coproducts": {"delta": lambda w: coproduct(w).scale(Fraction(2, 3))}})]
+    runs = [(model, "delta", "mul", "hopf", 4), (model, "delta", "mul", "nui", 5),
+            (get_model("lie", 2), "delta", "mul", "lily", 4),
+            (get_model("dup", 1), "delta", "left", "nui", 5),
+            (get_model("mag", 1), "hopf", "mul", "hopf", 5)]
+    runs += [(m, "delta", "mul", rel, 4) for m in halved for rel in ("nui", "hopf")]
+    for m, delta, mu, rel, top in runs:
+        report = check_relation(m, delta, mu, rel, top)
+        assert (report.checked_pairs, report.first_failure) == reference_check_relation(
+            m, delta, mu, rel, top), (m.name, delta, mu, rel)
+    # the lie witness stays the documented degree-4 defect
+    assert check_relation(get_model("lie", 2), "delta", "mul", "lily", 4).first_failure[0] == (1, 3)
+
+
 def _counting(ops, calls):
     def count(fn):
         def counted(*args):

@@ -118,8 +118,22 @@ def test_section_check_rejects_wrong_splittings():
         return operation
 
     assert not _splitting_section_ok(_with_operation(get_model("dup"), doubled), 3)
+    assert not _splitting_section_ok(_with_operation(get_model("as"), doubled), 3)
     # mag has two trees with three leaves, so the mixture leaves the dual basis
     assert not _splitting_section_ok(_with_operation(get_model("mag"), mixed), 3)
+
+
+@pytest.mark.parametrize("name, alphabet, top", [("as", 1, 7), ("as", 2, 7), ("dup", 1, 7),
+                                                 ("dup", 2, 5)])
+def test_associative_phi_equals_the_tower_reading(name, alphabet, top):
+    # phi reads generator paths off the reduced coproduct memo; the reference reads the
+    # coefficient of (None, g, ..., g) off the labeled tower of a separate model
+    model, decompose = get_model(name, alphabet), get_model(name, alphabet).splitting.decompose
+    for n in range(1, top + 1):
+        target = (generator_key(model, "x"),) * n
+        keys = multilinear_basis(model, n, "x" * n)
+        reference = [[decompose(key).coeff((None,) + target) for key in keys]]
+        assert phi_map(model, n) == (sparse_rows(reference), len(keys)), (name, alphabet, n)
 
 
 @pytest.mark.parametrize("name", ["as", "dup", "mag", "bidup"])
@@ -437,6 +451,17 @@ def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
     versal_idempotent(model, 6)
     assert seen and set(seen.values()) == {1}
     assert len(seen) == sum(len(model.basis(n)) for n in range(1, 7))
+
+
+@pytest.mark.parametrize("name, alphabet, verdict", [
+    ("as", 2, "iso"), ("dup", 1, "epi-with-splitting"), ("dup", 2, "epi-with-splitting"),
+])
+def test_associative_check_h2_never_walks_the_tower(monkeypatch, name, alphabet, verdict):
+    # phi and the section check read the reduced coproduct memo, never decompose
+    def tower(*args):
+        raise AssertionError("check_h2 walked the tower")
+    monkeypatch.setattr(models, "_cut_first", tower)
+    assert check_h2(get_model(name, alphabet), 7).verdict == verdict
 
 
 def test_pbw_expand_cuts_each_key_once(monkeypatch):
