@@ -5,7 +5,8 @@ composites: apply coproducts to the inputs, permute the resulting tensor
 slots, then apply products blockwise.  The placeholder symbols "delta"
 and "mu" resolve to whatever pair is being checked; any other symbol is
 looked up in the model, so one relation can mix several operations.  The
-checker computes each (co)product image of a basis key once per check.
+checker computes each (co)product image of a basis key once per check and
+sums delta(mu(a, b)) minus the right side on keys, in one numerator dict.
 """
 
 from __future__ import annotations
@@ -123,58 +124,65 @@ def _resolve_op(model, sym, mu_sym):
     return model.key_products[sym]
 
 
-def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None):
+def _image(images, fn, keys):
+    """fn(*keys) as (slot tuple, coefficient) items, computed once per `images` table."""
+    items = images.get((fn, keys))
+    if items is None:
+        lc = fn(*keys)
+        if lc.den != 1:
+            images[None] = True  # a non-integral image: sums read off the table hold Fractions
+        items = images[fn, keys] = tuple((as_slots(k), c) for k, c in lc.items())
+    return items
+
+
+def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into=None):
     """Evaluate the relation right-hand side on a tuple of LinCombs.
 
-    The sum is taken on keys, into one dict of int numerators over the
-    lcm of the terms' denominators times the arguments'; the model's
+    The sum is taken on keys, into one dict of int numerators over den,
+    the lcm of the terms' denominators times the arguments'; the model's
     kernels are applied to keys.  `images` maps (kernel, input keys) to the
-    image's (slot tuple, coefficient) items; check_relation passes one dict
-    to every pair, so each (co)product image is computed once per check.
-    Without it the images are computed for this call alone.
+    image's (slot tuple, coefficient) items, computed once per table:
+    check_relation passes one to every pair, a direct call gets its own.
+    Given a dict `into`, the numerators are added into it, and None returned.
     """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
-    if images is None:
-        images = {}
-
-    def image(fn, *keys):
-        items = images.get((fn, keys))
-        if items is None:
-            lc = fn(*keys)
-            if lc.den != 1:
-                images[None] = True  # a non-integral image: the sum below holds Fractions
-            items = images[fn, keys] = tuple((as_slots(k), c) for k, c in lc.items())
-        return items
-
-    den, numerators = expr.numerators
-    out = {}
+    images = {} if images is None else images
+    get_image, (den, numerators) = images.get, expr.numerators
+    out = {} if into is None else into
     get = out.get
     for term, num in zip(expr.terms, numerators):
         inter = [((), num)]  # the inputs' tensor: (slot tuple, numerator)
         for sym, arg in zip(term.in_coops, args):
             coop = None if sym == "id" else _resolve_coop(model, sym, delta)
             inter = [(s + t, c * x * y) for k, x in arg.terms.items()
-                     for t, y in (((as_slots(k), 1),) if coop is None else image(coop, k))
+                     for t, y in (_image(images, coop, (k,)) if coop else ((as_slots(k), 1),))
                      for s, c in inter]
-        ops = [None if sym == "id" else _resolve_op(model, sym, mu) for sym in term.out_ops]
+        plan, pos = [], 0  # per output block: its kernel (None for id) and input slots
+        for sym in term.out_ops:
+            op = None if sym == "id" else _resolve_op(model, sym, mu)
+            plan.append((op, term.perm[pos], op and term.perm[pos + 1]))
+            pos += 1 if op is None else 2
         for flat, coeff in inter:
-            slots = [flat[p] for p in term.perm]
-            pieces, pos = [((), coeff)], 0
-            for op in ops:
+            pieces = [((), coeff)]
+            for op, i, j in plan:
                 if op is None:
-                    block, pos = (((slots[pos],), 1),), pos + 1
-                else:
-                    block, pos = image(op, slots[pos], slots[pos + 1]), pos + 2
+                    pieces = [(s + (flat[i],), c) for s, c in pieces]
+                    continue
+                block = get_image((op, (flat[i], flat[j])))
+                if block is None:
+                    block = _image(images, op, (flat[i], flat[j]))
                 pieces = [(s + t, c * y) for t, y in block for s, c in pieces]
             for key, c in pieces:
-                if len(ops) == 1:  # one block: its keys stay as they are, not slot tuples
+                if len(plan) == 1:  # one block: its keys stay as they are, not slot tuples
                     key = key[0]
                 x = get(key, 0) + c
                 if x:
                     out[key] = x
                 else:
                     out.pop(key, None)
+    if into is not None:
+        return None
     for arg in args:
         den *= arg.den
     if None in images:
@@ -230,24 +238,36 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     """Compare delta(mu(a,b)) with the relation on every basis pair.
 
     Exhaustive over pairs with deg a + deg b <= max_degree; exact. A
-    failing pair is reported, not raised.
+    failing pair is reported, not raised.  On key bases with integral
+    images, -den * delta(mu(a, b)), read off the images table the right
+    side shares, and den * RHS (eval_compat's `into`) go into one dict: the
+    pair holds when it is all zero.  lie's LinComb basis, a non-integral
+    image and a failing pair compare LinCombs, so the witness is the same.
     """
     expr = get_relation(relation_name)
     coproduct, key_coproduct = model.coproducts[delta_sym], model.key_coproducts[delta_sym]
     product, key_product = model.products[mu_sym], model.key_products[mu_sym]
     basis = {n: [(k, _as_lincomb(k)) for k in model.basis(n)] for n in range(1, max_degree)}
-    images = {}
+    images, neg_den = {}, -expr.numerators[0]  # the table lives and dies with this call
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
             for a, la in basis[da]:
                 for b, lb in basis[db]:
-                    # the kernels on a key pair; lie's basis entries are LinCombs
-                    lhs = (coproduct(product(la, lb)) if isinstance(a, LinComb)
-                           else key_product(a, b).map_keys(key_coproduct))
+                    checked += 1
+                    if not isinstance(a, LinComb) and None not in images and (
+                            prod := key_product(a, b)).den == 1:
+                        diff = {}
+                        for k, c in prod.terms.items():
+                            for t, y in _image(images, key_coproduct, (k,)):
+                                diff[t] = diff.get(t, 0) + neg_den * c * y
+                        eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
+                                    images=images, into=diff)
+                        if not any(diff.values()) and None not in images:
+                            continue
+                    lhs = coproduct(product(la, lb))
                     rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
                                       images=images)
-                    checked += 1
                     if lhs != rhs:
                         return RelationReport(
                             holds=False,

@@ -1,7 +1,9 @@
 """Compatibility relation DSL: library entries, the checker, controls."""
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -250,6 +252,12 @@ def test_eval_compat_on_keys_matches_the_lincomb_evaluation(name, alphabet):
                     want = reference_eval_compat(expr, model, (a, b), mu, delta)
                     assert eval_compat(expr, model, (a, b), mu, delta) == want, (rel, delta, mu)
                     assert eval_compat(expr, model, (a, b), mu, delta, images=shared) == want
+                    # into=: the same sum times den = expr den * a.den * b.den, added in place
+                    into = {("x", "x"): 1}
+                    assert eval_compat(expr, model, (a, b), mu, delta, into=into) is None
+                    den = expr.numerators[0] * a.den * b.den
+                    assert LinComb(into).scale(Fraction(1, den)) == want + LinComb(
+                        {("x", "x"): Fraction(1, den)})
 
 
 def test_eval_compat_with_non_integral_images_matches_the_lincomb_evaluation():
@@ -308,10 +316,55 @@ def test_check_relation_left_side_on_keys_matches_the_lincomb_left_side():
     assert check_relation(get_model("lie", 2), "delta", "mul", "lily", 4).first_failure[0] == (1, 3)
 
 
+# (model, alphabet or None for the default, coproduct, product, relation, max degree):
+# the suite's relation checks, the rows of the relations benchmark capped at degree
+# 6, and integral checks that fail past their first pairs
+_SUITE_RELATIONS = [
+    ("as", None, "delta", "mul", "nui", 6),
+    ("dup", None, "delta", "left", "nui", 6),
+    ("dup", None, "delta", "right", "nui", 6),
+    ("mag", None, "delta", "mul", "magmatic", 6),
+    ("mag", None, "liv", "mul", "livernet", 5),
+    ("dup", None, "dleft", "left", "bidup_dleft_left", 5),
+    ("dup", None, "dright", "right", "bidup_dright_right", 5),
+    ("dup", None, "dleft", "right", "bidup_dleft_right", 5),
+    ("dup", None, "dright", "left", "bidup_dright_left", 5),
+    ("zinb", None, "delta", "left", "semi_hopf_left", 5),
+]
+_BENCH_RELATIONS = [
+    ("dup", 1, "delta", "left", "nui", 6),
+    ("dup", 1, "delta", "right", "nui", 6),
+    ("dup", 1, "dleft", "right", "bidup_dleft_right", 6),
+    ("classical", 2, "delta", "mul", "hopf", 5),
+    ("zinb", 2, "delta", "left", "semi_hopf_left", 5),
+    ("mag", 1, "hopf", "mul", "hopf", 6),
+    ("mag", 1, "liv", "mul", "livernet", 6),
+    ("as", 2, "delta", "mul", "nui", 6),
+    ("as", 1, "delta", "mul", "hopf", 4),
+]
+_LATE_FAILURES = [
+    ("zinb", 2, "delta", "left", "nui", 4),
+    ("mag", 1, "liv", "mul", "magmatic", 6),
+]
+
+
+@pytest.mark.parametrize("name,alphabet,delta,mu,rel,top",
+                         _SUITE_RELATIONS + _BENCH_RELATIONS + _LATE_FAILURES)
+def test_check_relation_report_matches_the_lincomb_reference(name, alphabet, delta, mu, rel, top):
+    model = get_model(name, alphabet)
+    report = check_relation(model, delta, mu, rel, top)
+    assert (report.checked_pairs, report.first_failure) == reference_check_relation(
+        model, delta, mu, rel, top)
+    if (name, rel) == ("zinb", "nui"):
+        assert (report.checked_pairs, report.first_failure[0]) == (29, (2, 1))
+    if (delta, rel) == ("liv", "magmatic"):
+        assert report.first_failure[0] == (2, 1)
+
+
 def _counting(ops, calls):
     def count(fn):
         def counted(*args):
-            calls[fn] += 1
+            calls[fn, args] += 1
             return fn(*args)
         return counted
     return {sym: count(fn) for sym, fn in ops.items()}
@@ -337,6 +390,52 @@ def test_check_relation_computes_each_image_once_per_check():
     slot_pairs = sum(2 ** i * 2 ** (s - i) for s in range(2, 5) for i in range(1, s))
     assert slot_pairs == 68
     assert sum(product_calls.values()) <= report.checked_pairs + slot_pairs
+
+
+def test_check_relation_computes_each_coproduct_image_once_on_both_sides():
+    model = get_model("classical", 2)
+    calls = Counter()
+    counted = dataclasses.replace(
+        model, key_coproducts=_counting(model.key_coproducts, calls))
+    report = check_relation(counted, "delta", "mul", "hopf", 5)
+    assert report.holds and report.checked_pairs == 196
+    # delta(mu(a, b)) and the right side read one table: one call per word of degree 1-5
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) <= 2 + 4 + 8 + 16 + 32 == 62
+
+
+def test_check_relation_images_table_dies_with_the_call():
+    model = get_model("dup", 1)
+    calls = Counter()
+    counted = dataclasses.replace(
+        model, key_coproducts=_counting(model.key_coproducts, calls),
+        key_products=_counting(model.key_products, calls))
+
+    def run():
+        before = sum(calls.values())
+        assert check_relation(counted, "dleft", "right", "bidup_dleft_right", 7).holds
+        # with the collector off, a table kept alive by a reference cycle is
+        # counted here; a full collection also empties the interpreter's free
+        # lists, so what tracemalloc reports after it is what the call left behind
+        cycles = gc.collect()
+        return sum(calls.values()) - before, cycles, tracemalloc.get_traced_memory()[0]
+
+    gc.collect()
+    gc.disable()
+    try:
+        warm_calls, _, _ = run()  # the model's basis and module-level caches fill here
+        tracemalloc.start()
+        first_calls, first_cycles, held_first = run()
+        second_calls, second_cycles, _ = run()
+        third_calls, third_cycles, held_third = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # every call computes its images again and keeps none of them
+    assert warm_calls == first_calls == second_calls == third_calls > 0
+    assert first_cycles == second_cycles == third_cycles == 0
+    assert held_third - held_first < (peak - held_first) // 100, (held_first, held_third, peak)
 
 
 def test_relations_hold_past_the_pinned_degrees():
