@@ -70,7 +70,8 @@ def materialize(model, fn, max_degree):
     return GradedEndo.from_function(bases, fn)
 
 
-# e^(1)-power memos by (name, alphabet): bench/tracer.py counts them, and suite runs reuse them
+# (coproduct, product, e^(1)-power memo) by (name, alphabet): bench/tracer.py counts
+# them, and contexts with the same coproduct and product objects reuse the memo
 _EULERIAN_CACHE = {}
 
 
@@ -79,15 +80,15 @@ def eulerian_family(ctx):
 
     The i-th Eulerian idempotent e^(i) is the i-th power over i!.
     """
-    cache_key = (ctx.model.name, ctx.model.alphabet)
-    family = _EULERIAN_CACHE.get(cache_key)
-    if family is None:
+    cache_key, coproduct, product = (ctx.model.name, ctx.model.alphabet), ctx.coproduct, ctx.product
+    entry = _EULERIAN_CACHE.get(cache_key)
+    if entry is None or entry[0] is not coproduct or entry[1] is not product:
         ids = ctx.identity_powers
-        family = _EULERIAN_CACHE[cache_key] = _power_memo(
+        entry = _EULERIAN_CACHE[cache_key] = coproduct, product, _power_memo(
             lambda key, _: LinComb.sum(
                 (p, Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids(key))),
-            ctx.coproduct, ctx.product)
-    return family
+            coproduct, product)
+    return entry[2]
 
 
 def eulerian(ctx, i, max_degree):

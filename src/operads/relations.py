@@ -5,8 +5,8 @@ composites: apply coproducts to the inputs, permute the resulting tensor
 slots, then apply products blockwise.  The placeholder symbols "delta"
 and "mu" resolve to whatever pair is being checked; any other symbol is
 looked up in the model, so one relation can mix several operations.  The
-checker computes each (co)product image of a basis key once per check and
-sums delta(mu(a, b)) minus the right side on keys, in one numerator dict.
+checker computes each (co)product image of a basis key once per check, and
+decides each pair on one dict of delta(mu(a, b)) minus the right side.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from .linalg import LinComb, _coef, _over, as_slots
+from .linalg import LinComb, _coef, as_slots
 from .models import iterated_coproduct
 
 
@@ -125,25 +125,23 @@ def _resolve_op(model, sym, mu_sym):
 
 
 def _image(images, fn, keys):
-    """fn(*keys) as (slot tuple, coefficient) items, computed once per `images` table."""
+    """fn(*keys) as (slot tuple, int or Fraction coefficient) items, once per `images` table."""
     items = images.get((fn, keys))
     if items is None:
-        lc = fn(*keys)
-        if lc.den != 1:
-            images[None] = True  # a non-integral image: sums read off the table hold Fractions
-        items = images[fn, keys] = tuple((as_slots(k), c) for k, c in lc.items())
+        items = images[fn, keys] = tuple((as_slots(k), c) for k, c in fn(*keys).items())
     return items
 
 
 def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into=None):
     """Evaluate the relation right-hand side on a tuple of LinCombs.
 
-    The sum is taken on keys, into one dict of int numerators over den,
-    the lcm of the terms' denominators times the arguments'; the model's
-    kernels are applied to keys.  `images` maps (kernel, input keys) to the
-    image's (slot tuple, coefficient) items, computed once per table:
-    check_relation passes one to every pair, a direct call gets its own.
-    Given a dict `into`, the numerators are added into it, and None returned.
+    The sum is taken on keys, into one dict of numerators (ints, or
+    Fractions off non-integral images) over den, the lcm of the terms'
+    denominators times the arguments'.  `images` maps (kernel, input keys)
+    to the image's (slot tuple, coefficient) items, computed once per
+    table: check_relation passes one to every pair, a direct call gets its
+    own.  Given a dict `into`, the numerators are added into it and None is
+    returned; else the sum is returned as a LinComb.
     """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
@@ -185,9 +183,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
         return None
     for arg in args:
         den *= arg.den
-    if None in images:
-        return LinComb(out).scale(Fraction(1, den))
-    return _over(out, den)
+    return LinComb.sum(((LinComb(out), 1),), den)
 
 
 @dataclass
@@ -238,37 +234,35 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     """Compare delta(mu(a,b)) with the relation on every basis pair.
 
     Exhaustive over pairs with deg a + deg b <= max_degree; exact. A
-    failing pair is reported, not raised.  On key bases with integral
-    images, -den * delta(mu(a, b)), read off the images table the right
-    side shares, and den * RHS (eval_compat's `into`) go into one dict: the
-    pair holds when it is all zero.  lie's LinComb basis, a non-integral
-    image and a failing pair compare LinCombs, so the witness is the same.
+    failing pair is reported, not raised.  For every pair, -den *
+    delta(mu(a, b)), summed on keys off the images table the right side
+    shares, and den * RHS (eval_compat's `into`) go into one dict, which
+    holds Fractions where an image is not integral: the pair holds when it
+    is all zero.  Only a failing pair builds LinCombs, for its witness.
     """
     expr = get_relation(relation_name)
-    coproduct, key_coproduct = model.coproducts[delta_sym], model.key_coproducts[delta_sym]
-    product, key_product = model.products[mu_sym], model.key_products[mu_sym]
-    basis = {n: [(k, _as_lincomb(k)) for k in model.basis(n)] for n in range(1, max_degree)}
+    key_coproduct, key_product = model.key_coproducts[delta_sym], model.key_products[mu_sym]
+    basis = {n: [_as_lincomb(k) for k in model.basis(n)] for n in range(1, max_degree)}
     images, neg_den = {}, -expr.numerators[0]  # the table lives and dies with this call
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
-            for a, la in basis[da]:
-                for b, lb in basis[db]:
+            for la in basis[da]:
+                for lb in basis[db]:
                     checked += 1
-                    if not isinstance(a, LinComb) and None not in images and (
-                            prod := key_product(a, b)).den == 1:
-                        diff = {}
-                        for k, c in prod.terms.items():
-                            for t, y in _image(images, key_coproduct, (k,)):
-                                diff[t] = diff.get(t, 0) + neg_den * c * y
-                        eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
-                                    images=images, into=diff)
-                        if not any(diff.values()) and None not in images:
-                            continue
-                    lhs = coproduct(product(la, lb))
-                    rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
-                                      images=images)
-                    if lhs != rhs:
+                    diff = {}
+                    for a, x in la.terms.items():
+                        for b, y in lb.terms.items():
+                            for k, c in key_product(a, b).items():
+                                c *= neg_den * x * y
+                                for t, z in _image(images, key_coproduct, (k,)):
+                                    diff[t] = diff.get(t, 0) + c * z
+                    eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
+                                images=images, into=diff)
+                    if any(diff.values()):
+                        lhs = model.coproducts[delta_sym](model.products[mu_sym](la, lb))
+                        rhs = eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
+                                          images=images)
                         return RelationReport(
                             holds=False,
                             checked_pairs=checked,

@@ -1,5 +1,6 @@
 """Idempotents: versal, Eulerian family, Dynkin, geometric."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -170,6 +171,24 @@ def test_eulerian_values_on_small_words():
     assert e1("xy") == LinComb({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)})
     # symmetric words are killed
     assert e1("xy") + e1("yx") == LinComb.zero()
+
+
+def test_eulerian_family_is_rebuilt_for_a_model_with_another_product(monkeypatch):
+    # a copy with its product halved keeps the original's name and alphabet
+    model = get_model("classical", 2)
+    product = model.key_products["mul"]
+    halved = dataclasses.replace(
+        model, key_products={"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))})
+    monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
+    alone = eulerian(ConvolutionContext(halved), 1, 4)
+    monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
+    original = eulerian(ConvolutionContext(model), 1, 4)
+    assert alone != original
+    assert eulerian(ConvolutionContext(halved), 1, 4) == alone
+    # contexts on one model share its coproduct and product, and so the memo
+    assert eulerian_family(ConvolutionContext(halved)) is eulerian_family(
+        ConvolutionContext(halved))
+    assert len(idempotents._EULERIAN_CACHE) == 1
 
 
 def test_dynkin_image_equals_first_eulerian_image():

@@ -294,6 +294,14 @@ def reference_check_relation(model, delta, mu, rel, top):
     return checked, None
 
 
+def _rescaled_as2(mul, delta):
+    """as/2 with its product times `mul` and its coproduct times `delta`, on keys."""
+    model = get_model("as", 2)
+    product, coproduct = model.key_products["mul"], model.key_coproducts["delta"]
+    return dataclasses.replace(model, key_products={"mul": lambda u, v: product(u, v).scale(mul)},
+                               key_coproducts={"delta": lambda w: coproduct(w).scale(delta)})
+
+
 def test_check_relation_left_side_on_keys_matches_the_lincomb_left_side():
     model = get_model("as", 2)
     product, coproduct = model.key_products["mul"], model.key_coproducts["delta"]
@@ -308,12 +316,34 @@ def test_check_relation_left_side_on_keys_matches_the_lincomb_left_side():
             (get_model("dup", 1), "delta", "left", "nui", 5),
             (get_model("mag", 1), "hopf", "mul", "hopf", 5)]
     runs += [(m, "delta", "mul", rel, 4) for m in halved for rel in ("nui", "hopf")]
+    # Fraction product images whose scales cancel in nui but not in hopf or magmatic
+    scaled = _rescaled_as2(Fraction(1, 2), 2)
+    assert scaled.key_products["mul"]("x", "xx") == LinComb({"xxx": Fraction(1, 2)})
+    runs += [(scaled, "delta", "mul", rel, 5) for rel in ("nui", "hopf", "magmatic")]
+    reports = []
     for m, delta, mu, rel, top in runs:
-        report = check_relation(m, delta, mu, rel, top)
-        assert (report.checked_pairs, report.first_failure) == reference_check_relation(
+        reports.append(check_relation(m, delta, mu, rel, top))
+        assert (reports[-1].checked_pairs, reports[-1].first_failure) == reference_check_relation(
             m, delta, mu, rel, top), (m.name, delta, mu, rel)
     # the lie witness stays the documented degree-4 defect
-    assert check_relation(get_model("lie", 2), "delta", "mul", "lily", 4).first_failure[0] == (1, 3)
+    assert reports[2].first_failure[0] == (1, 3)
+    nui, hopf, magmatic = reports[-3:]
+    assert nui.holds and nui.checked_pairs == 196
+    assert (hopf.checked_pairs, hopf.first_failure[0]) == (1, (1, 1))
+    # delta(mu(x, xx)) = 2 * 1/2 (xx|x + x|xx): the witness is integral again
+    assert (magmatic.checked_pairs, magmatic.first_failure[0]) == (5, (1, 2))
+
+
+def test_a_holding_check_never_calls_the_lincomb_level_maps():
+    # lie's basis entries are LinCombs; the rescaled as/2 has Fraction product images
+    def boom(*args):
+        raise AssertionError("a holding pair called a LinComb-level map")
+    for model, rel, top, pairs in ((get_model("lie", 2), "lily", 3, 8),
+                                   (_rescaled_as2(Fraction(1, 2), 2), "nui", 5, 196)):
+        for maps in (model.products, model.coproducts):
+            maps.update(dict.fromkeys(maps, boom))
+        report = check_relation(model, "delta", "mul", rel, top)
+        assert report.holds and report.checked_pairs == pairs
 
 
 # (model, alphabet or None for the default, coproduct, product, relation, max degree):

@@ -65,17 +65,30 @@ def _read_names(node):
             yield n.value
 
 
-def unreferenced(defining, readers):
-    """Module-level functions and classes of the `defining` files that no reader reads.
+def _defined_names(stmt):
+    """The names a module-level statement defines: a function, a class or assignment targets.
 
-    Every defining file is a reader too.  A definition's own body does not
-    count, so recursion alone keeps nothing.
+    A dunder such as __version__ is read from outside the package, so it is left out.
+    """
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+            yield from (n.id for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and not n.id.startswith("__"))
+
+
+def unreferenced(defining, readers):
+    """Module-level functions, classes and assigned names of `defining` that no reader reads.
+
+    Every defining file is a reader too.  A definition's own statement does
+    not count, so recursion alone keeps nothing.
     """
     modules = {path: ast.parse(path.read_text()) for path in {*defining, *readers}}
     read = [(stmt, set(_read_names(stmt))) for module in modules.values() for stmt in module.body]
-    return ["%s %s" % (path.name, node.name) for path in defining for node in modules[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not any(node.name in names for stmt, names in read if stmt is not node)]
+    return ["%s %s" % (path.name, name) for path in defining for node in modules[path].body
+            for name in _defined_names(node)
+            if not any(name in names for stmt, names in read if stmt is not node)]
 
 
 def test_every_function_and_class_is_read_by_the_package_or_the_benchmark():
@@ -86,5 +99,7 @@ def test_every_function_and_class_is_read_by_the_package_or_the_benchmark():
 def test_the_check_sees_an_unused_function(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\n"
-                     "class Named:\n    pass\n\n\nprint(used(), 'Named')\n")
-    assert unreferenced([probe], []) == ["probe.py unused"]
+                     "class Named:\n    pass\n\n\nprint(used(), 'Named')\n"
+                     "SENTINEL, READ = object(), 2\nLIMIT: int = READ\n__version__ = '0'\n"
+                     "print(LIMIT)\n")
+    assert unreferenced([probe], []) == ["probe.py unused", "probe.py SENTINEL"]
