@@ -24,8 +24,8 @@ from math import factorial
 
 from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import (BialgebraModel, by_label, classical_model, left_nested_bracket, require_keys,
-                     require_splitting)
+from .models import (BialgebraModel, _lifted, by_label, classical_model, left_nested_bracket, lifts,
+                     require_keys, require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -131,5 +131,12 @@ def omega(model, n, max_degree):
 
 
 def versal_idempotent(model, max_degree=6):
-    """The versal idempotent through max_degree, read off the model's versal memo."""
-    return materialize(model, require_splitting(model).versal, max_degree)
+    """The versal idempotent through max_degree, read off the model's versal memo.
+
+    Where the model declares the splitting's kernels word-preserving (on more
+    than one letter), the image of t:w is the memo's image of t:x...x with w
+    put back, so the memo holds one-letter keys only.
+    """
+    splitting = require_splitting(model)
+    versal = _lifted(splitting.versal) if lifts(model, splitting.kernels) else splitting.versal
+    return materialize(model, versal, max_degree)

@@ -14,7 +14,12 @@ relation checker and the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting keeps per-key memos of each key's
 labeled cooperations and of its PBW components (the same with the versal
 idempotent in every slot), and looks up the splitting operation of each
-label; the associative cooperad is the case of one label.
+label; the associative cooperad is the case of one label.  WORD_KERNELS
+are the kernels that keep words: a coproduct that only slices a key's word,
+or a product that joins two words in slot order.  A map made of those is
+the alphabet-1 map times the identity on words, so the nonsymmetric models
+declare them, and such a map is read on the one-letter keys (stem x...x)
+with the word put back.
 """
 
 from __future__ import annotations
@@ -98,6 +103,46 @@ def _cut_keys(key, cuts, extra):
         p = leaf_count(t1) - extra
         out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
     return LinComb(out)
+
+
+def _word_stem(key):
+    """(stem, word) of a basis key: "t:" and w of a tree key t:w, "" and a word key."""
+    stem, sep, word = key.rpartition(":")
+    return stem + sep, word
+
+
+def _one_letter_keys(keys):
+    """The keys whose word is x...x, in their order."""
+    x = LETTERS[0]
+    return [k for k in keys if not k.rpartition(":")[2].strip(x)]
+
+
+def _stems(lc):
+    """lc, a LinComb of keys of one degree, over their stems."""
+    return _over({_word_stem(k)[0]: c for k, c in lc.terms.items()}, lc.den)
+
+
+def _relabel(stems, word):
+    """The LinComb over stem + word of stems, a LinComb over key stems."""
+    return _over({s + word: c for s, c in stems.terms.items()}, stems.den)
+
+
+def _lifted(fn):
+    """key -> fn(key) for a word-preserving key map fn of one output slot.
+
+    Read off fn at the key's one-letter twin, with the key's word put back;
+    the stems of each twin's image are kept for the next word.
+    """
+    images = {}
+
+    def lifted(key):
+        stem, word = _word_stem(key)
+        twin = stem + LETTERS[0] * len(word)
+        stems = images.get(twin)
+        if stems is None:
+            stems = images[twin] = _stems(fn(twin))
+        return _relabel(stems, word)
+    return lifted
 
 
 # --- free associative algebra ----------------------------------------------
@@ -272,6 +317,11 @@ def dup_dright(key):
     return _cut_keys(key, _left_edge_cuts, 1)
 
 
+def nil_concat(u, v):
+    """Concatenation truncated at degree 2: longer products vanish."""
+    return as_concat(u, v) if len(u) + len(v) <= 2 else LinComb.zero()
+
+
 # --- Lie inside the tensor algebra -------------------------------------------
 
 def lie_bracket(u, v):
@@ -324,6 +374,14 @@ def lie_tensor_escape(alphabet, n):
     return exact_rank(coords(span + images)) > exact_rank(coords(span))
 
 
+# The kernels that keep words, as objects: each image of t:w is that of
+# t:x...x with w put back by position.  mag's liv and hopf move letters out
+# of their order, the shuffle kernels and lie's permute them.  A kernel
+# wrapped or replaced, before or after a model is built, is not one of these.
+WORD_KERNELS = frozenset({as_concat, as_deconcat, nil_concat, mag_product, mag_dual_coproduct,
+                          dup_left, dup_right, dup_coproduct, dup_dleft, dup_dright})
+
+
 # --- model plumbing -----------------------------------------------------------
 
 def _cut_first(coproduct, lc):
@@ -364,13 +422,17 @@ class Splitting:
     per-model memos with no degree bound.  A tree splitting writes its
     cooperad's recursion once (see _tree_splitting); an associative one
     reads the reduced coproduct, and cuts is (its kernel, its per-key memo),
-    the memo that convolution on that coproduct shares.
+    the memo that convolution on that coproduct shares.  kernels are the
+    coproduct and product kernels the memos compute with (a tree recursion
+    stands for its cut coproducts): the versal memo lifts where the model
+    declares them all word-preserving.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
     operation: Callable[[object], Callable]
     versal: Callable[[object], LinComb]
     components: Callable[[object], LinComb]
+    kernels: tuple
     cuts: tuple | None = None
 
 
@@ -400,7 +462,7 @@ def _operations(apply):
     return operation
 
 
-def _tree_splitting(step, labels, apply):
+def _tree_splitting(step, labels, apply, kernels):
     """A splitting with one tree per label, s(label) = apply(label, slot LinCombs).
 
     step(key, memo, unit) is the cooperad's root recursion: the terms of
@@ -419,7 +481,7 @@ def _tree_splitting(step, labels, apply):
         comps = components(key)
         return _over({t[1]: c for t, c in comps.terms.items() if len(t) == 2}, comps.den)
     return Splitting(_Memo(lambda key, memo: step(key, memo, lambda key, _: LinComb.of(key))),
-                     labels, _operations(apply), versal, components)
+                     labels, _operations(apply), versal, components, kernels)
 
 
 def _labeled(powers):
@@ -445,7 +507,7 @@ def _associative_splitting(coproduct, product, exponential=False):
     # pieces are interned: the memo keeps one string per distinct key
     delta = _Memo(lambda key, _: LinComb(
         (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(key).items()))
-    product = bilinear(product)
+    kernel, product = product, bilinear(product)
 
     def tower(key):  # the levels Delta^[n-1](key), n = 1, 2, ..., while nonzero
         level = LinComb.of(key)
@@ -477,7 +539,7 @@ def _associative_splitting(coproduct, product, exponential=False):
         versal = _Memo(step)
     components = _labeled(_power_memo(lambda key, _: versal(key), delta, LinComb.tensor))
     return Splitting(_labeled(tower), lambda n: [None], _operations(fold), versal, components,
-                     (coproduct, delta))
+                     (coproduct, kernel), (coproduct, delta))
 
 
 @dataclass(frozen=True)
@@ -488,7 +550,12 @@ class BialgebraModel:
     a kernel (key, key) -> LinComb, key_coproducts to a kernel
     key -> LinComb.  products and coproducts are their linear extensions to
     LinCombs, built here and nowhere else; a caller with keys in hand calls
-    the kernel.
+    the kernel.  word_preserving holds the kernel objects (not names) the
+    model declares to keep words: WORD_KERNELS on the nonsymmetric models
+    as, nil, mag, dup and bidup, none elsewhere.  The versal idempotent,
+    primitive_part and check_relation read a map made only of declared
+    kernels off the one-letter keys (see lifts); a model holding another
+    kernel, even under the same name, takes the direct path.
     """
     name: str
     alphabet: int
@@ -500,6 +567,7 @@ class BialgebraModel:
     is_key: Callable[[str], bool]
     splitting: Splitting | None = None
     classical: bool = False
+    word_preserving: frozenset = frozenset()
 
     @cached_property
     def products(self):
@@ -508,6 +576,15 @@ class BialgebraModel:
     @cached_property
     def coproducts(self):
         return {sym: partial(LinComb.map_keys, fn=fn) for sym, fn in self.key_coproducts.items()}
+
+
+def lifts(model, kernels):
+    """Is a map made of these kernels read on the one-letter keys and lifted?
+
+    Yes when the alphabet has more than one letter and the model declares
+    every one of them word-preserving.
+    """
+    return model.alphabet > 1 and all(k in model.word_preserving for k in kernels)
 
 
 def require_keys(model, basis):
@@ -549,6 +626,7 @@ def as_model(alphabet=1):
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
         splitting=_associative_splitting(as_deconcat, as_concat),
+        word_preserving=WORD_KERNELS,
     )
 
 
@@ -630,7 +708,9 @@ def mag_model(alphabet=1):
         },
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=0),
-        splitting=_tree_splitting(_mag_step, trees.enumerate_trees, _mag_tree_apply),
+        splitting=_tree_splitting(_mag_step, trees.enumerate_trees, _mag_tree_apply,
+                                  (mag_dual_coproduct, mag_product)),
+        word_preserving=WORD_KERNELS,
     )
 
 
@@ -649,6 +729,7 @@ def dup_model(alphabet=1):
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=1),
         splitting=_associative_splitting(dup_coproduct, dup_right),
+        word_preserving=WORD_KERNELS,
     )
 
 
@@ -704,7 +785,8 @@ def bidup_model(alphabet=1):
         generating_coproducts=("dleft", "dright"),
         is_key=_is_key(alphabet, extra_leaves=1),
         splitting=_tree_splitting(_bidup_step, lambda n: trees.enumerate_trees(n + 1),
-                                  _dup_tree_apply),
+                                  _dup_tree_apply, (dup_dleft, dup_dright, dup_left, dup_right)),
+        word_preserving=WORD_KERNELS,
     )
 
 
@@ -728,9 +810,6 @@ def lie_model(alphabet=2):
 
 def nil_model(alphabet=2):
     """Associative algebra truncated at degree 2: triple products vanish."""
-    def trunc_concat(u, v):
-        return as_concat(u, v) if len(u) + len(v) <= 2 else LinComb.zero()
-
     def basis(n):
         return words(alphabet, n) if n <= 2 else []
 
@@ -738,10 +817,11 @@ def nil_model(alphabet=2):
         name="nil",
         alphabet=alphabet,
         basis=basis,
-        key_products={"mul": trunc_concat},
+        key_products={"mul": nil_concat},
         key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, top_degree=2),
+        word_preserving=WORD_KERNELS,
     )
 
 

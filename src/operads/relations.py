@@ -5,8 +5,10 @@ composites: apply coproducts to the inputs, permute the resulting tensor
 slots, then apply products blockwise.  The placeholder symbols "delta"
 and "mu" resolve to whatever pair is being checked; any other symbol is
 looked up in the model, so one relation can mix several operations.  The
-checker computes each (co)product image of a basis key once per check, and
-decides each pair on one dict of delta(mu(a, b)) minus the right side.
+checker resolves each term's kernels once and computes each (co)product
+image of a basis key once per check, and decides each pair on one dict of
+delta(mu(a, b)) minus the right side.  A check made of word-preserving
+kernels with every term in slot order is decided on the one-letter keys.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from importlib import resources
 from math import lcm
 
 from .linalg import LinComb, _coef, as_slots
-from .models import iterated_coproduct
+from .models import _one_letter_keys, iterated_coproduct, lifts
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,27 @@ def _image(images, fn, keys):
     return items
 
 
+def _plans(images, expr, model, mu, delta):
+    """Per term of expr: its numerator, the coproduct kernel of each input, and
+    per output block its product kernel and input slots (None for "id").
+
+    Resolved once per `images` table, under (expr, mu, delta).
+    """
+    plans = images.get((expr, mu, delta))
+    if plans is None:
+        plans = images[expr, mu, delta] = []
+        for term, num in zip(expr.terms, expr.numerators[1]):
+            coops = tuple(None if sym == "id" else _resolve_coop(model, sym, delta)
+                          for sym in term.in_coops)
+            blocks, pos = [], 0
+            for sym in term.out_ops:
+                op = None if sym == "id" else _resolve_op(model, sym, mu)
+                blocks.append((op, term.perm[pos], op and term.perm[pos + 1]))
+                pos += 1 if op is None else 2
+            plans.append((num, coops, blocks))
+    return plans
+
+
 def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into=None):
     """Evaluate the relation right-hand side on a tuple of LinCombs.
 
@@ -139,31 +162,27 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
     Fractions off non-integral images) over den, the lcm of the terms'
     denominators times the arguments'.  `images` maps (kernel, input keys)
     to the image's (slot tuple, coefficient) items, computed once per
-    table: check_relation passes one to every pair, a direct call gets its
-    own.  Given a dict `into`, the numerators are added into it and None is
-    returned; else the sum is returned as a LinComb.
+    table, and (expr, mu, delta) to the terms' plans: check_relation passes
+    one to every pair, a direct call gets its own.  Given a dict `into`,
+    the numerators are added into it and None is returned; else the sum is
+    returned as a LinComb.
     """
     if len(args) != expr.arity:
         raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
     images = {} if images is None else images
-    get_image, (den, numerators) = images.get, expr.numerators
+    get_image = images.get
     out = {} if into is None else into
     get = out.get
-    for term, num in zip(expr.terms, numerators):
+    for num, coops, blocks in _plans(images, expr, model, mu, delta):
         inter = [((), num)]  # the inputs' tensor: (slot tuple, numerator)
-        for sym, arg in zip(term.in_coops, args):
-            coop = None if sym == "id" else _resolve_coop(model, sym, delta)
+        for coop, arg in zip(coops, args):
             inter = [(s + t, c * x * y) for k, x in arg.terms.items()
                      for t, y in (_image(images, coop, (k,)) if coop else ((as_slots(k), 1),))
                      for s, c in inter]
-        plan, pos = [], 0  # per output block: its kernel (None for id) and input slots
-        for sym in term.out_ops:
-            op = None if sym == "id" else _resolve_op(model, sym, mu)
-            plan.append((op, term.perm[pos], op and term.perm[pos + 1]))
-            pos += 1 if op is None else 2
+        single = len(blocks) == 1  # one block: its keys stay as they are, not slot tuples
         for flat, coeff in inter:
             pieces = [((), coeff)]
-            for op, i, j in plan:
+            for op, i, j in blocks:
                 if op is None:
                     pieces = [(s + (flat[i],), c) for s, c in pieces]
                     continue
@@ -172,7 +191,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
                     block = _image(images, op, (flat[i], flat[j]))
                 pieces = [(s + t, c * y) for t, y in block for s, c in pieces]
             for key, c in pieces:
-                if len(plan) == 1:  # one block: its keys stay as they are, not slot tuples
+                if single:
                     key = key[0]
                 x = get(key, 0) + c
                 if x:
@@ -181,6 +200,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
                     out.pop(key, None)
     if into is not None:
         return None
+    den = expr.numerators[0]
     for arg in args:
         den *= arg.den
     return LinComb.sum(((LinComb(out), 1),), den)
@@ -239,17 +259,31 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     shares, and den * RHS (eval_compat's `into`) go into one dict, which
     holds Fractions where an image is not integral: the pair holds when it
     is all zero.  Only a failing pair builds LinCombs, for its witness.
+
+    Where the model declares every kernel the relation resolves
+    word-preserving and every term keeps slot order, a pair of keys fails
+    exactly when the pair of their one-letter twins does, so the loop runs
+    on the one-letter keys alone.  Each of them stands for k^deg keys of
+    the alphabet-k basis, which lists trees first and words second, so
+    checked_pairs counts the pairs the direct loop would reach, and the
+    first failure, on one-letter keys, is the direct one.
     """
     expr = get_relation(relation_name)
     key_coproduct, key_product = model.key_coproducts[delta_sym], model.key_products[mu_sym]
-    basis = {n: [_as_lincomb(k) for k in model.basis(n)] for n in range(1, max_degree)}
     images, neg_den = {}, -expr.numerators[0]  # the table lives and dies with this call
+    kernels = [key_coproduct, key_product] + [
+        fn for _, coops, blocks in _plans(images, expr, model, mu_sym, delta_sym)
+        for fn in (*coops, *(op for op, _, _ in blocks)) if fn]
+    lifted = lifts(model, kernels) and all(t.perm == tuple(range(len(t.perm))) for t in expr.terms)
+    scale = model.alphabet if lifted else 1  # a key looped over in degree n is scale^n keys
+    keys = _one_letter_keys if lifted else list
+    basis = {n: [_as_lincomb(k) for k in keys(model.basis(n))] for n in range(1, max_degree)}
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
-            for la in basis[da]:
-                for lb in basis[db]:
-                    checked += 1
+            wa, wb = scale ** da, scale ** db
+            for ia, la in enumerate(basis[da]):
+                for ib, lb in enumerate(basis[db]):
                     diff = {}
                     for a, x in la.terms.items():
                         for b, y in lb.terms.items():
@@ -265,7 +299,8 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
                                           images=images)
                         return RelationReport(
                             holds=False,
-                            checked_pairs=checked,
+                            checked_pairs=checked + (ia * wa * len(basis[db]) + ib) * wb + 1,
                             first_failure=((da, db), (la, lb), lhs, rhs),
                         )
+            checked += len(basis[da]) * wa * len(basis[db]) * wb
     return RelationReport(holds=True, checked_pairs=checked)

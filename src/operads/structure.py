@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
-from .models import LETTERS, by_label, key_parts, require_keys, require_splitting, tree_key
+from .models import (LETTERS, _one_letter_keys, _relabel, _stems, by_label, key_parts, lifts,
+                     require_keys, require_splitting, tree_key, words)
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
 
@@ -134,19 +135,34 @@ def _splitting_section_ok(model, max_degree):
 
 
 def primitive_part(model, n):
-    """Exact basis of the joint kernel of all generating reduced coproducts."""
+    """Exact basis of the joint kernel of all generating reduced coproducts.
+
+    Where the model declares them all word-preserving (on more than one
+    letter), the kernel is taken on the one-letter keys t:x...x alone, and
+    each of its vectors is put back on every word w in order: the vectors
+    come kernel vector first, then word, as the direct elimination gives
+    them.
+    """
     basis = list(model.basis(n))
     require_keys(model, basis)
+    coproducts = [model.key_coproducts[sym] for sym in model.generating_coproducts]
+    lifted = lifts(model, coproducts)
+    if lifted:
+        basis = _one_letter_keys(basis)
     rows = coords(
         LinComb(
-            ((sym, tkey), c)
-            for sym in model.generating_coproducts
-            for tkey, c in model.key_coproducts[sym](key).items()
+            ((i, tkey), c)
+            for i, coproduct in enumerate(coproducts)
+            for tkey, c in coproduct(key).items()
         )
         for key in basis
     )
-    return [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
-            for v in kernel_basis(rows, len(basis))]
+    vectors = [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
+               for v in kernel_basis(rows, len(basis))]
+    if not lifted:
+        return vectors
+    every = words(model.alphabet, n)
+    return [_relabel(stems, w) for stems in map(_stems, vectors) for w in every]
 
 
 @dataclass(frozen=True)
