@@ -113,8 +113,7 @@ def _word_stem(key):
 
 def _one_letter_keys(keys):
     """The keys whose word is x...x, in their order."""
-    x = LETTERS[0]
-    return [k for k in keys if not k.rpartition(":")[2].strip(x)]
+    return [k for k in keys if not _word_stem(k)[1].strip(LETTERS[0])]
 
 
 def _stems(lc):
@@ -423,9 +422,8 @@ class Splitting:
     cooperad's recursion once (see _tree_splitting); an associative one
     reads the reduced coproduct, and cuts is (its kernel, its per-key memo),
     the memo that convolution on that coproduct shares.  kernels are the
-    coproduct and product kernels the memos compute with (a tree recursion
-    stands for its cut coproducts): the versal memo lifts where the model
-    declares them all word-preserving.
+    coproduct and product kernels the memos compute with: the versal memo
+    lifts where all of them are in WORD_KERNELS.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
@@ -462,26 +460,31 @@ def _operations(apply):
     return operation
 
 
-def _tree_splitting(step, labels, apply, kernels):
-    """A splitting with one tree per label, s(label) = apply(label, slot LinCombs).
+def _tree_splitting(step, labels, apply, coproducts, products):
+    """A splitting with one tree per label, s(label) = apply(label, slot LinCombs, *products).
 
-    step(key, memo, unit) is the cooperad's root recursion: the terms of
-    arity >= 2 of a key, read off the memo of its root factors, and its
-    arity-1 term on the slot unit(key, those terms).  decompose puts the key
-    in that slot, components e(key): the key less s(label)(slots) over the
-    other terms, which carry e in every slot already.
+    step(key, memo, unit, *coproducts) is the cooperad's root recursion: the
+    terms of arity >= 2 of a key, read off the memo of its root factors, and
+    its arity-1 term on the slot unit(key, those terms).  decompose puts the
+    key in that slot, components e(key): the key less s(label)(slots) over
+    the other terms, which carry e in every slot already.  step and apply
+    reach the model's kernels only through the ones handed to them, so the
+    splitting's kernels are coproducts + products, what its memos compute
+    with.
     """
     def versal_unit(key, higher):
         return LinComb.of(key) - LinComb.sum(
-            (apply(t[0], tuple(map(LinComb.of, t[1:]))), c) for t, c in higher)
+            (apply(t[0], tuple(map(LinComb.of, t[1:])), *products), c) for t, c in higher)
 
-    components = _Memo(lambda key, memo: step(key, memo, versal_unit))
+    components = _Memo(lambda key, memo: step(key, memo, versal_unit, *coproducts))
 
     def versal(key):
         comps = components(key)
         return _over({t[1]: c for t, c in comps.terms.items() if len(t) == 2}, comps.den)
-    return Splitting(_Memo(lambda key, memo: step(key, memo, lambda key, _: LinComb.of(key))),
-                     labels, _operations(apply), versal, components, kernels)
+    return Splitting(
+        _Memo(lambda key, memo: step(key, memo, lambda key, _: LinComb.of(key), *coproducts)),
+        labels, _operations(lambda label, slots: apply(label, slots, *products)), versal,
+        components, coproducts + products)
 
 
 def _labeled(powers):
@@ -550,12 +553,11 @@ class BialgebraModel:
     a kernel (key, key) -> LinComb, key_coproducts to a kernel
     key -> LinComb.  products and coproducts are their linear extensions to
     LinCombs, built here and nowhere else; a caller with keys in hand calls
-    the kernel.  word_preserving holds the kernel objects (not names) the
-    model declares to keep words: WORD_KERNELS on the nonsymmetric models
-    as, nil, mag, dup and bidup, none elsewhere.  The versal idempotent,
-    primitive_part and check_relation read a map made only of declared
-    kernels off the one-letter keys (see lifts); a model holding another
-    kernel, even under the same name, takes the direct path.
+    the kernel.  The versal idempotent, primitive_part and check_relation
+    read a map made only of kernels in WORD_KERNELS off the one-letter keys
+    (see lifts): the kernel objects a model holds decide, not their names,
+    so a model holding another kernel under the same name takes the direct
+    path.
     """
     name: str
     alphabet: int
@@ -567,7 +569,6 @@ class BialgebraModel:
     is_key: Callable[[str], bool]
     splitting: Splitting | None = None
     classical: bool = False
-    word_preserving: frozenset = frozenset()
 
     @cached_property
     def products(self):
@@ -581,10 +582,10 @@ class BialgebraModel:
 def lifts(model, kernels):
     """Is a map made of these kernels read on the one-letter keys and lifted?
 
-    Yes when the alphabet has more than one letter and the model declares
-    every one of them word-preserving.
+    Yes when the alphabet has more than one letter and every one of them is
+    in WORD_KERNELS.
     """
-    return model.alphabet > 1 and all(k in model.word_preserving for k in kernels)
+    return model.alphabet > 1 and all(k in WORD_KERNELS for k in kernels)
 
 
 def require_keys(model, basis):
@@ -626,7 +627,6 @@ def as_model(alphabet=1):
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet),
         splitting=_associative_splitting(as_deconcat, as_concat),
-        word_preserving=WORD_KERNELS,
     )
 
 
@@ -669,16 +669,17 @@ def _tree_basis(alphabet, extra_leaves):
     return basis
 
 
-def _mag_tree_apply(t, images):
+def _mag_tree_apply(t, images, product=mag_product):
     """The product indexed by a tree with n leaves, on n LinCombs."""
     if t == LEAF:
         return images[0]
     l, r = trees.split(t)
     nl = leaf_count(l)
-    return bilinear(mag_product)(_mag_tree_apply(l, images[:nl]), _mag_tree_apply(r, images[nl:]))
+    return bilinear(product)(_mag_tree_apply(l, images[:nl], product),
+                             _mag_tree_apply(r, images[nl:], product))
 
 
-def _mag_step(key, memo, unit):
+def _mag_step(key, memo, unit, delta):
     """The comagmatic cooperad: one label per tree, its arity the leaf count.
 
     The cooperation of a tree t sends a key whose tree is t with a subtree
@@ -686,11 +687,10 @@ def _mag_step(key, memo, unit):
     past the leaf, the terms of the two root factors joined under vee.
     """
     higher = []
-    if key_parts(key)[0] != LEAF:
-        kl, kr = mag_split(key)
+    for (kl, kr), c in delta(key).items():  # the one term of the root's two factors
         right = memo(kr).items()
-        higher = [((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c1 * c2)
-                  for l, c1 in memo(kl).items() for r, c2 in right]
+        higher += [((trees.vee(l[0], r[0]),) + l[1:] + r[1:], c * c1 * c2)
+                   for l, c1 in memo(kl).items() for r, c2 in right]
     return LinComb([((LEAF, k), c) for k, c in unit(key, higher).items()] + higher)
 
 
@@ -709,8 +709,7 @@ def mag_model(alphabet=1):
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=0),
         splitting=_tree_splitting(_mag_step, trees.enumerate_trees, _mag_tree_apply,
-                                  (mag_dual_coproduct, mag_product)),
-        word_preserving=WORD_KERNELS,
+                                  (mag_dual_coproduct,), (mag_product,)),
     )
 
 
@@ -729,26 +728,25 @@ def dup_model(alphabet=1):
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, extra_leaves=1),
         splitting=_associative_splitting(dup_coproduct, dup_right),
-        word_preserving=WORD_KERNELS,
     )
 
 
-def _dup_tree_apply(t, images):
+def _dup_tree_apply(t, images, left_kernel=dup_left, right_kernel=dup_right):
     """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs."""
     if t == Y:
         return images[0]
-    left, right = bilinear(dup_left), bilinear(dup_right)
+    left, right = bilinear(left_kernel), bilinear(right_kernel)
     l, r = trees.split(t)
     if r == LEAF:
-        return right(_dup_tree_apply(l, images[:-1]), images[-1])
+        return right(_dup_tree_apply(l, images[:-1], left_kernel, right_kernel), images[-1])
     p = leaf_count(l) - 1  # degree carried by the left factor
-    after = _dup_tree_apply(r, images[p + 1:])
+    after = _dup_tree_apply(r, images[p + 1:], left_kernel, right_kernel)
     if l == LEAF:
         return left(images[0], after)
-    return left(right(_dup_tree_apply(l, images[:p]), images[p]), after)
+    return left(right(_dup_tree_apply(l, images[:p], left_kernel, right_kernel), images[p]), after)
 
 
-def _bidup_step(key, memo, unit):
+def _bidup_step(key, memo, unit, dleft, dright):
     """The biduplicial cooperad: one label per tree, n+1 leaves in arity n.
 
     A tree other than Y is the monomial (m(t_l) > x) < m(t_r) at its root.
@@ -757,11 +755,11 @@ def _bidup_step(key, memo, unit):
     on trees (t_l, leaf) ending in a generator.
     """
     higher = []
-    for (ka, km), c in dup_dright(key).items():
+    for (ka, km), c in dright(key).items():
         if _tree_key_degree(km) == 1:
             higher += [((trees.vee(a[0], LEAF),) + a[1:] + (km,), c * c2)
                        for a, c2 in memo(ka).items()]
-    for (ku, kb), c in dup_dleft(key).items():
+    for (ku, kb), c in dleft(key).items():
         right = memo(kb).items()
         for u, c2 in memo(ku).items():
             # u's tree is (t_l, leaf) and its last slot a generator
@@ -785,8 +783,7 @@ def bidup_model(alphabet=1):
         generating_coproducts=("dleft", "dright"),
         is_key=_is_key(alphabet, extra_leaves=1),
         splitting=_tree_splitting(_bidup_step, lambda n: trees.enumerate_trees(n + 1),
-                                  _dup_tree_apply, (dup_dleft, dup_dright, dup_left, dup_right)),
-        word_preserving=WORD_KERNELS,
+                                  _dup_tree_apply, (dup_dleft, dup_dright), (dup_left, dup_right)),
     )
 
 
@@ -821,7 +818,6 @@ def nil_model(alphabet=2):
         key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
         is_key=_is_key(alphabet, top_degree=2),
-        word_preserving=WORD_KERNELS,
     )
 
 

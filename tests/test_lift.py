@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from operads import primitive_part, versal_idempotent
+from operads import models, primitive_part, versal_idempotent
 from operads.linalg import LinComb, _Memo, as_slots
-from operads.models import LETTERS, WORD_KERNELS, get_model, lie_bracket, lie_cobracket
+from operads.models import (LETTERS, WORD_KERNELS, _word_stem, get_model, lie_bracket,
+                            lie_cobracket)
 from operads.relations import check_relation, get_relation, relation_names
 
 NONSYMMETRIC = ("as", "nil", "dup", "bidup", "mag")
@@ -16,13 +17,8 @@ QUALIFYING = ("nui", "bidup_dleft_left", "bidup_dright_right", "magmatic", "nil"
               "bidup_dleft_right", "bidup_dright_left")
 
 
-def _split(key):
-    stem, sep, word = key.rpartition(":")
-    return stem + sep, word
-
-
 def _twin(key):
-    stem, word = _split(key)
+    stem, word = _word_stem(key)
     return stem + LETTERS[0] * len(word)
 
 
@@ -32,7 +28,7 @@ def _put_back(lc, word):
     for key, c in lc.items():
         slots, pos = [], 0
         for slot in as_slots(key):
-            stem, w = _split(slot)
+            stem, w = _word_stem(slot)
             slots.append(stem + word[pos:pos + len(w)])
             pos += len(w)
         assert pos == len(word)
@@ -47,14 +43,14 @@ def _keys(model, top):
 def _mismatches(kernel, arity, keys):
     """The key tuples whose image is not their one-letter twins' image with the word put back."""
     return [ks for ks in itertools.product(keys, repeat=arity)
-            if kernel(*ks) != _put_back(kernel(*map(_twin, ks)), "".join(_split(k)[1] for k in ks))]
+            if kernel(*ks) != _put_back(kernel(*map(_twin, ks)),
+                                        "".join(_word_stem(k)[1] for k in ks))]
 
 
 @pytest.mark.parametrize("name", NONSYMMETRIC)
 @pytest.mark.parametrize("alphabet", [2, 3])
 def test_declared_kernels_keep_words(name, alphabet):
     model = get_model(name, alphabet)
-    assert model.word_preserving is WORD_KERNELS
     coproducts = [fn for fn in model.key_coproducts.values() if fn in WORD_KERNELS]
     products = [fn for fn in model.key_products.values() if fn in WORD_KERNELS]
     assert products and coproducts
@@ -71,39 +67,41 @@ def test_declared_kernels_keep_words(name, alphabet):
 
 
 @pytest.mark.parametrize("name, syms", [
-    ("mag", ["hopf", "liv"]), ("classical", ["delta"]), ("zinb", ["left", "star", "delta"]),
+    ("mag", ["hopf", "liv"]), ("classical", ["delta"]), ("zinb", ["left", "star"]),
 ])
 def test_letter_moving_kernels_are_not_declared(name, syms):
+    # classical's product and zinb's coproduct are as's, and are declared
     model = get_model(name, 2)
     ops = {**model.key_coproducts, **model.key_products}
-    assert bool(model.word_preserving) == (name == "mag")  # classical and zinb declare none
+    assert {sym for sym, fn in ops.items() if fn not in WORD_KERNELS} == set(syms)
     for sym in syms:
-        fn = ops[sym]
-        assert fn not in model.word_preserving
-        if fn not in WORD_KERNELS:  # zinb's deconcatenation keeps words all the same
-            arity = 1 if sym in model.key_coproducts else 2
-            assert _mismatches(fn, arity, _keys(model, 3 if arity == 1 else 2))
+        arity = 1 if sym in model.key_coproducts else 2
+        assert _mismatches(ops[sym], arity, _keys(model, 3 if arity == 1 else 2))
 
 
-def test_lie_kernels_move_letters_and_lie_declares_none():
-    assert not get_model("lie", 2).word_preserving
+def test_lie_kernels_move_letters_and_are_not_declared():
+    model = get_model("lie", 2)
+    assert not {*model.key_products.values(), *model.key_coproducts.values()} & WORD_KERNELS
     assert _mismatches(lie_bracket, 2, ["x", "y"]) and _mismatches(lie_cobracket, 1, ["xy"])
 
 
-def _direct(model):
-    return dataclasses.replace(model, word_preserving=frozenset())
+def _direct(monkeypatch, fn, *args):
+    """fn(*args) on the direct path: with no kernel declared word-preserving."""
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "WORD_KERNELS", frozenset())
+        return fn(*args)
 
 
 def _one_letter(key):
-    return not _split(key)[1].strip(LETTERS[0])
+    return not _word_stem(key)[1].strip(LETTERS[0])
 
 
 @pytest.mark.parametrize("name", ["as", "mag", "dup", "bidup"])
 @pytest.mark.parametrize("alphabet, top", [(2, 5), (3, 5)])
-def test_lifted_versal_idempotent_is_the_direct_one(name, alphabet, top):
+def test_lifted_versal_idempotent_is_the_direct_one(name, alphabet, top, monkeypatch):
     model = get_model(name, alphabet)
     lifted = versal_idempotent(model, top)
-    direct = versal_idempotent(_direct(get_model(name, alphabet)), top)
+    direct = _direct(monkeypatch, versal_idempotent, get_model(name, alphabet), top)
     assert lifted == direct
     for n, col in lifted.cols.items():  # the same terms in the same order
         assert [list(lc.terms.items()) for lc in col] == [
@@ -113,7 +111,7 @@ def test_lifted_versal_idempotent_is_the_direct_one(name, alphabet, top):
     assert memo.values and all(map(_one_letter, memo.values))
 
 
-def _recording(model, seen):
+def _recording(model, seen, monkeypatch):
     """model with each kernel recording its keys in seen, declared where the original is."""
     def record(fn):
         def recorded(*keys):
@@ -124,20 +122,19 @@ def _recording(model, seen):
     coproducts = {sym: record(fn) for sym, fn in model.key_coproducts.items()}
     originals = {**model.key_products, **model.key_coproducts}
     wrapped = {**products, **coproducts}
-    declared = frozenset(wrapped[sym] for sym, fn in originals.items()
-                         if fn in model.word_preserving)
-    return dataclasses.replace(model, key_products=products, key_coproducts=coproducts,
-                               word_preserving=declared)
+    declared = {wrapped[sym] for sym, fn in originals.items() if fn in WORD_KERNELS}
+    monkeypatch.setattr(models, "WORD_KERNELS", models.WORD_KERNELS | declared)
+    return dataclasses.replace(model, key_products=products, key_coproducts=coproducts)
 
 
-@pytest.mark.parametrize("name", NONSYMMETRIC)
+@pytest.mark.parametrize("name", NONSYMMETRIC + ("zinb",))
 @pytest.mark.parametrize("alphabet, top", [(2, 5), (3, 5)])
-def test_lifted_primitive_part_is_the_direct_one(name, alphabet, top):
+def test_lifted_primitive_part_is_the_direct_one(name, alphabet, top, monkeypatch):
     seen = set()
-    model = _recording(get_model(name, alphabet), seen)
+    model = _recording(get_model(name, alphabet), seen, monkeypatch)
     for n in range(1, top + 1):
         lifted = primitive_part(model, n)
-        direct = primitive_part(_direct(model), n)
+        direct = _direct(monkeypatch, primitive_part, model, n)
         assert [list(v.terms.items()) for v in lifted] == [list(v.terms.items()) for v in direct]
         assert len(lifted) % alphabet ** n == 0
     seen.clear()
@@ -160,18 +157,18 @@ def _checks(name):
 
 @pytest.mark.parametrize("name", NONSYMMETRIC)
 @pytest.mark.parametrize("alphabet, top", [(2, 5), (3, 4)])
-def test_lifted_relation_checks_report_what_the_direct_ones_do(name, alphabet, top):
+def test_lifted_relation_checks_report_what_the_direct_ones_do(name, alphabet, top, monkeypatch):
     qualifying = 0
     for delta, mu, rel in _checks(name):
         seen = set()
-        model = _recording(get_model(name, alphabet), seen)
+        model = _recording(get_model(name, alphabet), seen, monkeypatch)
         report = check_relation(model, delta, mu, rel, top).to_json_dict()
-        direct = check_relation(_direct(model), delta, mu, rel, top).to_json_dict()
+        direct = _direct(monkeypatch, check_relation, model, delta, mu, rel, top).to_json_dict()
         assert json.dumps(report) == json.dumps(direct), (delta, mu, rel)
         seen.clear()
         check_relation(model, delta, mu, rel, top)
         lifted = rel in QUALIFYING and {model.key_coproducts[delta], model.key_products[mu]} <= (
-            model.word_preserving)
+            models.WORD_KERNELS)
         if lifted or report["holds"]:  # a check that fails early may see one-letter keys only
             assert all(map(_one_letter, seen)) == lifted, (delta, mu, rel)
         qualifying += lifted
@@ -182,18 +179,20 @@ def test_lifted_relation_checks_report_what_the_direct_ones_do(name, alphabet, t
 @pytest.mark.parametrize("delta, mu, rel", [
     ("dleft", "left", "magmatic"), ("dleft", "left", "nil"), ("dleft", "right", "bidup_dright_left"),
 ])
-def test_lifted_checks_count_the_pairs_before_a_late_failure(alphabet, pairs, delta, mu, rel):
+def test_lifted_checks_count_the_pairs_before_a_late_failure(alphabet, pairs, delta, mu, rel,
+                                                             monkeypatch):
     # at alphabet 1 each fails on the second pair of block (1, 2); at alphabet k
     # that is k^2 pairs of block (1, 1), then i_b k^2 + 1 with i_b = 1
     model = get_model("dup", alphabet)
     report = check_relation(model, delta, mu, rel, 4)
-    assert report.to_json_dict() == check_relation(_direct(model), delta, mu, rel, 4).to_json_dict()
+    assert report.to_json_dict() == _direct(
+        monkeypatch, check_relation, model, delta, mu, rel, 4).to_json_dict()
     assert not report.holds and report.checked_pairs == pairs == 2 * alphabet ** 2 + 1
     assert report.first_failure[0] == (1, 2)
     assert [repr(p) for p in report.first_failure[1]] == ["1*(.,.):x", "1*(.,(.,.)):xx"]
 
 
-def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree():
+def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree(monkeypatch):
     # dup's < doubled on the second tree of degree 2 times itself: the first failure
     # is at one-letter indices (1, 1) of block (2, 2), and keeps words, so it lifts
     model = get_model("dup", 2)
@@ -203,11 +202,11 @@ def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree():
     def doubled(k1, k2):
         image = left(k1, k2)
         return image.scale(2) if k1.startswith(second + ":") and k2.startswith(second + ":") else image
-    broken = dataclasses.replace(model, key_products={"left": doubled},
-                                 word_preserving=model.word_preserving | {doubled})
+    broken = dataclasses.replace(model, key_products={"left": doubled})
+    monkeypatch.setattr(models, "WORD_KERNELS", WORD_KERNELS | {doubled})
     report = check_relation(broken, "delta", "left", "nui", 4)
-    assert report.to_json_dict() == check_relation(
-        _direct(broken), "delta", "left", "nui", 4).to_json_dict()
+    assert report.to_json_dict() == _direct(
+        monkeypatch, check_relation, broken, "delta", "left", "nui", 4).to_json_dict()
     k = 2
     before = 1 * 1 * k ** 2 + 1 * 2 * k ** 3 + 1 * 5 * k ** 4 + 2 * 1 * k ** 3
     assert report.first_failure[0] == (2, 2)
