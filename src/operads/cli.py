@@ -25,9 +25,9 @@ from .errors import UsageError
 from .linalg import (
     GradedEndo,
     LinComb,
+    coords,
     frac_str,
     lincomb_json,
-    matrix_json,
     same_column_space,
 )
 from .models import get_model, lie_tensor_escape, model_names
@@ -226,10 +226,10 @@ def cmd_idempotent(args):
     if kind == "versal":
         endo = versal_idempotent(model, max_degree=n)
     elif kind.startswith("eulerian:"):
-        try:
-            i = int(kind.split(":", 1)[1])
-        except ValueError:
+        index = kind[len("eulerian:"):]
+        if not re.fullmatch(r"[0-9]+", index):
             raise UsageError("eulerian index must be an integer")
+        i = int(index)
         if i > n:
             raise UsageError("eulerian index must be <= --max-degree")
         endo = eulerian(ConvolutionContext(model), i, n)
@@ -244,14 +244,41 @@ def cmd_idempotent(args):
     report = {"model": model.name, "kind": kind, "maxDegree": n}
     if args.report == "ranks":
         report["ranks"] = {str(d): endo.rank(d) for d in sorted(endo.cols)}
+        _emit(report)
     else:
-        report["matrices"] = {
-            str(d): {"basis": [str(k) for k in endo.bases[d]],
-                     "matrix": matrix_json(endo.mats[d])}
-            for d in sorted(endo.mats)
-        }
-    _emit(report)
+        _emit_matrices(report, endo)
     return 0
+
+
+def _json_list(items, indent):
+    """The items, already JSON text, as json.dumps(indent=2) lays out a list at this depth."""
+    pad = "\n" + " " * indent
+    return "[" + ",".join(pad + item for item in items) + pad[:-2] + "]" if items else "[]"
+
+
+def _emit_matrices(report, endo):
+    """_emit(report) with "matrices" holding each degree's basis and dense matrix, row by row.
+
+    The bytes are those of json.dumps(indent=2, sort_keys=True), degrees in
+    string order ("10" before "2"), but only one row's text is held: each row
+    is read off the sparse rows of `coords`, its zero entries filled in.
+    """
+    head, tail = json.dumps({**report, "matrices": 0}, indent=2, sort_keys=True).split(
+        '"matrices": 0')
+    write = sys.stdout.write
+    write(head + '"matrices": {')
+    for index, d in enumerate(sorted(endo.cols, key=str)):
+        basis = endo.bases[d]
+        write('%s\n    "%d": {\n      "basis": %s,\n      "matrix": ' % (
+            "," if index else "", d, _json_list([json.dumps(str(k)) for k in basis], 8)))
+        zero, rows = ['"0"'] * len(basis), coords(endo.cols[d], basis)
+        for r, row in enumerate(rows):
+            cells = zero.copy()
+            for j, c in row.items():
+                cells[j] = '"%s"' % frac_str(c)
+            write(("," if r else "[") + "\n        " + _json_list(cells, 10))
+        write("\n      ]\n    }" if rows else "[]\n    }")
+    write("\n  }" + tail + "\n")
 
 
 _STRUCTURE_TRIPLES = {

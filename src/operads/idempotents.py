@@ -13,13 +13,23 @@ powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the sum of
 c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct (k1, k2, c) of the
 key.  The reduced coproduct lowers degree and vanishes on generators, so a
 key of degree d has at most d powers and no list needs a degree bound.
+
+On the classical model the Eulerian family needs no powers of its own.
+There the convolution is associative, so e^(1) = log(1 + J) for
+J = Id - u eps is a power series in J and so is each e^(i) = (e^(1))^{*i} / i!:
+by the Stirling generating function (log(1+x))^i / i! = sum_{n>=i}
+s(n,i) x^n / n!, with s the signed Stirling numbers of the first kind,
+e^(i)(key) = sum_n s(n,i)/n! J^{*n}(key), read off the identity powers the
+geometric idempotent keeps too.  Without associativity (mag) a power of a
+series in J is not the series of the composite, so every other model keeps
+the e^(1)-power recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
 from .errors import UsageError
@@ -70,29 +80,55 @@ def materialize(model, fn, max_degree):
     return GradedEndo.from_function(bases, fn)
 
 
-# (coproduct, product, e^(1)-power memo) by (name, alphabet): bench/tracer.py counts
+# (coproduct, product, Eulerian family memo) by (name, alphabet): bench/tracer.py counts
 # them, and contexts with the same coproduct and product objects reuse the memo
 _EULERIAN_CACHE = {}
+
+
+@cache
+def _stirling_weights(m):
+    """[[i! s(n,i)/n! for n = i..m] for i = 1..m]: s the signed Stirling numbers, first kind."""
+    rows, s = [], [1]  # s[i] = s(n, i), from s(n+1, i) = s(n, i-1) - n s(n, i)
+    for n in range(m):
+        s = [0] + [a - n * b for a, b in zip(s, s[1:] + [0])]
+        rows.append(s)
+    return [[Fraction(factorial(i) * rows[n - 1][i], factorial(n)) for n in range(i, m + 1)]
+            for i in range(1, m + 1)]
 
 
 def eulerian_family(ctx):
     """key -> [e(key), e*e(key), ...] for e = e^(1) = sum_n (-1)^{n-1}/n Id*^n.
 
-    The i-th Eulerian idempotent e^(i) is the i-th power over i!.
+    The i-th Eulerian idempotent e^(i) is the i-th power over i!.  On the
+    classical model, whose convolution is associative, the i-th power is
+    i! sum_{n=i}^{m} s(n,i)/n! Id*^n (key), m the number of identity powers
+    of the key, so the family calls the product only where the identity
+    powers do; any other model convolves e^(1) into each power.
     """
     cache_key, coproduct, product = (ctx.model.name, ctx.model.alphabet), ctx.coproduct, ctx.product
     entry = _EULERIAN_CACHE.get(cache_key)
     if entry is None or entry[0] is not coproduct or entry[1] is not product:
         ids = ctx.identity_powers
-        entry = _EULERIAN_CACHE[cache_key] = coproduct, product, _power_memo(
-            lambda key, _: LinComb.sum(
+        if ctx.model.classical:
+            def step(key, _):
+                powers = ids(key)
+                return [LinComb.sum(zip(powers[i:], weights))
+                        for i, weights in enumerate(_stirling_weights(len(powers)))]
+            family = _Memo(step)
+        else:
+            family = _power_memo(lambda key, _: LinComb.sum(
                 (p, Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids(key))),
-            coproduct, product)
+                coproduct, product)
+        entry = _EULERIAN_CACHE[cache_key] = coproduct, product, family
     return entry[2]
 
 
 def eulerian(ctx, i, max_degree):
-    """The i-th Eulerian idempotent (classical): the i-th e^(1)-power over i!, 0 below degree i."""
+    """The i-th Eulerian idempotent: the i-th e^(1)-power over i!, 0 below degree i.
+
+    On the classical model this is sum_{n>=i} s(n,i)/n! Id*^n, read off the
+    identity powers (see eulerian_family); other models keep the recursion.
+    """
     if i < 1:
         raise UsageError("eulerian index must be >= 1")
     powers, scale = eulerian_family(ctx), factorial(i)

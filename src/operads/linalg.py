@@ -308,10 +308,6 @@ def lincomb_json(lc):
     )}
 
 
-def matrix_json(m):
-    return [[frac_str(c) for c in row] for row in m]
-
-
 def tensor_transpose(a):
     """Switch the two slots of every key: (k1,k2) -> (k2,k1)."""
     out = {}

@@ -7,11 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from operads import models
 from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
+from operads.idempotents import (ConvolutionContext, eulerian, geometric_idempotent,
+                                 versal_idempotent)
 from operads.linalg import LinComb
 from operads.models import get_model, model_names, tree_key, words
 from operads.trees import MAX_DEPTH, catalan, enumerate_trees, left_comb, right_comb
@@ -308,12 +311,55 @@ def test_exit_three_when_a_computation_raises(monkeypatch, capsys):
         assert err.startswith("internal error: %s: " % type(error).__name__)
 
 
+@pytest.mark.parametrize("index", ["+1", " 1", "1 ", "0_1", "\u0661", "-1", "1.0", "0x1", "",
+                                   "1\n"])
+def test_eulerian_index_is_ascii_decimal_digits(index, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["idempotent", "--model", "classical", "--kind", "eulerian:" + index,
+              "--max-degree", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: eulerian index must be an integer\n"
+
+
+def _endo(model, kind, deg):
+    if kind == "versal":
+        return versal_idempotent(model, deg)
+    if kind == "geometric":
+        return geometric_idempotent(ConvolutionContext(model), deg)
+    return eulerian(ConvolutionContext(model), int(kind.split(":")[1]), deg)
+
+
+@pytest.mark.parametrize("name, alphabet, kind, deg", [
+    ("dup", 2, "versal", 4),
+    ("classical", 2, "eulerian:2", 5),
+    # degree keys in string order: "1", "10", "11", "2", ...
+    ("classical", 1, "eulerian:1", 11),
+    # degrees 3 and 4 have empty bases
+    ("nil", 2, "geometric", 4),
+])
+def test_streamed_matrix_report_is_the_dense_report(name, alphabet, kind, deg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["idempotent", "--model", name, "--alphabet", str(alphabet), "--kind", kind,
+              "--max-degree", str(deg), "--report", "matrix"])
+    assert exc.value.code == 0
+    endo = _endo(get_model(name, alphabet), kind, deg)
+    dense = {"model": name, "kind": kind, "maxDegree": deg, "matrices": {
+        str(d): {"basis": [str(k) for k in endo.bases[d]],
+                 "matrix": [[str(Fraction(c)) for c in row] for row in endo.mats[d]]}
+        for d in endo.mats}}
+    assert capsys.readouterr().out == json.dumps(dense, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     # small output: the pipe breaks when stdout is flushed at the end
     ("verify", "--model", "as", "--alphabet", "2", "--what", "structure-iso",
      "--max-degree", "3"),
     # large output: the pipe breaks in the middle of printing
     ("trees", "enumerate", "--leaves", "10"),
+    # the matrix report, written a row at a time
+    ("idempotent", "--model", "dup", "--alphabet", "2", "--kind", "versal", "--max-degree", "5",
+     "--report", "matrix"),
 ])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     read_end, write_end = os.pipe()

@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -20,7 +21,7 @@ from operads.idempotents import (
     versal_idempotent,
 )
 from operads.linalg import GradedEndo, LinComb, _Memo, exact_rank, mat_mul, same_column_space, sparse_rows
-from operads.models import get_model, lie_subspace
+from operads.models import as_concat, get_model, lie_subspace
 from operads.structure import primitive_part
 from operads.trees import catalan
 
@@ -60,16 +61,21 @@ def test_convolution_identity_power():
         assert all(len(ctx.identity_powers(k)) <= d for k in model.basis(d))
 
 
+def reference_eulerian_powers(ctx, n):
+    """Identity powers and [e, e*e, ..., e*^n] for e = e^(1) = sum_m (-1)^{m-1}/m Id*^m."""
+    ids = reference_powers(ctx, lambda lc: lc, n)
+
+    def e1(lc):
+        return LinComb.sum((p(lc), Fraction((-1) ** m, m + 1)) for m, p in enumerate(ids))
+    return ids, reference_powers(ctx, e1, n)
+
+
 @pytest.mark.parametrize("name", ["as", "classical", "mag", "nil"])
 def test_per_key_powers_match_the_recursive_convolution(name):
     model = get_model(name, 2)
     ctx = ConvolutionContext(model)
     deg = 5
-    ids = reference_powers(ctx, lambda lc: lc, deg)
-
-    def e1(lc):
-        return LinComb.sum((p(lc), Fraction((-1) ** n, n + 1)) for n, p in enumerate(ids))
-    es = reference_powers(ctx, e1, deg)
+    ids, es = reference_eulerian_powers(ctx, deg)
     for d in range(1, deg + 1):
         for key in model.basis(d):
             for memo, reference in ((ctx.identity_powers, ids), (eulerian_family(ctx), es)):
@@ -77,6 +83,41 @@ def test_per_key_powers_match_the_recursive_convolution(name):
                 assert len(got) <= d, key
                 padded = got + [LinComb.zero()] * (deg - len(got))
                 assert padded == [p(LinComb.of(key)) for p in reference], (name, key)
+
+
+@pytest.mark.parametrize("alphabet, deg", [(2, 6), (3, 5)])
+def test_classical_eulerian_idempotents_match_the_e1_power_recursion(alphabet, deg):
+    # the classical family is read off the identity powers by Stirling
+    # numbers; the right-nested convolution powers of e^(1) are the oracle
+    ctx = ConvolutionContext(get_model("classical", alphabet))
+    _, es = reference_eulerian_powers(ctx, deg)
+    for i, power in enumerate(es, 1):
+        endo = eulerian(ctx, i, deg)
+        for d, basis in endo.bases.items():
+            assert endo.cols[d] == [power(LinComb.of(k)).scale(Fraction(1, factorial(i)))
+                                    for k in basis], (alphabet, i, d)
+
+
+def test_classical_eulerian_family_calls_the_product_only_where_the_identity_powers_do(
+        monkeypatch):
+    def counted_context():
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return as_concat(a, b)
+        model = dataclasses.replace(get_model("classical", 2), key_products={"mul": mul})
+        return ConvolutionContext(model), calls
+
+    monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
+    ctx, family_calls = counted_context()
+    for i in range(1, 6):
+        eulerian(ctx, i, 5)
+    ctx, power_calls = counted_context()
+    for d in range(1, 6):
+        for key in ctx.model.basis(d):
+            ctx.identity_powers(key)
+    assert len(family_calls) == len(power_calls) == 3118
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 
 from operads import models, trees
 from operads.idempotents import ConvolutionContext, eulerian, versal_idempotent
-from operads.linalg import LinComb, _Memo, coords, exact_rank, matrix_json, tensor_transpose
+from operads.linalg import LinComb, _Memo, coords, exact_rank, frac_str, tensor_transpose
 from operads.models import (
     as_concat,
     as_deconcat,
@@ -571,6 +571,11 @@ def test_tree_versal_matches_the_decomposition_reference(name, apply):
     for n in range(1, 7):
         for key in model.basis(n):
             assert model.splitting.versal(key) == reference(key), key
+
+
+def matrix_json(m):
+    """A dense matrix as the strings `idempotent --report matrix` prints."""
+    return [[frac_str(c) for c in row] for row in m]
 
 
 def test_composed_idempotents_render_as_themselves():
