@@ -11,7 +11,9 @@ sparse rows, {column: coefficient} dicts of the nonzero entries: `coords`
 is the one way from LinCombs to such rows, and one sparse fraction-free
 integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis` and
 `same_column_space`) is the one way to ranks, kernel vectors and column
-spaces.  `GradedEndo` keeps the image LinComb of each basis key, and
+spaces; it drops a row equal to an earlier one up to a positive factor,
+which leaves the row space, and so the pivots and the reduced kernel, as
+they were.  `GradedEndo` keeps the image LinComb of each basis key, and
 makes dense matrices, through `coords`, only when output reads them;
 `mat_mul` and `sparse_rows` are the dense reference its per-key algebra is
 tested against.  No floating point anywhere.
@@ -366,9 +368,13 @@ def _echelon(sparse):
     every row is kept divided by its content; within a column the candidate
     row with the fewest nonzeros is the pivot (ties to the lower index), and
     a step touches only the rows that have an entry in that column.  Input
-    is not modified.
+    is not modified.  A row equal to an earlier one once both are divided
+    by their content is dropped first: the row space, and so the pivots,
+    the rank and the reduced-echelon kernel, stay the same.
     """
-    rows = [_primitive(_integral([row])[1][0]) for row in sparse if row]
+    primitive = (_primitive(_integral([row])[1][0]) for row in sparse if row)
+    # `coords` fills columns in ascending order, so equal rows have equal item tuples
+    rows = list({tuple(row.items()): row for row in primitive}.values())
     where = defaultdict(set)  # column -> active rows with an entry there
     for i, row in enumerate(rows):
         for j in row:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import factorial
-from operator import itemgetter
 from typing import Callable
 
 from .errors import UsageError
@@ -156,25 +155,25 @@ def as_deconcat(w):
     return LinComb(((w[:i], w[i:]), 1) for i in range(1, len(w)))
 
 
-@lru_cache(maxsize=None)
-def _unshuffle_getters(n):
-    """(picks, rest) itemgetters of each proper nonempty subset of range(n) and its complement."""
-    out = []
-    for r in range(1, n):
-        for picks in itertools.combinations(range(n), r):
-            rest = tuple(i for i in range(n) if i not in picks)
-            out.append((itemgetter(*picks), itemgetter(*rest)))
-    return out
-
-
-def _unshuffles(w):
-    """Every (left, rest) split of the word w into two nonempty subwords."""
-    return [("".join(left(w)), "".join(rest(w))) for left, rest in _unshuffle_getters(len(w))]
-
-
 def as_shuffle_coproduct(w):
-    """Reduced unshuffle coproduct (the cocommutative Hopf coproduct)."""
-    return LinComb((p, 1) for p in _unshuffles(w))
+    """Reduced unshuffle coproduct (the cocommutative Hopf coproduct).
+
+    Letter by letter, each (left, right) pair sends the next letter to
+    either side and equal pairs merge; the improper pairs go last.
+    """
+    pairs = {("", ""): 1}
+    for a in w:
+        grown = {}
+        get = grown.get
+        for (u, v), m in pairs.items():
+            pair = (u + a, v)
+            grown[pair] = get(pair, 0) + m
+            pair = (u, v + a)
+            grown[pair] = get(pair, 0) + m
+        pairs = grown
+    pairs.pop((w, ""), None)
+    pairs.pop(("", w), None)
+    return _over(pairs, 1)
 
 
 @lru_cache(maxsize=None)

@@ -137,11 +137,12 @@ def _splitting_section_ok(model, max_degree):
 def primitive_part(model, n):
     """Exact basis of the joint kernel of all generating reduced coproducts.
 
-    Where the model declares them all word-preserving (on more than one
-    letter), the kernel is taken on the one-letter keys t:x...x alone, and
-    each of its vectors is put back on every word w in order: the vectors
-    come kernel vector first, then word, as the direct elimination gives
-    them.
+    One block of rows per generating coproduct (a row per tensor key its
+    images reach) over a column per basis key.  Where the model declares
+    them all word-preserving (on more than one letter), the kernel is taken
+    on the one-letter keys t:x...x alone, and each of its vectors is put
+    back on every word w in order: the vectors come kernel vector first,
+    then word, as the direct elimination gives them.
     """
     basis = list(model.basis(n))
     require_keys(model, basis)
@@ -149,14 +150,7 @@ def primitive_part(model, n):
     lifted = lifts(model, coproducts)
     if lifted:
         basis = _one_letter_keys(basis)
-    rows = coords(
-        LinComb(
-            ((i, tkey), c)
-            for i, coproduct in enumerate(coproducts)
-            for tkey, c in coproduct(key).items()
-        )
-        for key in basis
-    )
+    rows = [row for coproduct in coproducts for row in coords(map(coproduct, basis))]
     vectors = [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
                for v in kernel_basis(rows, len(basis))]
     if not lifted:

@@ -165,6 +165,34 @@ def random_sparse_rows(rng, nr, nc):
     return rows
 
 
+def test_repeated_and_rescaled_rows_change_no_rank_pivot_or_kernel():
+    # rows equal to an earlier one up to a positive factor, or listed in another
+    # column order, are dropped or eliminated: the answers are those without them
+    rng = random.Random(73)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        base = random_sparse_rows(rng, nr, nc)
+        rows = list(base)
+        for row in rng.choices(base, k=rng.randint(1, 2 * nr)):
+            extra = rng.choice([
+                dict(row),
+                {j: 2 * x for j, x in row.items()},
+                dict(reversed(list(row.items()))),
+            ])
+            rows.insert(rng.randint(0, len(rows)), extra)
+        before = [list(row.items()) for row in rows]
+        assert exact_rank(rows) == exact_rank(base)
+        assert _echelon(rows)[1] == _echelon(base)[1]
+        assert kernel_basis(rows, nc) == kernel_basis(base, nc)
+        assert [list(row.items()) for row in rows] == before
+    # the three kinds of extra row on one fixed matrix
+    base = [{0: 1, 2: Fraction(1, 2)}, {1: 3, 2: -1}]
+    rows = base + [{0: 1, 2: Fraction(1, 2)}, {1: 6, 2: -2}, {2: -1, 1: 3}]
+    assert exact_rank(rows) == 2 and _echelon(rows)[1] == [0, 1]
+    kernel = [LinComb({0: Fraction(-1, 2), 1: Fraction(1, 3), 2: 1})]
+    assert kernel_basis(rows, 3) == kernel_basis(base, 3) == kernel
+
+
 def test_exact_rank_on_sparse_rows_of_ints_and_fractions():
     rng = random.Random(41)
     for _ in range(400):

@@ -395,10 +395,13 @@ def unshuffles_by_scan(w):
     return out
 
 
-def test_unshuffles_match_the_scan_on_every_short_word():
-    for n in range(1, 9):
-        for w in words(2, n):
-            assert models._unshuffles(w) == unshuffles_by_scan(w), w
+def test_shuffle_coproduct_matches_the_scan_with_multiplicities():
+    # the letter-by-letter image counts each unshuffle pair as often as the scan lists it
+    for alphabet, longest in ((2, 8), (5, 5)):
+        for n in range(longest + 1):
+            for w in words(alphabet, n):
+                assert as_shuffle_coproduct(w) == LinComb((p, 1) for p in unshuffles_by_scan(w)), w
+    assert as_shuffle_coproduct("") == LinComb.zero() == as_shuffle_coproduct("y")
 
 
 def lie_tensor_membership(img, n):
