@@ -5,10 +5,12 @@ Every idempotent is a map from a basis key to its image LinComb, which
 (GradedEndo); only materializing takes a degree bound.  The versal
 idempotent is the model's own memo, built by the PBW recursion of its
 splitting (see models.Splitting); on an associative splitting that memo
-reads the reduced coproduct of each key once and never the tower.  The
-product formula over the omega^[n] and, on the classical model, the
-Eulerian idempotent e^(1) = log*(Id) are independent constructions of the
-same map.  Convolution powers are kept per key by linalg._power_memo:
+reads the reduced coproduct of each key once and never decompose.  The
+product formula over the omega^[n], read off decompose (on an associative
+splitting the per-key memo of tensor powers that its components share a
+builder with), and, on the classical model, the Eulerian idempotent
+e^(1) = log*(Id) are independent constructions of the same map.
+Convolution powers are kept per key by linalg._power_memo:
 powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the sum of
 c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct (k1, k2, c) of the
 key.  The reduced coproduct lowers degree and vanishes on generators, so a
@@ -57,7 +59,7 @@ class ConvolutionContext:
 
     @cached_property
     def coproduct(self):
-        """The reduced coproduct per key: the splitting's own memo where its tower cuts with delta."""
+        """The reduced coproduct per key: the splitting's own memo where it reads delta."""
         delta, splitting = self.model.key_coproducts["delta"], self.model.splitting
         if splitting is not None and splitting.cuts and splitting.cuts[0] is delta:
             return splitting.cuts[1]

@@ -14,7 +14,8 @@ relation checker and the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting keeps per-key memos of each key's
 labeled cooperations and of its PBW components (the same with the versal
 idempotent in every slot), and looks up the splitting operation of each
-label; the associative cooperad is the case of one label.  WORD_KERNELS
+label; the associative cooperad is the case of one label, whose two memos
+are one builder over the reduced coproduct memo.  WORD_KERNELS
 are the kernels that keep words: a coproduct that only slices a key's word,
 or a product that joins two words in slot order.  A map made of those is
 the alphabet-1 map times the identity on words, so the nonsymmetric models
@@ -108,11 +109,6 @@ def _word_stem(key):
     """(stem, word) of a basis key: "t:" and w of a tree key t:w, "" and a word key."""
     stem, sep, word = key.rpartition(":")
     return stem + sep, word
-
-
-def _one_letter_keys(keys):
-    """The keys whose word is x...x, in their order."""
-    return [k for k in keys if not _word_stem(k)[1].strip(LETTERS[0])]
 
 
 def _stems(lc):
@@ -382,26 +378,21 @@ WORD_KERNELS = frozenset({as_concat, as_deconcat, nil_concat, mag_product, mag_d
 
 # --- model plumbing -----------------------------------------------------------
 
-def _cut_first(coproduct, lc):
-    """Delta x id x ... x id on tensor keys, with coproduct(key) = Delta(key)."""
-    def cuts():
-        for key, c in lc.terms.items():
-            slots = as_slots(key)
-            cut, rest = coproduct(slots[0]), slots[1:]
-            if rest:
-                cut = _over({pair + rest: d for pair, d in cut.terms.items()}, cut.den)
-            yield cut, c
-    return LinComb.sum(cuts(), lc.den)
-
-
 def iterated_coproduct(coproduct, k):
     """The k-iterated reduced coproduct (k+1 output slots) on LinCombs; k=0 is Id.
 
-    coproduct is key-level: a basis key -> its image LinComb.
+    coproduct is key-level: a basis key -> its image LinComb.  Each step cuts
+    the first slot, Delta x id x ... x id, so the result is the literal
+    (Delta x id) ... Delta even where Delta is not coassociative.
     """
+    def cut_first(key):
+        slots = as_slots(key)
+        cut, rest = coproduct(slots[0]), slots[1:]
+        return _over({pair + rest: d for pair, d in cut.terms.items()}, cut.den) if rest else cut
+
     def iterate(lc):
         for _ in range(k):
-            lc = _cut_first(coproduct, lc)
+            lc = lc.map_keys(cut_first)
         return lc
     return iterate
 
@@ -420,7 +411,8 @@ class Splitting:
     per-model memos with no degree bound.  A tree splitting writes its
     cooperad's recursion once (see _tree_splitting); an associative one
     reads the reduced coproduct, and cuts is (its kernel, its per-key memo),
-    the memo that convolution on that coproduct shares.  kernels are the
+    the memo that convolution on that coproduct and both of its cooperation
+    memos share (see _associative_splitting).  kernels are the
     coproduct and product kernels the memos compute with: the versal memo
     lifts where all of them are in WORD_KERNELS.
     """
@@ -486,36 +478,33 @@ def _tree_splitting(step, labels, apply, coproducts, products):
         components, coproducts + products)
 
 
-def _labeled(powers):
-    """key -> the LinComb over (None, slot_1, ..., slot_n) of the tensors powers(key)."""
-    return lambda key: LinComb.of(None).tensor(LinComb.sum((p, 1) for p in powers(key)))
-
-
 def _associative_splitting(coproduct, product, exponential=False):
     """The associative cooperad: the one label None in every arity.
 
-    Its arity-n part is the tower Delta^[n-1] = (Delta x id) Delta^[n-2],
-    walked once per key through one memo of the reduced coproduct per
-    model.  The operation on a tower term (s_1, ..., s_n) is the
-    right-nested product s_1 (s_2 (... s_n)), times 1/n! when exponential.
-    The versal memo reads that coproduct memo alone, never the tower: by
-    coassociativity the tower terms of x with first slot a are a followed
-    by the tower terms of b, over the terms c a x b of Delta(x).  With
-    scalar 1 the terms of b add up to b itself, so
-    e(x) = x - sum of c e(a) b.  With 1/n! the arity-n terms of x add up
-    to e^{*n}(x) / n!, so e(x) = x - sum over n >= 2 of e^{*n}(x) / n!, read
-    off the per-key list [e, e*e, ...] of convolution powers.
+    Its arity-n part is Delta^[n-1], which by coassociativity is the n-th
+    tensor power of the identity under the reduced coproduct, so decompose
+    and components are one builder over one memo of that coproduct per
+    model: cooperations(first) lists the tensor powers of first per key,
+    with None put in front; first is the identity for decompose and the
+    versal idempotent e for components.  The operation on a term
+    (s_1, ..., s_n) is the right-nested product s_1 (s_2 (... s_n)), times
+    1/n! when exponential.  The versal memo reads the coproduct memo alone,
+    never decompose: the arity-n terms of x with first slot a are a followed
+    by the arity-(n-1) terms of b, over the terms c a x b of Delta(x).  With
+    scalar 1 the terms of b add up to b itself, so e(x) = x - sum of
+    c e(a) b.  With 1/n! the arity-n terms of x add up to e^{*n}(x) / n!, so
+    e(x) = x - sum over n >= 2 of e^{*n}(x) / n!, read off the per-key list
+    [e, e*e, ...] of convolution powers.
     """
     # pieces are interned: the memo keeps one string per distinct key
     delta = _Memo(lambda key, _: LinComb(
         (tuple(map(sys.intern, pair)), c) for pair, c in coproduct(key).items()))
     kernel, product = product, bilinear(product)
 
-    def tower(key):  # the levels Delta^[n-1](key), n = 1, 2, ..., while nonzero
-        level = LinComb.of(key)
-        while level:
-            yield level
-            level = _cut_first(delta, level)
+    def cooperations(first):
+        """key -> the LinComb over (None, s_1, ..., s_n) of first's tensor powers at key."""
+        powers = _power_memo(lambda key, _: first(key), delta, LinComb.tensor)
+        return lambda key: LinComb.of(None).tensor(LinComb.sum((p, 1) for p in powers(key)))
 
     def fold(_, images):
         acc = images[-1]
@@ -539,9 +528,8 @@ def _associative_splitting(coproduct, product, exponential=False):
             return LinComb.sum([(LinComb.of(key), 1)] + [
                 (product(e(a), LinComb(rest)), -1) for a, rest in rests.items()])
         versal = _Memo(step)
-    components = _labeled(_power_memo(lambda key, _: versal(key), delta, LinComb.tensor))
-    return Splitting(_labeled(tower), lambda n: [None], _operations(fold), versal, components,
-                     (coproduct, kernel), (coproduct, delta))
+    return Splitting(cooperations(LinComb.of), lambda n: [None], _operations(fold), versal,
+                     cooperations(versal), (coproduct, kernel), (coproduct, delta))
 
 
 @dataclass(frozen=True)

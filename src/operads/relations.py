@@ -21,7 +21,8 @@ from importlib import resources
 from math import lcm
 
 from .linalg import LinComb, _coef, as_slots
-from .models import _one_letter_keys, iterated_coproduct, lifts
+from .models import iterated_coproduct, lifts
+from .structure import _one_letter_basis
 
 
 @dataclass(frozen=True)
@@ -263,10 +264,11 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     Where the model declares every kernel the relation resolves
     word-preserving and every term keeps slot order, a pair of keys fails
     exactly when the pair of their one-letter twins does, so the loop runs
-    on the one-letter keys alone.  Each of them stands for k^deg keys of
-    the alphabet-k basis, which lists trees first and words second, so
-    checked_pairs counts the pairs the direct loop would reach, and the
-    first failure, on one-letter keys, is the direct one.
+    on the one-letter keys alone, listed without listing the basis.  Each
+    of them stands for k^deg keys of the alphabet-k basis, which lists
+    trees first and words second, so checked_pairs counts the pairs the
+    direct loop would reach, and the first failure, on one-letter keys, is
+    the direct one.
     """
     expr = get_relation(relation_name)
     key_coproduct, key_product = model.key_coproducts[delta_sym], model.key_products[mu_sym]
@@ -276,8 +278,8 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
         for fn in (*coops, *(op for op, _, _ in blocks)) if fn]
     lifted = lifts(model, kernels) and all(t.perm == tuple(range(len(t.perm))) for t in expr.terms)
     scale = model.alphabet if lifted else 1  # a key looped over in degree n is scale^n keys
-    keys = _one_letter_keys if lifted else list
-    basis = {n: [_as_lincomb(k) for k in keys(model.basis(n))] for n in range(1, max_degree)}
+    basis = {n: list(map(_as_lincomb, _one_letter_basis(model, n) if lifted else model.basis(n)))
+             for n in range(1, max_degree)}
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):

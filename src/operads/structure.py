@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
-from .models import (LETTERS, _one_letter_keys, _relabel, _stems, by_label, key_parts, lifts,
+from .models import (LETTERS, _relabel, _stems, by_label, key_parts, lifts,
                      require_keys, require_splitting, tree_key, words)
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
@@ -30,6 +30,11 @@ def multilinear_basis(model, n, letters=LETTERS):
         return [word]
     leaves = leaf_count(key_parts(template)[0]) + n - 1
     return [tree_key(t, word) for t in enumerate_trees(leaves)]
+
+
+def _one_letter_basis(model, n):
+    """The degree-n basis keys on the word x...x, in basis order, built without listing basis(n)."""
+    return [k for k in multilinear_basis(model, n, LETTERS[0] * n) if model.is_key(k)]
 
 
 def generator_key(model, letter):
@@ -51,7 +56,8 @@ def _generator_part(splitting, g):
 
     Tree splittings read decompose.  On the one associative label, by
     coassociativity, paths(x) is [x = g] plus c paths(b) over the terms
-    c g x b of the reduced coproduct memo, in a memo local to the caller.
+    c g x b of the reduced coproduct memo, in a memo local to the caller:
+    one number per key, where decompose would keep every tensor power.
     """
     if splitting.cuts is None:
         return lambda key: LinComb({t[0]: c for t, c in splitting.decompose(key).items()
@@ -70,8 +76,9 @@ def phi_map(model, n):
     j-th key on the word x1...xn.  The nonsymmetric models only slice
     words, so it is read on the model's own one-letter keys t:x...x at
     (g:x)^(x n), one generator part per column: on the associative
-    splitting a key's generator paths, off the reduced coproduct memo with
-    no tower walked; on a tree splitting the terms of its decomposition.
+    splitting a key's generator paths, off the reduced coproduct memo
+    without reading decompose; on a tree splitting the terms of its
+    decomposition.
     """
     splitting = _nonsymmetric_splitting(model)
     x = LETTERS[0]
@@ -144,12 +151,10 @@ def primitive_part(model, n):
     back on every word w in order: the vectors come kernel vector first,
     then word, as the direct elimination gives them.
     """
-    basis = list(model.basis(n))
-    require_keys(model, basis)
     coproducts = [model.key_coproducts[sym] for sym in model.generating_coproducts]
     lifted = lifts(model, coproducts)
-    if lifted:
-        basis = _one_letter_keys(basis)
+    basis = _one_letter_basis(model, n) if lifted else list(model.basis(n))
+    require_keys(model, basis)
     rows = [row for coproduct in coproducts for row in coords(map(coproduct, basis))]
     vectors = [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
                for v in kernel_basis(rows, len(basis))]

@@ -1,5 +1,6 @@
-"""The demo scripts and the benchmark's self-test run to completion against the source tree."""
+"""Demos, the benchmark's self-test and its workloads run to completion on the source tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,21 @@ def test_bench_selftest_accepts_right_answers_and_rejects_wrong_ones():
     # vectors; a change of representation they cannot follow fails here
     proc = run_script(ROOT / "bench" / "selftest.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("workload", ["suite", "relations", "convolution", "elimination"])
+def test_bench_child_runs_every_workload_and_its_checks_pass(workload, trace):
+    # one repetition as the benchmark runs it: an output its checks reject, or a
+    # name the tracer no longer finds, fails here and not only in a timed run
+    args = ["--workload", workload, "--seed", "1"] + (["--trace"] if trace else [])
+    proc = run_script(ROOT / "bench" / "child.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["ops"]
+    failed = [(op["name"], op["error"], op["problems"]) for op in report["ops"]
+              if op["error"] or op["problems"]]
+    assert not failed
 
 
 TRACED_RUN = """

@@ -175,6 +175,21 @@ def test_lifted_relation_checks_report_what_the_direct_ones_do(name, alphabet, t
     assert qualifying
 
 
+def test_lifted_answers_list_the_one_letter_keys_not_the_basis():
+    # a lifted call lists only degree 1 (the generator template); the k^n-word
+    # basis of every degree was listed and filtered before
+    model = get_model("dup", 3)
+    degrees = []
+
+    def basis(n):
+        degrees.append(n)
+        return model.basis(n)
+    counted = dataclasses.replace(model, basis=basis)
+    assert len(primitive_part(counted, 5)) == len(primitive_part(model, 5))
+    assert check_relation(counted, "delta", "left", "nui", 5).holds
+    assert set(degrees) == {1}
+
+
 @pytest.mark.parametrize("alphabet, pairs", [(1, 3), (2, 9), (3, 19)])
 @pytest.mark.parametrize("delta, mu, rel", [
     ("dleft", "left", "magmatic"), ("dleft", "left", "nil"), ("dleft", "right", "bidup_dright_left"),

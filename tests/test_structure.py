@@ -483,17 +483,25 @@ def test_versal_idempotent_cuts_each_key_once(monkeypatch):
     assert seen and set(seen.values()) == {1}
 
 
+def without_decompose(model, reader):
+    """A copy of model whose splitting's decompose raises: reader must not read it.
+
+    The Splitting is frozen, so the copy is made with dataclasses.replace.
+    """
+    def boom(key):
+        raise AssertionError("%s read decompose" % reader)
+    splitting = dataclasses.replace(model.splitting, decompose=boom)
+    return dataclasses.replace(model, splitting=splitting)
+
+
 @pytest.mark.parametrize("name, alphabet, kernel", [
     ("as", 2, "as_deconcat"), ("dup", 1, "dup_coproduct"), ("classical", 2, "as_shuffle_coproduct"),
 ])
 def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
         monkeypatch, name, alphabet, kernel):
+    # the tower Delta^[n-1] of every arity is decompose's; the versal memo reads Delta alone
     seen = count_cuts(monkeypatch, kernel)
-
-    def tower(*args):  # every decompose call walks the tower through _cut_first
-        raise AssertionError("the versal memo walked the tower")
-    monkeypatch.setattr(models, "_cut_first", tower)
-    model = get_model(name, alphabet)
+    model = without_decompose(get_model(name, alphabet), "the versal memo")
     versal_idempotent(model, 6)
     assert seen and set(seen.values()) == {1}
     assert len(seen) == sum(len(model.basis(n)) for n in range(1, 7))
@@ -504,10 +512,10 @@ def test_associative_versal_reads_the_reduced_coproduct_and_never_the_tower(
 ])
 def test_associative_check_h2_never_walks_the_tower(monkeypatch, name, alphabet, verdict):
     # phi and the section check read the reduced coproduct memo, never decompose
-    def tower(*args):
-        raise AssertionError("check_h2 walked the tower")
-    monkeypatch.setattr(models, "_cut_first", tower)
-    assert check_h2(get_model(name, alphabet), 7).verdict == verdict
+    seen = count_cuts(monkeypatch, {"as": "as_deconcat", "dup": "dup_coproduct"}[name])
+    model = without_decompose(get_model(name, alphabet), "check_h2")
+    assert check_h2(model, 7).verdict == verdict
+    assert seen and set(seen.values()) == {1}
 
 
 def test_pbw_expand_cuts_each_key_once(monkeypatch):
@@ -557,6 +565,8 @@ def test_a_dropped_model_frees_its_memos_without_the_cycle_collector(name):
         model = get_model(name, 2)
         versal_idempotent(model, 4)
         pbw_expand(model, LinComb((k, 1) for k in model.basis(4)))
+        idempotents.omega(model, 2, 4)
+        idempotents.omega(model, 3, 4)
         if "mul" in model.products:
             ctx = ConvolutionContext(model)
             geometric_idempotent(ctx, 4)
