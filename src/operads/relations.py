@@ -1,14 +1,15 @@
 """Distributive compatibility relations as data, plus an exhaustive checker.
 
-A relation describes the right-hand side of delta(mu(a, b)) as a sum of
-composites: apply coproducts to the inputs, permute the resulting tensor
-slots, then apply products blockwise.  The placeholder symbols "delta"
-and "mu" resolve to whatever pair is being checked; any other symbol is
-looked up in the model, so one relation can mix several operations.  The
-checker resolves each term's kernels once and computes each (co)product
-image of a basis key once per check, and decides each pair on one dict of
-delta(mu(a, b)) minus the right side.  A check made of word-preserving
-kernels with every term in slot order is decided on the one-letter keys.
+A relation body describes the right-hand side of delta(mu(a, b)) as a sum
+of composites: apply coproducts to the two inputs, permute the resulting
+tensor slots, then apply products blockwise, two blocks to a term, so the
+sum is in A (x) A.  The placeholder symbols "delta" and "mu" resolve to
+whatever pair is being checked; any other symbol is looked up in the
+model, so one relation can mix several operations.  The checker resolves
+each term once per check, keeps one table of images per kernel, and
+decides each pair on one dict of delta(mu(a, b)) minus the right side.  A
+check made of word-preserving kernels with every term in slot order is
+decided on the one-letter keys.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class Term:
 
 @dataclass(frozen=True)
 class CompatExpr:
-    arity: int
     terms: tuple
 
     @cached_property
@@ -43,10 +43,6 @@ class CompatExpr:
         """(den, an int per term): the terms' coefficients over the lcm of their denominators."""
         den = lcm(*(t.coeff.denominator for t in self.terms))
         return den, tuple(t.coeff.numerator * (den // t.coeff.denominator) for t in self.terms)
-
-
-def _op_arity(sym):
-    return 1 if sym == "id" else 2
 
 
 def term_from_dict(d):
@@ -59,16 +55,17 @@ def term_from_dict(d):
 
 
 def expr_from_dict(d):
+    """A relation body: two inputs, and every term's right side in A (x) A."""
+    if d.get("arity", 2) != 2:
+        raise ValueError("ill-typed relation term: arity %r, not 2" % (d["arity"],))
     terms = tuple(term_from_dict(t) for t in d["terms"])
-    expr = CompatExpr(arity=d.get("arity", 2), terms=terms)
     for t in terms:
-        produced = sum(_op_arity(s) for s in t.in_coops)
-        consumed = sum(_op_arity(s) for s in t.out_ops)
-        if produced != consumed or sorted(t.perm) != list(range(produced)):
+        produced = sum(1 if s == "id" else 2 for s in t.in_coops)
+        consumed = sum(1 if s == "id" else 2 for s in t.out_ops)
+        if (len(t.in_coops) != 2 or len(t.out_ops) != 2 or produced != consumed
+                or sorted(t.perm) != list(range(produced))):
             raise ValueError("ill-typed relation term: %r" % (t,))
-        if len(t.in_coops) != expr.arity:
-            raise ValueError("term arity mismatch: %r" % (t,))
-    return expr
+    return CompatExpr(terms)
 
 
 def _library_text():
@@ -127,84 +124,92 @@ def _resolve_op(model, sym, mu_sym):
     return model.key_products[sym]
 
 
-def _image(images, fn, keys):
-    """fn(*keys) as (slot tuple, int or Fraction coefficient) items, once per `images` table."""
-    items = images.get((fn, keys))
-    if items is None:
-        items = images[fn, keys] = tuple((as_slots(k), c) for k, c in fn(*keys).items())
-    return items
+class _Images(dict):
+    """One kernel's images, each computed on its first read: a key, or a key
+    pair for a product, -> the image's (key, int or Fraction coefficient) items."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, keys):
+        items = self[keys] = tuple(self.fn(*as_slots(keys)).items())
+        return items
 
 
 def _plans(images, expr, model, mu, delta):
-    """Per term of expr: its numerator, the coproduct kernel of each input, and
-    per output block its product kernel and input slots (None for "id").
+    """Per term of expr: (numerator, the two inputs' coproduct tables, the two
+    output blocks), with None for "id".  A block is (product table, i, j) on
+    slots i and j of the inputs' tensor, or (None, i, None) on slot i.
 
-    Resolved once per `images` table, under (expr, mu, delta).
+    `images` maps each kernel to its one table, and None to the last plans
+    resolved on it, so every call for the same (expr, model, mu, delta)
+    reads them without resolving a symbol or hashing expr.
     """
-    plans = images.get((expr, mu, delta))
-    if plans is None:
-        plans = images[expr, mu, delta] = []
-        for term, num in zip(expr.terms, expr.numerators[1]):
-            coops = tuple(None if sym == "id" else _resolve_coop(model, sym, delta)
-                          for sym in term.in_coops)
-            blocks, pos = [], 0
-            for sym in term.out_ops:
-                op = None if sym == "id" else _resolve_op(model, sym, mu)
-                blocks.append((op, term.perm[pos], op and term.perm[pos + 1]))
-                pos += 1 if op is None else 2
-            plans.append((num, coops, blocks))
+    last = images.get(None)
+    if last and last[0] is expr and last[1] is model and last[2:4] == (mu, delta):
+        return last[4]
+
+    def table(fn):
+        return images.setdefault(fn, _Images(fn))
+    plans = []
+    for term, num in zip(expr.terms, expr.numerators[1]):
+        plan, pos = [num], 0
+        for sym in term.in_coops:
+            plan.append(None if sym == "id" else table(_resolve_coop(model, sym, delta)))
+        for sym in term.out_ops:
+            op = None if sym == "id" else table(_resolve_op(model, sym, mu))
+            plan.append((op, term.perm[pos], None if op is None else term.perm[pos + 1]))
+            pos += 1 if op is None else 2
+        plans.append(plan)
+    images[None] = (expr, model, mu, delta, plans)
     return plans
 
 
-def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into=None):
-    """Evaluate the relation right-hand side on a tuple of LinCombs.
-
-    The sum is taken on keys, into one dict of numerators (ints, or
-    Fractions off non-integral images) over den, the lcm of the terms'
-    denominators times the arguments'.  `images` maps (kernel, input keys)
-    to the image's (slot tuple, coefficient) items, computed once per
-    table, and (expr, mu, delta) to the terms' plans: check_relation passes
-    one to every pair, a direct call gets its own.  Given a dict `into`,
-    the numerators are added into it and None is returned; else the sum is
-    returned as a LinComb.
-    """
-    if len(args) != expr.arity:
-        raise ValueError("expected %d arguments, got %d" % (expr.arity, len(args)))
-    images = {} if images is None else images
-    get_image = images.get
-    out = {} if into is None else into
+def _pair(plans, a, b, scale, out):
+    """Add scale * RHS(a, b), for basis keys a and b, into out: (u, v) -> numerator."""
     get = out.get
-    for num, coops, blocks in _plans(images, expr, model, mu, delta):
-        inter = [((), num)]  # the inputs' tensor: (slot tuple, numerator)
-        for coop, arg in zip(coops, args):
-            inter = [(s + t, c * x * y) for k, x in arg.terms.items()
-                     for t, y in (_image(images, coop, (k,)) if coop else ((as_slots(k), 1),))
-                     for s, c in inter]
-        single = len(blocks) == 1  # one block: its keys stay as they are, not slot tuples
-        for flat, coeff in inter:
-            pieces = [((), coeff)]
-            for op, i, j in blocks:
-                if op is None:
-                    pieces = [(s + (flat[i],), c) for s, c in pieces]
-                    continue
-                block = get_image((op, (flat[i], flat[j])))
-                if block is None:
-                    block = _image(images, op, (flat[i], flat[j]))
-                pieces = [(s + t, c * y) for t, y in block for s, c in pieces]
-            for key, c in pieces:
-                if single:
-                    key = key[0]
-                x = get(key, 0) + c
-                if x:
-                    out[key] = x
-                else:
-                    out.pop(key, None)
+    for num, ta, tb, (t1, i1, j1), (t2, i2, j2) in plans:
+        num *= scale
+        for sa, x in (((a,), 1),) if ta is None else ta[a]:
+            for sb, y in (((b,), 1),) if tb is None else tb[b]:
+                flat, c = sa + sb, num * x * y
+                first = ((flat[i1], 1),) if t1 is None else t1[flat[i1], flat[j1]]
+                second = ((flat[i2], 1),) if t2 is None else t2[flat[i2], flat[j2]]
+                for u, p in first:
+                    p *= c
+                    for v, q in second:
+                        key = u, v
+                        q = get(key, 0) + p * q
+                        if q:
+                            out[key] = q
+                        else:
+                            out.pop(key, None)
+
+
+def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into=None):
+    """Evaluate the relation right-hand side on a pair of LinCombs (a, b).
+
+    The sum is taken on key pairs, into one dict of numerators (ints, or
+    Fractions off non-integral images) over den, the lcm of the terms'
+    denominators times a.den * b.den.  `images` maps each kernel to its
+    table of images, computed once per table, and holds the terms' plans
+    (see _plans): check_relation passes one to every pair, a direct call
+    gets its own.  Given a dict `into`, the numerators are added into it
+    and None is returned; else the sum is returned as a LinComb.
+    """
+    if len(args) != 2:
+        raise ValueError("expected 2 arguments, got %d" % len(args))
+    images = {} if images is None else images
+    plans = _plans(images, expr, model, mu, delta)
+    out = {} if into is None else into
+    la, lb = args
+    for a, x in la.terms.items():
+        for b, y in lb.terms.items():
+            _pair(plans, a, b, x * y, out)
     if into is not None:
         return None
-    den = expr.numerators[0]
-    for arg in args:
-        den *= arg.den
-    return LinComb.sum(((LinComb(out), 1),), den)
+    return LinComb.sum(((LinComb(out), 1),), expr.numerators[0] * la.den * lb.den)
 
 
 @dataclass
@@ -256,10 +261,11 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
 
     Exhaustive over pairs with deg a + deg b <= max_degree; exact. A
     failing pair is reported, not raised.  For every pair, -den *
-    delta(mu(a, b)), summed on keys off the images table the right side
-    shares, and den * RHS (eval_compat's `into`) go into one dict, which
-    holds Fractions where an image is not integral: the pair holds when it
-    is all zero.  Only a failing pair builds LinCombs, for its witness.
+    delta(mu(a, b)), summed on keys off the coproduct's image table, which
+    the right side reads too, and den * RHS (eval_compat's `into`) go into
+    one dict, which holds Fractions where an image is not integral: the
+    pair holds when it is all zero.  Only a failing pair builds LinCombs,
+    for its witness.  The terms are resolved once, before the first pair.
 
     Where the model declares every kernel the relation resolves
     word-preserving and every term keeps slot order, a pair of keys fails
@@ -272,10 +278,10 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     """
     expr = get_relation(relation_name)
     key_coproduct, key_product = model.key_coproducts[delta_sym], model.key_products[mu_sym]
-    images, neg_den = {}, -expr.numerators[0]  # the table lives and dies with this call
-    kernels = [key_coproduct, key_product] + [
-        fn for _, coops, blocks in _plans(images, expr, model, mu_sym, delta_sym)
-        for fn in (*coops, *(op for op, _, _ in blocks)) if fn]
+    images, neg_den = {}, -expr.numerators[0]  # the tables live and die with this call
+    _plans(images, expr, model, mu_sym, delta_sym)  # a table for each kernel the terms name
+    coproduct = images.setdefault(key_coproduct, _Images(key_coproduct))
+    kernels = [key_product] + [fn for fn in images if fn is not None]
     lifted = lifts(model, kernels) and all(t.perm == tuple(range(len(t.perm))) for t in expr.terms)
     scale = model.alphabet if lifted else 1  # a key looped over in degree n is scale^n keys
     basis = {n: list(map(_as_lincomb, _one_letter_basis(model, n) if lifted else model.basis(n)))
@@ -291,7 +297,7 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
                         for b, y in lb.terms.items():
                             for k, c in key_product(a, b).items():
                                 c *= neg_den * x * y
-                                for t, z in _image(images, key_coproduct, (k,)):
+                                for t, z in coproduct[k]:
                                     diff[t] = diff.get(t, 0) + c * z
                     eval_compat(expr, model, (la, lb), mu=mu_sym, delta=delta_sym,
                                 images=images, into=diff)

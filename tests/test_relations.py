@@ -12,7 +12,7 @@ import pytest
 
 from operads import relations
 from operads.linalg import LinComb
-from operads.models import get_model
+from operads.models import WORD_KERNELS, get_model
 from operads.relations import (
     check_nap_colaw,
     check_relation,
@@ -66,6 +66,26 @@ _BODY = {
 def test_library_rejects_duplicate_bodies_and_dangling_aliases(monkeypatch, raw, message):
     monkeypatch.setattr(relations, "_library_text", lambda: json.dumps(raw))
     with pytest.raises(ValueError, match=message):
+        load_library()
+
+
+def _one_term_body(in_coops, perm, out_ops, arity=2):
+    return {"arity": arity, "terms": [
+        {"coeff": "1", "inCoops": in_coops, "perm": perm, "outOps": out_ops}]}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _one_term_body(["id", "id"], [0, 1], ["mu"]),  # right side in A
+        _one_term_body(["delta", "id"], [0, 1, 2], ["id", "id", "id"]),  # in A (x) A (x) A
+        _one_term_body(["id", "id", "id"], [0, 1, 2], ["id", "mu"], arity=3),  # three inputs
+    ],
+)
+def test_library_rejects_bodies_the_checker_cannot_compare(monkeypatch, body):
+    # each body is consistent on its own, but delta(mu(a, b)) of two inputs is in A (x) A
+    monkeypatch.setattr(relations, "_library_text", lambda: json.dumps({"a": body}))
+    with pytest.raises(ValueError, match="ill-typed relation term"):
         load_library()
 
 
@@ -474,3 +494,33 @@ def test_relations_hold_past_the_pinned_degrees():
     report = check_relation(get_model("dup", 1), "delta", "right", "nui", 7)
     assert report.holds
     assert report.checked_pairs == _pairs_up_to(lambda d: comb(2 * d, d) // (d + 1), 7)
+
+
+def test_check_relation_resolves_each_term_once_per_check(monkeypatch):
+    calls = Counter()
+    for name in ("_resolve_coop", "_resolve_op"):
+        def counted(*args, resolve=getattr(relations, name), name=name):
+            calls[name] += 1
+            return resolve(*args)
+        monkeypatch.setattr(relations, name, counted)
+    model = get_model("dup", 1)
+    per_check = []
+    for top in (4, 6):
+        calls.clear()
+        assert check_relation(model, "delta", "left", "nui", top).holds
+        per_check.append(dict(calls))
+    # nui names delta twice and mu twice, however many pairs the check reaches
+    assert per_check[0] == per_check[1] == {"_resolve_coop": 2, "_resolve_op": 2}
+
+
+def test_an_unlifted_failing_check_keeps_its_pair_count_and_witness():
+    # liv is no word kernel, so mag/2 loops over every pair of the two-letter basis
+    model = get_model("mag", 2)
+    assert model.key_coproducts["liv"] not in WORD_KERNELS
+    report = check_relation(model, "liv", "mul", "magmatic", 8)
+    assert not report.holds and report.checked_pairs == 40269
+    degrees, pair, lhs, rhs = report.first_failure
+    assert degrees == (2, 1)
+    assert [repr(p) for p in pair] == ["1*(.,.):xx", "1*.:x"]
+    assert repr(lhs) == "2*(.,.):xx|.:x + 1*.:x|(.,.):xx"
+    assert repr(rhs) == "1*(.,.):xx|.:x"
