@@ -6,8 +6,10 @@ Exit codes: 0 when the requested check holds (or for plain computations),
 when standard output is closed before everything is written (as a shell
 reports a process killed by SIGPIPE), so a cut-off run never reads as a pass.
 Usage errors are `operads.errors.UsageError`s: the library raises them for its
-own input rules (tree syntax, degrees, what a model can compute), with the same
-text for a library caller, and this module only for rules that name a flag.
+own input rules (tree syntax, degrees, the (co)products a call names, what a
+model can compute), with the same text for a library caller.  This module adds
+only unknown names, the eulerian index against --max-degree and dynkin off the
+classical model.
 """
 
 from __future__ import annotations
@@ -127,30 +129,23 @@ def cmd_trees(args):
 
 def cmd_coproduct(args):
     model = _get_model_arg(args)
-    if args.coproduct not in model.coproducts:
-        raise UsageError("model %s has no coproduct %r" % (model.name, args.coproduct))
-    lc = parse_element(model, args.element)
-    _emit(lincomb_json(model.coproducts[args.coproduct](lc)))
+    coproduct = model.lookup("coproducts", args.coproduct)
+    _emit(lincomb_json(coproduct(parse_element(model, args.element))))
     return 0
 
 
 def cmd_product(args):
     model = _get_model_arg(args)
-    if args.product not in model.products:
-        raise UsageError("model %s has no product %r" % (model.name, args.product))
+    product = model.lookup("products", args.product)
     a = parse_element(model, args.left)
     b = parse_element(model, args.right)
-    _emit(lincomb_json(model.products[args.product](a, b)))
+    _emit(lincomb_json(product(a, b)))
     return 0
 
 
 def cmd_check(args):
     model = _get_model_arg(args)
-    if args.coproduct not in model.coproducts:
-        raise UsageError("model %s has no coproduct %r" % (model.name, args.coproduct))
     if args.relation == "nap-colaw":
-        if args.max_degree < 1:
-            raise UsageError("nap-colaw needs --max-degree >= 1")
         report = check_nap_colaw(model, args.coproduct, args.max_degree)
     else:
         try:
@@ -158,11 +153,6 @@ def cmd_check(args):
         except KeyError:
             raise UsageError("unknown relation %r (choose from %s)"
                              % (args.relation, ", ".join(relation_names() + ["nap-colaw"])))
-        if args.product not in model.products:
-            raise UsageError("model %s has no product %r" % (model.name, args.product))
-        _check_relation_symbols(model, args.relation)
-        if args.max_degree < 2:
-            raise UsageError("a relation needs --max-degree >= 2")
         report = check_relation(
             model, args.coproduct, args.product, args.relation, args.max_degree
         )
@@ -173,23 +163,8 @@ def cmd_check(args):
     return 0 if report.holds else 1
 
 
-def _check_relation_symbols(model, relation):
-    """Refuse a relation that names a (co)product the model lacks."""
-    for term in get_relation(relation).terms:
-        for sym in term.in_coops:
-            if sym not in ("id", "delta") and sym not in model.coproducts:
-                raise UsageError("relation %s needs coproduct %r, which model %s lacks"
-                                 % (relation, sym, model.name))
-        for sym in term.out_ops:
-            if sym not in ("id", "mu") and sym not in model.products:
-                raise UsageError("relation %s needs product %r, which model %s lacks"
-                                 % (relation, sym, model.name))
-
-
 def cmd_prim(args):
     model = _get_model_arg(args)
-    if args.degree < 1:
-        raise UsageError("--degree must be >= 1")
     basis = primitive_part(model, args.degree)
     _emit({"model": model.name, "degree": args.degree,
            "dimension": len(basis),
@@ -220,8 +195,6 @@ def cmd_pbw(args):
 def cmd_idempotent(args):
     model = _get_model_arg(args)
     n = args.max_degree
-    if n < 1:
-        raise UsageError("--max-degree must be >= 1")
     kind = args.kind
     if kind == "versal":
         endo = versal_idempotent(model, max_degree=n)
@@ -281,29 +254,13 @@ def _emit_matrices(report, endo):
     write("\n  }" + tail + "\n")
 
 
-_STRUCTURE_TRIPLES = {
-    # model -> names of the series C and P with A = C o P
-    "as": ("As", "Vect"),
-    "dup": ("As", "Mag"),
-    "mag": ("Mag", "Vect"),
-    "bidup": ("Dup", "Vect"),
-}
-
-
 def cmd_verify(args):
     model = _get_model_arg(args)
     if args.what == "h2":
-        if args.max_degree < 2:
-            raise UsageError("h2 needs --max-degree >= 2")
         report = check_h2(model, args.max_degree)
         _emit(report.to_json_dict())
         return 0 if report.verdict in ("iso", "epi-with-splitting") else 1
-    if model.name not in _STRUCTURE_TRIPLES:
-        raise UsageError("no structure-iso dimension data for model %s" % model.name)
-    if args.max_degree < 1:
-        raise UsageError("structure-iso needs --max-degree >= 1")
-    c, p = _STRUCTURE_TRIPLES[model.name]
-    report = verify_structure_iso(c, model, p, args.max_degree)
+    report = verify_structure_iso(model, args.max_degree)
     _emit(report.to_json_dict())
     return 0 if report.ok else 1
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial
 
 from .errors import UsageError
@@ -48,10 +48,8 @@ class ConvolutionContext:
     model: BialgebraModel
 
     def __post_init__(self):
-        if "mul" not in self.model.products:
-            raise UsageError("model %s has no product 'mul'" % self.model.name)
-        if "delta" not in self.model.coproducts:
-            raise UsageError("model %s has no coproduct 'delta'" % self.model.name)
+        self.model.lookup("products", "mul")
+        self.model.lookup("coproducts", "delta")
 
     @property
     def product(self):
@@ -77,6 +75,8 @@ def model_bases(model, max_degree):
 
 def materialize(model, fn, max_degree):
     """The GradedEndo through max_degree of fn, a map from a basis key to its image LinComb."""
+    if max_degree < 1:
+        raise UsageError("max degree must be >= 1")
     bases = model_bases(model, max_degree)
     require_keys(model, bases.get(1))
     return GradedEndo.from_function(bases, fn)
@@ -133,9 +133,10 @@ def eulerian(ctx, i, max_degree):
     """
     if i < 1:
         raise UsageError("eulerian index must be >= 1")
-    powers, scale = eulerian_family(ctx), factorial(i)
+    # the family is fetched at the first key, so a call materialize refuses caches nothing
+    family, scale = cache(partial(eulerian_family, ctx)), factorial(i)
     return materialize(ctx.model, lambda key: LinComb.sum(
-        ((p, 1) for p in powers(key)[i - 1:i]), scale), max_degree)
+        ((p, 1) for p in family()(key)[i - 1:i]), scale), max_degree)
 
 
 def dynkin(max_degree, alphabet=2):

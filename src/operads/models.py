@@ -565,6 +565,14 @@ class BialgebraModel:
     def coproducts(self):
         return {sym: partial(LinComb.map_keys, fn=fn) for sym, fn in self.key_coproducts.items()}
 
+    def lookup(self, table, sym):
+        """self.<table>[sym], table a (co)product table's name; refused if sym is not in it."""
+        ops = getattr(self, table)
+        if sym not in ops:
+            raise UsageError("model %s has no %s %r"
+                             % (self.name, table.removeprefix("key_")[:-1], sym))
+        return ops[sym]
+
 
 def lifts(model, kernels):
     """Is a map made of these kernels read on the one-letter keys and lifted?

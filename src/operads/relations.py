@@ -21,6 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
+from .errors import UsageError
 from .linalg import LinComb, _coef, as_slots
 from .models import iterated_coproduct, lifts
 from .structure import _one_letter_basis
@@ -112,16 +113,23 @@ def relation_names():
     return sorted(_library())
 
 
+def _require_symbols(model, name, expr):
+    """Refuse a relation whose terms name a (co)product the model lacks."""
+    for term in expr.terms:
+        for kind, syms, own, table in (("coproduct", term.in_coops, "delta", model.key_coproducts),
+                                       ("product", term.out_ops, "mu", model.key_products)):
+            for sym in syms:
+                if sym not in ("id", own) and sym not in table:
+                    raise UsageError("relation %s needs %s %r, which model %s lacks"
+                                     % (name, kind, sym, model.name))
+
+
 def _resolve_coop(model, sym, delta_sym):
-    if sym == "delta":
-        sym = delta_sym
-    return model.key_coproducts[sym]
+    return model.lookup("key_coproducts", delta_sym if sym == "delta" else sym)
 
 
 def _resolve_op(model, sym, mu_sym):
-    if sym == "mu":
-        sym = mu_sym
-    return model.key_products[sym]
+    return model.lookup("key_products", mu_sym if sym == "mu" else sym)
 
 
 class _Images(dict):
@@ -236,8 +244,10 @@ def _as_lincomb(entry):
 
 
 def check_nap_colaw(model, delta_sym, max_degree):
-    """(delta x Id) delta = (Id x tau)(delta x Id) delta on every basis key."""
-    twice = iterated_coproduct(model.key_coproducts[delta_sym], 2)
+    """(delta x Id) delta = (Id x tau)(delta x Id) delta on every basis key, max_degree >= 1."""
+    twice = iterated_coproduct(model.lookup("key_coproducts", delta_sym), 2)
+    if max_degree < 1:
+        raise UsageError("nap-colaw needs max degree >= 1")
     checked = 0
     for n in range(1, max_degree + 1):
         for key in model.basis(n):
@@ -274,10 +284,15 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     of them stands for k^deg keys of the alphabet-k basis, which lists
     trees first and words second, so checked_pairs counts the pairs the
     direct loop would reach, and the first failure, on one-letter keys, is
-    the direct one.
+    the direct one.  Refused before the first pair where the model lacks a
+    (co)product the check names, or where max_degree < 2 leaves no pair.
     """
     expr = get_relation(relation_name)
-    key_coproduct, key_product = model.key_coproducts[delta_sym], model.key_products[mu_sym]
+    key_coproduct = model.lookup("key_coproducts", delta_sym)
+    key_product = model.lookup("key_products", mu_sym)
+    _require_symbols(model, relation_name, expr)
+    if max_degree < 2:
+        raise UsageError("a relation needs max degree >= 2")
     images, neg_den = {}, -expr.numerators[0]  # the tables live and die with this call
     _plans(images, expr, model, mu_sym, delta_sym)  # a table for each kernel the terms name
     coproduct = images.setdefault(key_coproduct, _Images(key_coproduct))

@@ -105,9 +105,12 @@ class H2Report:
 def check_h2(model, max_degree):
     """Classify phi degreewise: isomorphism, split epimorphism, or failure.
 
-    Refused without a splitting, and on the classical model, whose cooperad
-    Com is symmetric while the multilinear basis is not.
+    Refused below degree 2 (where every model reads iso), without a
+    splitting, and on the classical model, whose cooperad Com is symmetric
+    while the multilinear basis is not.
     """
+    if max_degree < 2:
+        raise UsageError("h2 needs max degree >= 2")
     _nonsymmetric_splitting(model)
     rows = []  # (degree, dim A, dim C, rank phi)
     for n in range(1, max_degree + 1):
@@ -149,8 +152,10 @@ def primitive_part(model, n):
     them all word-preserving (on more than one letter), the kernel is taken
     on the one-letter keys t:x...x alone, and each of its vectors is put
     back on every word w in order: the vectors come kernel vector first,
-    then word, as the direct elimination gives them.
+    then word, as the direct elimination gives them.  Refused below degree 1.
     """
+    if n < 1:
+        raise UsageError("degree must be >= 1")
     coproducts = [model.key_coproducts[sym] for sym in model.generating_coproducts]
     lifted = lifts(model, coproducts)
     basis = _one_letter_basis(model, n) if lifted else list(model.basis(n))
@@ -206,8 +211,18 @@ class StructureIsoReport:
         }
 
 
-def verify_structure_iso(c, model, p, max_degree):
-    """Compare dim A_n with coefficient n of f^C(f^P), C and P named series."""
+# model -> names of the series C and P with A = C o P
+_STRUCTURE_TRIPLES = {"as": ("As", "Vect"), "dup": ("As", "Mag"), "mag": ("Mag", "Vect"),
+                      "bidup": ("Dup", "Vect")}
+
+
+def verify_structure_iso(model, max_degree):
+    """Compare dim A_n with coefficient n of f^C(f^P), for the model's series C and P."""
+    if model.name not in _STRUCTURE_TRIPLES:
+        raise UsageError("no structure-iso dimension data for model %s" % model.name)
+    if max_degree < 1:
+        raise UsageError("structure-iso needs max degree >= 1")
+    c, p = _STRUCTURE_TRIPLES[model.name]
     composite = gen_series(c, max_degree).compose(gen_series(p, max_degree))
     rows = []
     for n in range(1, max_degree + 1):

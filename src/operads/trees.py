@@ -90,10 +90,13 @@ def under(t, s):
 def enumerate_trees(n):
     """All trees with n leaves, sorted by their string form.
 
-    The list length is the Catalan number c_{n-1}.
+    The list length is the Catalan number c_{n-1}.  Refused above
+    MAX_DEPTH + 1 leaves, where the comb nests deeper than validate accepts.
     """
     if n < 1:
         raise UsageError("need at least one leaf")
+    if n > MAX_DEPTH + 1:
+        raise UsageError("need at most %d leaves" % (MAX_DEPTH + 1))
     if n == 1:
         return (LEAF,)
     out = []

@@ -223,6 +223,17 @@ def test_deep_trees_are_answered_or_refused_never_an_internal_error(capsys):
         models._mag_hopf_key.cache_clear()
 
 
+def test_tree_listings_past_the_deepest_comb_are_refused(capsys):
+    for argv in (["trees", "enumerate", "--leaves", "1100"],
+                 ["prim", "--model", "dup", "--degree", "1000"],
+                 ["prim", "--model", "mag", "--degree", "1100"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: need at most %d leaves\n" % (MAX_DEPTH + 1), argv
+
+
 def test_deep_pbw_keys_are_answered_or_refused_never_an_internal_error(capsys):
     # the memos evaluate a chain of keys deeper than the stack on their own
     # explicit stack, so a comb as deep as validate allows gets its answer

@@ -18,6 +18,7 @@ from operads.models import (
 )
 from operads.structure import (
     PbwComponent,
+    _STRUCTURE_TRIPLES,
     _splitting_section_ok,
     check_h2,
     generator_key,
@@ -740,6 +741,7 @@ def test_iterated_coproduct_of_a_non_integral_coproduct():
     [("as", "As", "Vect"), ("dup", "As", "Mag"), ("mag", "Mag", "Vect"), ("bidup", "Dup", "Vect")],
 )
 def test_structure_iso_dimension_counts(name, c, p):
-    report = verify_structure_iso(c, get_model(name), p, 6)
+    assert _STRUCTURE_TRIPLES[name] == (c, p)
+    report = verify_structure_iso(get_model(name), 6)
     assert report.ok
     assert all(da == comp for (_, da, comp) in report.per_degree)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from operads import trees
+from operads.errors import UsageError
 from operads.linalg import LinComb
 from operads.models import _left_edge_cuts, _right_edge_cuts, dup_coproduct, tree_key
 from operads.trees import (
@@ -37,6 +38,20 @@ def test_enumeration_counts_are_catalan():
         for t in ts:
             validate(t)
             assert leaf_count(t) == n
+
+
+def test_enumeration_refuses_more_leaves_than_the_deepest_comb(monkeypatch):
+    # the comb with MAX_DEPTH + 2 leaves nests deeper than validate accepts; the
+    # listing is refused before it recurses (a recursive call here fails the test
+    # at once, where a listing would hold Catalan(MAX_DEPTH + 1) trees)
+    listing = trees.enumerate_trees
+
+    def no_recursion(n):
+        raise AssertionError("listed %d leaves before refusing" % n)
+    monkeypatch.setattr(trees, "enumerate_trees", no_recursion)
+    with pytest.raises(UsageError) as exc:
+        listing(trees.MAX_DEPTH + 2)
+    assert str(exc.value) == "need at most %d leaves" % (trees.MAX_DEPTH + 1)
 
 
 def test_validate_rejects_garbage():
