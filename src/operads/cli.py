@@ -61,7 +61,7 @@ from .series import (
     gen_series,
     series_names,
 )
-from .homology import check_differentials, homology_report, total_homology_dims
+from .homology import build_bicomplex, check_differentials, homology_report, total_homology_dims
 
 
 def parse_element(model, text):
@@ -267,20 +267,20 @@ def cmd_verify(args):
 
 def cmd_series(args):
     if args.show:
-        try:
-            s = gen_series(args.show, args.order)
-        except KeyError:
+        names = [args.show]
+    elif args.check:
+        names = [n for n in (args.names or "").split(",") if n]
+    else:
+        raise UsageError("series needs --show or --check")
+    for name in names:
+        if name not in series_names():
             raise UsageError("unknown series %r (choose from %s)"
-                             % (args.show, ", ".join(series_names())))
+                             % (name, ", ".join(series_names())))
+    if args.show:
+        s = gen_series(args.show, args.order)
         _emit({"name": args.show, "order": args.order,
                "coefficients": [frac_str(c) for c in s.coeffs]})
         return 0
-    if not args.check:
-        raise UsageError("series needs --show or --check")
-    names = [n for n in (args.names or "").split(",") if n]
-    for name in names:
-        if name not in series_names():
-            raise UsageError("unknown series %r" % name)
     if args.check == "triple":
         if len(names) != 3:
             raise UsageError("--check triple needs --names C,A,P")
@@ -441,13 +441,12 @@ def _suite_series():
 
 
 def _suite_homology():
-    for n in range(1, 6):
-        yield "bicomplex differentials internal degree %d" % n, check_differentials(n)
-    yield "homology dims degree 1", total_homology_dims(1) == [1]
-    for n in range(2, 6):
-        yield "homology vanishes internal degree %d" % n, (
-            total_homology_dims(n) == [0] * n
-        )
+    slices = [build_bicomplex(n) for n in range(1, 6)]
+    for bc in slices:
+        yield "bicomplex differentials internal degree %d" % bc.n, check_differentials(bc)
+    yield "homology dims degree 1", total_homology_dims(slices[0]) == [1]
+    for bc in slices[1:]:
+        yield "homology vanishes internal degree %d" % bc.n, total_homology_dims(bc) == [0] * bc.n
 
 
 def _suite_h2():

@@ -7,7 +7,8 @@ D = d^h + d^v is one map on these keys: merging slots i, i+1 with the
 right operation for i < p lands in block p-1 (d^h), with the left
 operation for i >= p stays in block p (d^v), each with sign (-1)^i.
 D∘D = 0 holds exactly, and by bidegree it splits into d^h d^h = 0,
-d^v d^v = 0 and d^h d^v + d^v d^h = 0.
+d^v d^v = 0 and d^h d^v + d^v d^h = 0.  The checks and dimensions below
+take a slice built once by `build_bicomplex`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class BicomplexSlice:
     left: object         # d^v: merges slots i >= p, (p, tuple) -> block p; a key kernel
 
     def tot_dim(self, m):
-        return (m + 1) * len(self.bases[m]) if m in self.bases else 0
+        return (m + 1) * len(self.bases[m])
 
     def tot_keys(self, m):
         """The keys (p, tuple) of Tot_m, blocks ordered by p = 0..m."""
@@ -72,13 +73,8 @@ def build_bicomplex(n):
                           left=model.key_products["left"])
 
 
-def _slice(slice_or_n):
-    return build_bicomplex(slice_or_n) if isinstance(slice_or_n, int) else slice_or_n
-
-
-def check_differentials(slice_or_n):
-    """D∘D = 0 on every key of Tot_m, m >= 2, exactly."""
-    bc = _slice(slice_or_n)
+def check_differentials(bc):
+    """D∘D = 0 on every key of Tot_m, m >= 2, exactly, on the slice bc."""
     return not any(bc.d(key).map_keys(bc.d)
                    for m in range(2, bc.n) for key in bc.tot_keys(m))
 
@@ -88,24 +84,18 @@ def total_matrix(bc, m):
     return coords(map(bc.d, bc.tot_keys(m)), bc.tot_keys(m - 1))
 
 
-def total_dims(slice_or_n):
-    bc = _slice(slice_or_n)
+def total_dims(bc):
+    """dim Tot_m of the slice bc, m = 0..n-1."""
     return [bc.tot_dim(m) for m in range(bc.n)]
 
 
-def total_homology_dims(slice_or_n):
-    """Homology dims of (Tot, d^h + d^v), m = 0..n-1, by exact rank."""
-    bc = _slice(slice_or_n)
+def total_homology_dims(bc):
+    """Homology dims of (Tot, d^h + d^v) on the slice bc, m = 0..n-1, by exact rank."""
     n = bc.n
     ranks = [0] * (n + 1)  # ranks[m] = rank of D_m: Tot_m -> Tot_{m-1}
     for m in range(1, n):
         ranks[m] = exact_rank(total_matrix(bc, m))
     return [bc.tot_dim(m) - ranks[m] - ranks[m + 1] for m in range(n)]
-
-
-def euler_characteristic(slice_or_n):
-    bc = _slice(slice_or_n)
-    return sum((-1) ** m * bc.tot_dim(m) for m in range(bc.n))
 
 
 def homology_report(n, check_only=False):

@@ -36,7 +36,7 @@ from math import factorial
 
 from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import (BialgebraModel, _lifted, by_label, classical_model, left_nested_bracket, lifts,
+from .models import (BialgebraModel, _lifted, by_label, get_model, left_nested_bracket, lifts,
                      require_keys, require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
@@ -141,7 +141,7 @@ def eulerian(ctx, i, max_degree):
 
 def dynkin(max_degree, alphabet=2):
     """The Dynkin map word -> (1/n) [..[[x1,x2],x3]..,xn] on the classical model."""
-    return materialize(classical_model(alphabet),
+    return materialize(get_model("classical", alphabet),
                        lambda w: left_nested_bracket(w).scale(Fraction(1, len(w))), max_degree)
 
 

@@ -169,9 +169,6 @@ class LinComb:
         """The coefficient of key, always as a Fraction."""
         return Fraction(self.terms.get(key, 0), self.den)
 
-    def support(self):
-        return set(self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -188,17 +185,11 @@ class LinComb:
     def __add__(self, other):
         return LinComb.sum(((self, 1), (other, 1)))
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
         return LinComb.sum(((self, 1), (other, -1)))
 
     def scale(self, scalar):
         return LinComb.sum(((self, scalar),))
-
-    __rmul__ = scale
-    __mul__ = scale
 
     def tensor(self, other):
         out = {}
@@ -569,9 +560,6 @@ class GradedEndo:
     def __add__(self, other):
         return GradedEndo(self.bases, {n: [a + b for a, b in zip(col, other.cols[n])]
                                        for n, col in self.cols.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, scalar):
         return GradedEndo(self.bases, {n: [lc.scale(scalar) for lc in col]

@@ -664,7 +664,7 @@ def _tree_basis(alphabet, extra_leaves):
     return basis
 
 
-def _mag_tree_apply(t, images, product=mag_product):
+def _mag_tree_apply(t, images, product):
     """The product indexed by a tree with n leaves, on n LinCombs."""
     if t == LEAF:
         return images[0]
@@ -726,7 +726,7 @@ def dup_model(alphabet=1):
     )
 
 
-def _dup_tree_apply(t, images, left_kernel=dup_left, right_kernel=dup_right):
+def _dup_tree_apply(t, images, left_kernel, right_kernel):
     """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs."""
     if t == Y:
         return images[0]

@@ -15,7 +15,10 @@ from .errors import UsageError
 
 
 class TruncatedSeries:
-    """Power series with zero constant term, exact to a fixed order."""
+    """Power series with zero constant term, exact to a fixed order.
+
+    It has what the identities use: scaling, products, t -> -t and composition.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -30,10 +33,6 @@ class TruncatedSeries:
     @classmethod
     def t(cls, order):
         return cls(order, [1])
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order)
 
     def coeff(self, n):
         """Coefficient of t^n, n >= 1."""
@@ -52,29 +51,11 @@ class TruncatedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        self._match(other)
-        return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._match(other)
-        return TruncatedSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
-
     def scale(self, c):
         c = Fraction(c)
         return TruncatedSeries(self.order, [c * a for a in self.coeffs])
 
-    __rmul__ = scale
-
     def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
         self._match(other)
         n = self.order
         out = [Fraction(0)] * n

@@ -530,6 +530,19 @@ def test_series_and_homology_commands():
     assert proc.returncode == 0
 
 
+def test_an_unknown_series_gets_one_refusal_on_both_paths(capsys):
+    # --order 0 too: the name is refused before any series is built
+    errs = []
+    for argv in (["series", "--show", "Foo", "--order", "0"],
+                 ["series", "--check", "triple", "--names", "Foo,As,Lie", "--order", "0"]):
+        with pytest.raises(SystemExit) as code:
+            main(argv)
+        assert code.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: unknown series 'Foo' (choose from As, Com, Lie, ")
+
+
 def test_verify_h2_command():
     proc = run_cli("verify", "--model", "dup", "--what", "h2", "--max-degree", "4")
     assert proc.returncode == 0

@@ -12,6 +12,7 @@ from operads.errors import UsageError
 from operads.homology import build_bicomplex
 from operads.idempotents import (
     ConvolutionContext,
+    dynkin,
     eulerian,
     geometric_idempotent,
     omega,
@@ -58,6 +59,8 @@ REFUSALS = [
      "h2 is unsupported on model classical: its cooperad Com is symmetric"),
     ("get_model alphabet 0", lambda: get_model("as", 0), "alphabet size must be >= 1"),
     ("get_model alphabet 17", lambda: get_model("as", 17), "alphabet size must be <= 16"),
+    ("dynkin alphabet 0", lambda: dynkin(3, 0), "alphabet size must be >= 1"),
+    ("dynkin alphabet 20", lambda: dynkin(3, 20), "alphabet size must be <= 16"),
     ("enumerate_trees 0", lambda: enumerate_trees(0), "need at least one leaf"),
     ("validate malformed", lambda: validate("(.,."), "malformed tree: '(.,.'"),
     ("path_cut out of range", lambda: path_cut("((.,.),.)", 2),

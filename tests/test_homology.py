@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
+from operads import cli, homology
 from operads.homology import (
     build_bicomplex,
     check_differentials,
-    euler_characteristic,
     homology_report,
     total_dims,
     total_homology_dims,
@@ -15,6 +15,11 @@ from operads.homology import (
 )
 from operads.linalg import exact_rank
 from operads.trees import catalan
+
+
+def alternating_sum(dims):
+    """The Euler characteristic of a list of dimensions indexed from 0."""
+    return sum((-1) ** m * d for m, d in enumerate(dims))
 
 
 def test_bases_count_matches_composition_formula():
@@ -30,12 +35,12 @@ def test_bases_count_matches_composition_formula():
 
 
 def test_total_dims_degree_5_pinned():
-    assert total_dims(5) == [42, 96, 81, 32, 5]
+    assert total_dims(build_bicomplex(5)) == [42, 96, 81, 32, 5]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_differentials_square_to_zero_and_anticommute(n):
-    assert check_differentials(n)
+    assert check_differentials(build_bicomplex(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -66,9 +71,9 @@ def test_total_matrix_composes_to_zero():
 
 
 def test_homology_is_concentrated_in_the_bottom_degree():
-    assert total_homology_dims(1) == [1]
+    assert total_homology_dims(build_bicomplex(1)) == [1]
     for n in range(2, 6):
-        assert total_homology_dims(n) == [0] * n
+        assert total_homology_dims(build_bicomplex(n)) == [0] * n
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -76,23 +81,35 @@ def test_homology_vanishes_and_matches_euler_characteristic(n):
     bc = build_bicomplex(n)
     dims = total_homology_dims(bc)
     assert dims == [0] * n
-    assert euler_characteristic(bc) == sum((-1) ** m * h for m, h in enumerate(dims))
+    assert alternating_sum(total_dims(bc)) == alternating_sum(dims)
 
 
 def test_euler_characteristic_matches_alternating_sum():
-    for n in range(1, 6):
-        dims = total_dims(n)
-        alt = sum((-1) ** m * d for m, d in enumerate(dims))
-        assert euler_characteristic(n) == alt
-    assert [euler_characteristic(n) for n in range(1, 6)] == [1, 0, 0, 0, 0]
+    slices = [build_bicomplex(n) for n in range(1, 6)]
+    for bc in slices:
+        assert alternating_sum(total_dims(bc)) == alternating_sum(total_homology_dims(bc))
+    assert [alternating_sum(total_dims(bc)) for bc in slices] == [1, 0, 0, 0, 0]
 
 
 def test_homology_report_shape():
     report = homology_report(3)
     assert report["internalDegree"] == 3
     assert report["differentialChecks"] is True
-    assert report["totDims"] == total_dims(3)
+    assert report["totDims"] == total_dims(build_bicomplex(3))
     assert report["homologyDims"] == [0, 0, 0]
     assert "shiftConvention" in report
     light = homology_report(3, check_only=True)
     assert "homologyDims" not in light
+
+
+def test_the_suite_builds_each_slice_once(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_bicomplex(n)
+    monkeypatch.setattr(homology, "build_bicomplex", counted)
+    monkeypatch.setattr(cli, "build_bicomplex", counted)
+    verdicts = [ok for _, ok in cli._suite_homology()]
+    assert len(verdicts) == 10 and all(verdicts)
+    assert built == [1, 2, 3, 4, 5]

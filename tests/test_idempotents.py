@@ -150,7 +150,7 @@ def test_omega_matrices_compose_to_the_versal_idempotent(name):
     ident = GradedEndo.identity(model_bases(model, deg))
     e = ident
     for n in range(2, deg + 1):
-        e = e.compose(ident - omega(model, n, deg))
+        e = e.compose(ident + omega(model, n, deg).scale(-1))
     assert e == versal_idempotent(model, max_degree=deg)
     with pytest.raises(ValueError):
         omega(model, 1, deg)
@@ -398,7 +398,7 @@ def test_graded_maps_stay_per_key_until_output():
     assert squares_to_itself
     # a dense 1344 x 1344 matrix in degree 5 alone is about 15 MB of row lists
     assert peak < 8 * 2 ** 20
-    derived = [e.compose(e), e + e, e.scale(Fraction(1, 2)), e - e]
+    derived = [e.compose(e), e + e, e.scale(Fraction(1, 2)), e + e.scale(-1)]
     assert e == e and derived[0] == e
     for endo in [e, *derived]:
         assert "mats" not in vars(endo)

@@ -82,10 +82,16 @@ def unreferenced(defining, readers):
     """Module-level functions, classes and assigned names of `defining` that no reader reads.
 
     Every defining file is a reader too.  A definition's own statement does
-    not count, so recursion alone keeps nothing.
+    not count, so recursion alone keeps nothing.  A reader that is not a
+    defining file does not read a name that some such reader defines itself:
+    its read is of the namesake, not of the defining file's name.
     """
     modules = {path: ast.parse(path.read_text()) for path in {*defining, *readers}}
-    read = [(stmt, set(_read_names(stmt))) for module in modules.values() for stmt in module.body]
+    outside = set(readers).difference(defining)
+    namesakes = {name for path in outside for stmt in modules[path].body
+                 for name in _defined_names(stmt)}
+    read = [(stmt, set(_read_names(stmt)) - (namesakes if path in outside else set()))
+            for path, module in modules.items() for stmt in module.body]
     return ["%s %s" % (path.name, name) for path in defining for node in modules[path].body
             for name in _defined_names(node)
             if not any(name in names for stmt, names in read if stmt is not node)]
@@ -101,5 +107,12 @@ def test_the_check_sees_an_unused_function(tmp_path):
     probe.write_text("def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\n"
                      "class Named:\n    pass\n\n\nprint(used(), 'Named')\n"
                      "SENTINEL, READ = object(), 2\nLIMIT: int = READ\n__version__ = '0'\n"
-                     "print(LIMIT)\n")
-    assert unreferenced([probe], []) == ["probe.py unused", "probe.py SENTINEL"]
+                     "print(LIMIT)\n\n\ndef shadowed():\n    return 0\n\n\ndef lent():\n    return 0\n")
+    # a reader's own `shadowed` does not keep the probe's alive; its read of `lent` does
+    reader = tmp_path / "reader.py"
+    reader.write_text("import probe\n\n\ndef shadowed():\n    return 1\n\n\n"
+                      "print(shadowed(), probe.shadowed(), probe.lent())\n")
+    assert unreferenced([probe], []) == [
+        "probe.py unused", "probe.py SENTINEL", "probe.py shadowed", "probe.py lent"]
+    assert unreferenced([probe], [reader]) == [
+        "probe.py unused", "probe.py SENTINEL", "probe.py shadowed"]

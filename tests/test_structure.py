@@ -591,7 +591,7 @@ def test_memoized_cooperations_match_a_fresh_model(name):
     for elt in (x, x + y.scale(2), x):
         fresh = get_model(name, 2).splitting.decompose
         terms = elt.map_keys(model.splitting.decompose)
-        assert max(len(k) - 1 for k in terms.support()) == 4  # every arity up to 4
+        assert max(len(k) - 1 for k in terms.terms) == 4  # every arity up to 4
         assert terms == elt.map_keys(fresh), name
 
 
