@@ -32,7 +32,7 @@ from .linalg import (
     lincomb_json,
     same_column_space,
 )
-from .models import get_model, lie_tensor_escape, model_names
+from .models import get_model, lie_tensor_escape
 from .relations import (
     check_nap_colaw,
     check_relation,
@@ -105,9 +105,8 @@ def _emit(report, fmt="json"):
 def _get_model_arg(args):
     try:
         return get_model(args.model, args.alphabet)
-    except KeyError:
-        raise UsageError("unknown model %r (choose from %s)"
-                         % (args.model, ", ".join(model_names())))
+    except KeyError as exc:
+        raise UsageError(exc.args[0])
 
 
 # --- subcommand handlers -----------------------------------------------------

@@ -14,7 +14,7 @@ take a slice built once by `build_bicomplex`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .errors import UsageError
 from .linalg import LinComb, coords, exact_rank
@@ -22,14 +22,10 @@ from .models import get_model
 
 
 def _degree_tuples(n, slots):
-    """All ways to write n as an ordered sum of `slots` positive degrees."""
-    if slots == 1:
-        return [(n,)]
-    out = []
-    for d in range(1, n - slots + 2):
-        for rest in _degree_tuples(n - d, slots - 1):
-            out.append((d,) + rest)
-    return out
+    """All ways to write n as an ordered sum of `slots` positive degrees, in
+    lexicographic order: one for each set of slots - 1 cut points in 1..n-1."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in combinations(range(1, n), slots - 1)]
 
 
 @dataclass

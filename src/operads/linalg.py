@@ -296,9 +296,7 @@ def frac_str(c):
 
 def lincomb_json(lc):
     """JSON-ready dict {serialized key: "p/q"} with sorted keys."""
-    return {serialize_key(k): frac_str(c) for k, c in sorted(
-        lc.items(), key=lambda kv: serialize_key(kv[0])
-    )}
+    return {serialize_key(k): frac_str(c) for k, c in lc.sorted_items()}
 
 
 def tensor_transpose(a):
@@ -435,38 +433,21 @@ def kernel_basis(rows, ncols):
 
     One vector per free column, in column order: a LinComb over column
     indices that is 1 at its free column and 0 at every other free column
-    (the reduced-echelon kernel).  Back-substitution keeps each pivot's
-    solution as int numerators over one denominator, and divides by the
-    pivot exactly whenever it can, so an integral kernel builds no Fraction.
+    (the reduced-echelon kernel).  Back-substitution goes through
+    `LinComb.sum`, so an integral kernel builds no Fraction.
     """
     ech, pivots = _echelon(rows)
-    row_of = {c: r for r, c in enumerate(pivots)}
-    # back-substitute, last pivot first, to the reduced echelon form:
-    # x[pivots[r]] is the sum of nums[f] / den * x[f] over free columns f,
-    # with (nums, den) = solved[r]
-    solved = [None] * len(pivots)
-    for r in range(len(pivots) - 1, -1, -1):
-        row = ech[r]
-        den = lcm(*(solved[s][1] for j in row if (s := row_of.get(j)) is not None and s != r))
-        acc = {}
-        for j, x in row.items():
-            s = row_of.get(j)
-            if s is None:
-                acc[j] = acc.get(j, 0) + x * den
-            elif s != r:
-                nums, d = solved[s]
-                x *= den // d
-                for f, y in nums.items():
-                    acc[f] = acc.get(f, 0) + x * y
-        # divide by the pivot: exactly, as far as the gcd allows
-        lead = -row[pivots[r]] * den
-        acc = {f: x for f, x in acc.items() if x}
-        g = gcd(lead, *acc.values()) * (-1 if lead < 0 else 1)
-        solved[r] = ({f: x // g for f, x in acc.items()}, lead // g)
-    entries = {f: [] for f in range(ncols) if f not in row_of}
-    for p, (nums, d) in zip(pivots, solved):
-        for f, x in nums.items():
-            entries[f].append((p, x, d))
+    # back-substitute, last pivot first: a pivot column's value is its solution
+    # over the free columns, a free column j's is j itself
+    solved = {}
+    for p, row in zip(reversed(pivots), reversed(ech)):
+        sign = -1 if row[p] < 0 else 1  # keeps the divisor positive
+        solved[p] = LinComb.sum(((solved[j] if j in solved else LinComb.of(j), -sign * x)
+                                 for j, x in row.items() if j != p), sign * row[p])
+    entries = {f: [] for f in range(ncols) if f not in solved}
+    for p in pivots:
+        for f, x in solved[p].terms.items():
+            entries[f].append((p, x, solved[p].den))
     basis = []
     for f, column in entries.items():
         den = lcm(*(d for _, _, d in column))

@@ -127,15 +127,11 @@ def _lifted(fn):
     Read off fn at the key's one-letter twin, with the key's word put back;
     the stems of each twin's image are kept for the next word.
     """
-    images = {}
+    stems = _Memo(lambda twin, _: _stems(fn(twin)))
 
     def lifted(key):
         stem, word = _word_stem(key)
-        twin = stem + LETTERS[0] * len(word)
-        stems = images.get(twin)
-        if stems is None:
-            stems = images[twin] = _stems(fn(twin))
-        return _relabel(stems, word)
+        return _relabel(stems(stem + LETTERS[0] * len(word)), word)
     return lifted
 
 
@@ -834,7 +830,7 @@ def get_model(name, alphabet=None):
     if alphabet is not None and alphabet > len(LETTERS):
         raise UsageError("alphabet size must be <= %d" % len(LETTERS))
     if name not in _MODEL_FACTORIES:
-        raise KeyError("unknown model %r (choose from %s)" % (name, sorted(_MODEL_FACTORIES)))
+        raise KeyError("unknown model %r (choose from %s)" % (name, ", ".join(model_names())))
     factory = _MODEL_FACTORIES[name]
     return factory() if alphabet is None else factory(alphabet)
 

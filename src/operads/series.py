@@ -133,37 +133,31 @@ def catalan_series(order):
     return sqrt1m(t.scale(4)).scale(Fraction(-1, 2))
 
 
-_SERIES_NAMES = ("As", "Com", "Lie", "Mag", "Dup", "Dup!", "Nil", "Sab", "Vect")
+# name -> builder of the series from t; the lambdas look the helpers up at
+# call time, so a wrapper bound to the module attribute sees each call
+_SERIES = {
+    "As": lambda t: TruncatedSeries(t.order, [1] * t.order),
+    "Com": lambda t: expm1(t),
+    "Lie": lambda t: TruncatedSeries(t.order, [Fraction(1, n) for n in range(1, t.order + 1)]),
+    "Mag": lambda t: catalan_series(t.order),
+    "Dup": lambda t: _apply_tail(lambda k: Fraction(1), catalan_series(t.order)),  # c / (1 - c)
+    "Dup!": lambda t: TruncatedSeries(t.order, list(range(1, t.order + 1))),
+    "Nil": lambda t: TruncatedSeries(t.order, [1, 1]),
+    "Sab": lambda t: log1p(catalan_series(t.order)),
+    "Vect": lambda t: t,
+}
 
 
 def gen_series(name, order):
-    """Generating series of a named operad, exact to the given order."""
+    """Generating series of the operad `name`, a key of `_SERIES`, exact to `order`."""
     t = TruncatedSeries.t(order)
-    if name == "As":
-        return TruncatedSeries(order, [1] * order)
-    if name == "Com":
-        return expm1(t)
-    if name == "Lie":
-        return TruncatedSeries(order, [Fraction(1, n) for n in range(1, order + 1)])
-    if name == "Mag":
-        return catalan_series(order)
-    if name == "Dup":
-        c = catalan_series(order)
-        # c / (1 - c) = c + c^2 + c^3 + ...
-        return _apply_tail(lambda k: Fraction(1), c)
-    if name == "Dup!":
-        return TruncatedSeries(order, list(range(1, order + 1)))
-    if name == "Nil":
-        return TruncatedSeries(order, [1, 1])
-    if name == "Sab":
-        return log1p(catalan_series(order))
-    if name == "Vect":
-        return t
-    raise KeyError("unknown series %r (choose from %s)" % (name, ", ".join(_SERIES_NAMES)))
+    if name not in _SERIES:
+        raise KeyError("unknown series %r (choose from %s)" % (name, ", ".join(_SERIES)))
+    return _SERIES[name](t)
 
 
 def series_names():
-    return list(_SERIES_NAMES)
+    return list(_SERIES)
 
 
 def check_triple_identity(c, a, p, order):

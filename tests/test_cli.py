@@ -530,6 +530,15 @@ def test_series_and_homology_commands():
     assert proc.returncode == 0
 
 
+def test_an_unknown_model_is_refused_with_the_library_text(capsys):
+    with pytest.raises(KeyError) as lookup:
+        get_model("nope")
+    with pytest.raises(SystemExit) as code:
+        main(["check", "--model", "nope", "--relation", "nui"])
+    assert code.value.code == 2
+    assert capsys.readouterr().err == "error: %s\n" % lookup.value.args[0]
+
+
 def test_an_unknown_series_gets_one_refusal_on_both_paths(capsys):
     # --order 0 too: the name is refused before any series is built
     errs = []

@@ -1,6 +1,7 @@
 """The duplicial Koszul bicomplex and its total-complex homology."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -113,3 +114,10 @@ def test_the_suite_builds_each_slice_once(monkeypatch):
     verdicts = [ok for _, ok in cli._suite_homology()]
     assert len(verdicts) == 10 and all(verdicts)
     assert built == [1, 2, 3, 4, 5]
+
+
+def test_degree_tuples_are_the_compositions_in_lexicographic_order():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            assert homology._degree_tuples(n, k) == [
+                t for t in itertools.product(range(1, n + 1), repeat=k) if sum(t) == n], (n, k)

@@ -240,6 +240,15 @@ def test_kernel_vectors_are_integral_when_the_pivots_divide():
     assert stored_ok(v) and (v.terms, v.den) == ({2: 2, 0: 3, 1: -6}, 2)
 
 
+def test_negative_pivot_leads_give_kernel_vectors_in_stored_form():
+    # the free column first, then the pivots in ascending order, over a positive denominator
+    (v,) = kernel_basis([{0: -2, 1: 1}, {1: -1, 2: 3}], 3)
+    assert (list(v.terms.items()), v.den) == ([(2, 2), (0, 3), (1, 6)], 2)
+    ker = kernel_basis([{0: -3, 2: 2}, {1: 2, 2: -1, 3: 4}], 4)
+    assert [(list(v.terms.items()), v.den) for v in ker] == [
+        ([(2, 6), (0, 4), (1, 3)], 6), ([(3, 1), (1, -2)], 1)]
+
+
 def test_memos_evaluate_chains_longer_than_the_recursion_limit():
     depth = 3 * sys.getrecursionlimit()
     chain = _Memo(lambda n, memo: memo(n - 1) + 1 if n else 0)

@@ -495,6 +495,24 @@ def without_decompose(model, reader):
     return dataclasses.replace(model, splitting=splitting)
 
 
+@pytest.mark.parametrize("name, alphabet, reads", [
+    ("dup", 3, 64), ("bidup", 2, 64), ("mag", 2, 23), ("as", 2, 5),
+])
+def test_versal_idempotent_reads_the_versal_memo_once_per_one_letter_key(name, alphabet, reads):
+    # a key t:w is read off its one-letter twin t:x...x, each twin once
+    model = get_model(name, alphabet)
+    seen = Counter()
+
+    def counted(key):
+        seen[key] += 1
+        return model.splitting.versal(key)
+    splitting = dataclasses.replace(model.splitting, versal=counted)
+    counting = dataclasses.replace(model, splitting=splitting)
+    assert versal_idempotent(counting, 5) == versal_idempotent(model, 5)
+    assert len(seen) == sum(seen.values()) == reads
+    assert all(set(key.rpartition(":")[2]) == {models.LETTERS[0]} for key in seen)
+
+
 @pytest.mark.parametrize("name, alphabet, kernel", [
     ("as", 2, "as_deconcat"), ("dup", 1, "dup_coproduct"), ("classical", 2, "as_shuffle_coproduct"),
 ])
