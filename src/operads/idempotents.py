@@ -36,7 +36,7 @@ from math import factorial
 
 from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import (BialgebraModel, _lifted, by_label, get_model, left_nested_bracket, lifts,
+from .models import (BialgebraModel, _lifted, by_label, get_model, left_nested_bracket, reduction,
                      require_keys, require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
@@ -177,5 +177,6 @@ def versal_idempotent(model, max_degree=6):
     put back, so the memo holds one-letter keys only.
     """
     splitting = require_splitting(model)
-    versal = _lifted(splitting.versal) if lifts(model, splitting.kernels) else splitting.versal
+    lifted = reduction(model, splitting.kernels) == "lift"
+    versal = _lifted(splitting.versal) if lifted else splitting.versal
     return materialize(model, versal, max_degree)

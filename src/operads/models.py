@@ -20,7 +20,12 @@ are the kernels that keep words: a coproduct that only slices a key's word,
 or a product that joins two words in slot order.  A map made of those is
 the alphabet-1 map times the identity on words, so the nonsymmetric models
 declare them, and such a map is read on the one-letter keys (stem x...x)
-with the word put back.
+with the word put back.  A free algebra is a Schur functor, so renaming
+the letters commutes with every product and coproduct of a free model:
+EQUIVARIANT_KERNELS are the word kernels and the ones that move letters
+within a key's letter content (the shuffle kernels, mag's liv and hopf),
+and a map made of those is answered once per orbit of the letter
+permutations (see reduction).
 """
 
 from __future__ import annotations
@@ -371,6 +376,23 @@ def lie_tensor_escape(alphabet, n):
 WORD_KERNELS = frozenset({as_concat, as_deconcat, nil_concat, mag_product, mag_dual_coproduct,
                           dup_left, dup_right, dup_coproduct, dup_dleft, dup_dright})
 
+# The kernels that commute with renaming the letters, as objects: a
+# permutation s of the letters, put on the word of every key in every slot,
+# sends the image of k to the image of s(k), and a key's letter content to
+# s of it.  The word kernels do, and so do the shuffle kernels and mag's liv
+# and hopf, which move letters within that content.  lie's are left out:
+# its basis entries are LinCombs, not keys.
+EQUIVARIANT_KERNELS = WORD_KERNELS | {as_shuffle_coproduct, shuffle_product, zinb_half_shuffle,
+                                      mag_livernet_coproduct, mag_hopf_coproduct}
+
+
+def _standard(word):
+    """Do the word's letters first appear in LETTERS order (x, then y, ...)?
+
+    Such a word is the least, in basis order, of its relabellings.
+    """
+    return LETTERS.startswith("".join(dict.fromkeys(word)))
+
 
 # --- model plumbing -----------------------------------------------------------
 
@@ -410,7 +432,7 @@ class Splitting:
     the memo that convolution on that coproduct and both of its cooperation
     memos share (see _associative_splitting).  kernels are the
     coproduct and product kernels the memos compute with: the versal memo
-    lifts where all of them are in WORD_KERNELS.
+    lifts where all of them are in WORD_KERNELS (see reduction).
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
@@ -537,8 +559,10 @@ class BialgebraModel:
     key -> LinComb.  products and coproducts are their linear extensions to
     LinCombs, built here and nowhere else; a caller with keys in hand calls
     the kernel.  The versal idempotent, primitive_part and check_relation
-    read a map made only of kernels in WORD_KERNELS off the one-letter keys
-    (see lifts): the kernel objects a model holds decide, not their names,
+    read a map made only of kernels in WORD_KERNELS off the one-letter keys,
+    and primitive_part and check_relation answer one orbit of the letter
+    permutations at a time where its kernels are in EQUIVARIANT_KERNELS (see
+    reduction): the kernel objects a model holds decide, not their names,
     so a model holding another kernel under the same name takes the direct
     path.
     """
@@ -570,13 +594,20 @@ class BialgebraModel:
         return ops[sym]
 
 
-def lifts(model, kernels):
-    """Is a map made of these kernels read on the one-letter keys and lifted?
+def reduction(model, kernels):
+    """How a map made of these kernels is computed on more than one letter.
 
-    Yes when the alphabet has more than one letter and every one of them is
-    in WORD_KERNELS.
+    "lift" when every kernel is in WORD_KERNELS: read it on the one-letter
+    keys and put the word back.  "orbit" when every one is in
+    EQUIVARIANT_KERNELS: answer one representative of each orbit of the
+    letter permutations.  None on one letter, or when some kernel is in
+    neither set: the direct computation.
     """
-    return model.alphabet > 1 and all(k in WORD_KERNELS for k in kernels)
+    if model.alphabet < 2:
+        return None
+    if all(k in WORD_KERNELS for k in kernels):
+        return "lift"
+    return "orbit" if all(k in EQUIVARIANT_KERNELS for k in kernels) else None
 
 
 def require_keys(model, basis):

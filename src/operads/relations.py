@@ -9,7 +9,8 @@ model, so one relation can mix several operations.  The checker resolves
 each term once per check, keeps one table of images per kernel, and
 decides each pair on one dict of delta(mu(a, b)) minus the right side.  A
 check made of word-preserving kernels with every term in slot order is
-decided on the one-letter keys.
+decided on the one-letter keys; one made of kernels that commute with
+renaming the letters, on one pair per orbit of the letter permutations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import lcm
 
 from .errors import UsageError
 from .linalg import LinComb, _coef, as_slots
-from .models import iterated_coproduct, lifts
+from .models import _standard, _word_stem, iterated_coproduct, reduction
 from .structure import _one_letter_basis
 
 
@@ -284,8 +285,19 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     of them stands for k^deg keys of the alphabet-k basis, which lists
     trees first and words second, so checked_pairs counts the pairs the
     direct loop would reach, and the first failure, on one-letter keys, is
-    the direct one.  Refused before the first pair where the model lacks a
-    (co)product the check names, or where max_degree < 2 leaves no pair.
+    the direct one.
+
+    Where every kernel commutes with renaming the letters instead (see
+    models.reduction; a word-preserving check with a term out of slot order
+    too), a pair fails exactly when every pair of its orbit under the
+    letter permutations does, so only the pairs whose word a.b is standard,
+    its letters first appearing in LETTERS order, are evaluated.  The basis
+    lists trees first and words in lexicographic order, and the least
+    relabelling of a word is its first-occurrence standardization, so the
+    standard pair comes first in its orbit in loop order: the first failure
+    and checked_pairs, the loop position, are the direct ones.  Refused
+    before the first pair where the model lacks a (co)product the check
+    names, or where max_degree < 2 leaves no pair.
     """
     expr = get_relation(relation_name)
     key_coproduct = model.lookup("key_coproducts", delta_sym)
@@ -297,16 +309,28 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     _plans(images, expr, model, mu_sym, delta_sym)  # a table for each kernel the terms name
     coproduct = images.setdefault(key_coproduct, _Images(key_coproduct))
     kernels = [key_product] + [fn for fn in images if fn is not None]
-    lifted = lifts(model, kernels) and all(t.perm == tuple(range(len(t.perm))) for t in expr.terms)
+    mode = reduction(model, kernels)
+    lifted = mode == "lift" and all(t.perm == tuple(range(len(t.perm))) for t in expr.terms)
+    orbit = mode is not None and not lifted  # every word kernel renames letters too
     scale = model.alphabet if lifted else 1  # a key looped over in degree n is scale^n keys
-    basis = {n: list(map(_as_lincomb, _one_letter_basis(model, n) if lifted else model.basis(n)))
-             for n in range(1, max_degree)}
+    keys = {n: _one_letter_basis(model, n) if lifted else model.basis(n)
+            for n in range(1, max_degree)}
+    basis = {n: list(map(_as_lincomb, ks)) for n, ks in keys.items()}
+    words = {n: [_word_stem(k)[1] for k in ks] for n, ks in keys.items()} if orbit else {}
+    enough = model.alphabet - 1  # a standard a on this many letters makes every a.b standard
     checked = 0
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
             wa, wb = scale ** da, scale ** db
             for ia, la in enumerate(basis[da]):
+                if orbit:
+                    word = words[da][ia]
+                    if not _standard(word):
+                        continue
+                    every_b = len(set(word)) >= enough
                 for ib, lb in enumerate(basis[db]):
+                    if orbit and not every_b and not _standard(word + words[db][ib]):
+                        continue
                     diff = {}
                     for a, x in la.terms.items():
                         for b, y in lb.terms.items():

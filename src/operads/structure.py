@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
-from .models import (LETTERS, _relabel, _stems, by_label, key_parts, lifts,
+from .models import (LETTERS, _relabel, _stems, _word_stem, by_label, key_parts, reduction,
                      require_keys, require_splitting, tree_key, words)
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
@@ -152,21 +152,71 @@ def primitive_part(model, n):
     them all word-preserving (on more than one letter), the kernel is taken
     on the one-letter keys t:x...x alone, and each of its vectors is put
     back on every word w in order: the vectors come kernel vector first,
-    then word, as the direct elimination gives them.  Refused below degree 1.
+    then word, as the direct elimination gives them.  Where they all commute
+    with renaming the letters instead (classical's unshuffle), the kernel is
+    taken one letter content at a time and one content per orbit of the
+    letter permutations (see _orbit_kernel).  Refused below degree 1.
     """
     if n < 1:
         raise UsageError("degree must be >= 1")
     coproducts = [model.key_coproducts[sym] for sym in model.generating_coproducts]
-    lifted = lifts(model, coproducts)
-    basis = _one_letter_basis(model, n) if lifted else list(model.basis(n))
+    mode = reduction(model, coproducts)
+    basis = _one_letter_basis(model, n) if mode == "lift" else list(model.basis(n))
     require_keys(model, basis)
-    rows = [row for coproduct in coproducts for row in coords(map(coproduct, basis))]
-    vectors = [_over({basis[j]: c for j, c in v.terms.items()}, v.den)
-               for v in kernel_basis(rows, len(basis))]
-    if not lifted:
+
+    def rows(keys):
+        return [row for coproduct in coproducts for row in coords(map(coproduct, keys))]
+    if mode == "orbit":
+        return _orbit_kernel(rows, basis, model.alphabet)
+    vectors = _kernel(rows(basis), basis)
+    if mode is None:
         return vectors
     every = words(model.alphabet, n)
     return [_relabel(stems, w) for stems in map(_stems, vectors) for w in every]
+
+
+def _kernel(rows, keys):
+    """The reduced-echelon basis of the right kernel of sparse rows, as LinCombs over keys."""
+    return [_over({keys[j]: c for j, c in v.terms.items()}, v.den)
+            for v in kernel_basis(rows, len(keys))]
+
+
+def _orbit_kernel(rows, basis, alphabet):
+    """_kernel(rows(basis), basis) for coproducts that commute with renaming the letters.
+
+    rows(keys) are the coproducts' rows over the columns keys.  The
+    coproducts keep letter content too, so the kernel splits into one block
+    per content, and a renaming s of the letters maps the block of content
+    c onto that of s(c).  The first block of each orbit is eliminated; its
+    vectors renamed by s span each other block of the orbit, and
+    kernel_basis of them (their orthogonal complement), then of that,
+    brings them to the block's reduced form.  A reduced vector ends at its
+    free column, so merging the blocks by the basis index of each vector's
+    last key gives the direct order.
+    """
+    letters = LETTERS[:alphabet]
+    blocks = {}
+    for key in basis:
+        word = _word_stem(key)[1]
+        blocks.setdefault(tuple(map(word.count, letters)), []).append(key)
+    first, vectors = {}, []
+    for content, keys in blocks.items():
+        orbit = tuple(sorted(content))
+        if orbit not in first:
+            first[orbit] = content, _kernel(rows(keys), keys)
+            vectors += first[orbit][1]
+            continue
+        source, found = first[orbit]
+        # s pairs the letters of the two contents by count; no tree holds a letter
+        rename = str.maketrans(
+            "".join(letters[i] for i in sorted(range(alphabet), key=source.__getitem__)),
+            "".join(letters[i] for i in sorted(range(alphabet), key=content.__getitem__)))
+        pos = {k: j for j, k in enumerate(keys)}
+        renamed = [{pos[k.translate(rename)]: c for k, c in v.terms.items()} for v in found]
+        perp = [v.terms for v in kernel_basis(renamed, len(keys))]
+        vectors += _kernel(perp, keys)
+    index = {k: i for i, k in enumerate(basis)}
+    return sorted(vectors, key=lambda v: max(map(index.__getitem__, v.terms)))
 
 
 @dataclass(frozen=True)

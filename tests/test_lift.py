@@ -1,4 +1,5 @@
-"""Word-preserving kernels, and the answers read off one-letter keys against the direct ones."""
+"""Word-preserving and letter-renaming kernels, and the answers read off one-letter keys or
+one pair or block per orbit of the letter permutations, against the direct ones."""
 
 import dataclasses
 import itertools
@@ -6,10 +7,10 @@ import json
 
 import pytest
 
-from operads import models, primitive_part, versal_idempotent
+from operads import models, primitive_part, relations, versal_idempotent
 from operads.linalg import LinComb, _Memo, as_slots
-from operads.models import (LETTERS, WORD_KERNELS, _word_stem, get_model, lie_bracket,
-                            lie_cobracket)
+from operads.models import (EQUIVARIANT_KERNELS, LETTERS, WORD_KERNELS, _standard, _word_stem,
+                            as_shuffle_coproduct, get_model, lie_bracket, lie_cobracket, words)
 from operads.relations import check_relation, get_relation, relation_names
 
 NONSYMMETRIC = ("as", "nil", "dup", "bidup", "mag")
@@ -81,14 +82,55 @@ def test_letter_moving_kernels_are_not_declared(name, syms):
 
 def test_lie_kernels_move_letters_and_are_not_declared():
     model = get_model("lie", 2)
-    assert not {*model.key_products.values(), *model.key_coproducts.values()} & WORD_KERNELS
+    kernels = {*model.key_products.values(), *model.key_coproducts.values()}
+    assert not kernels & WORD_KERNELS and not kernels & EQUIVARIANT_KERNELS
     assert _mismatches(lie_bracket, 2, ["x", "y"]) and _mismatches(lie_cobracket, 1, ["xy"])
 
 
+def _renamed(lc, table):
+    """lc, a LinComb over keys or slot tuples of keys, with its letters renamed by table."""
+    return LinComb((tuple(s.translate(table) for s in key) if isinstance(key, tuple)
+                    else key.translate(table), c) for key, c in lc.items())
+
+
+def _content(keys):
+    return sorted("".join(_word_stem(k)[1] for k in keys))
+
+
+@pytest.mark.parametrize("name", ["as", "classical", "zinb", "nil", "mag", "dup", "bidup"])
+def test_declared_kernels_commute_with_renaming_the_letters_and_keep_content(name):
+    model = get_model(name, 3)
+    coproducts, products = model.key_coproducts.values(), model.key_products.values()
+    assert {*coproducts, *products} <= EQUIVARIANT_KERNELS
+    renamings = [str.maketrans("xyz", "".join(p)) for p in itertools.permutations("xyz")]
+    keys = {n: model.basis(n) for n in range(1, 6)}
+    cases = [(fn, (k,)) for fn in coproducts for n in keys for k in keys[n]]
+    cases += [(fn, (k1, k2)) for fn in products for n1 in range(1, 4) for n2 in range(1, 5 - n1)
+              for k1 in keys[n1] for k2 in keys[n2]]
+    for fn, ks in cases:
+        image = fn(*ks)
+        assert all(_content(as_slots(key)) == _content(ks) for key in image.terms), (fn, ks)
+        for table in renamings:
+            assert fn(*(k.translate(table) for k in ks)) == _renamed(image, table), (fn, ks)
+
+
+def _relabelled(word):
+    """The word with its letters renamed x, y, z, ... in order of first appearance."""
+    names = {}
+    return "".join(names.setdefault(ch, LETTERS[len(names)]) for ch in word)
+
+
+def test_a_word_is_standard_exactly_when_it_is_its_first_occurrence_relabelling():
+    every = [w for n in range(1, 7) for w in words(3, n)]
+    assert [w for w in every if _standard(w)] == [w for w in every if w == _relabelled(w)]
+    assert _standard("xyxz") and not _standard("xzy") and not _standard("yx")
+
+
 def _direct(monkeypatch, fn, *args):
-    """fn(*args) on the direct path: with no kernel declared word-preserving."""
+    """fn(*args) on the direct path: with no kernel declared word-preserving or renaming."""
     with monkeypatch.context() as patch:
         patch.setattr(models, "WORD_KERNELS", frozenset())
+        patch.setattr(models, "EQUIVARIANT_KERNELS", frozenset())
         return fn(*args)
 
 
@@ -122,8 +164,10 @@ def _recording(model, seen, monkeypatch):
     coproducts = {sym: record(fn) for sym, fn in model.key_coproducts.items()}
     originals = {**model.key_products, **model.key_coproducts}
     wrapped = {**products, **coproducts}
-    declared = {wrapped[sym] for sym, fn in originals.items() if fn in WORD_KERNELS}
-    monkeypatch.setattr(models, "WORD_KERNELS", models.WORD_KERNELS | declared)
+    for name in ("WORD_KERNELS", "EQUIVARIANT_KERNELS"):
+        declared = getattr(models, name)
+        monkeypatch.setattr(models, name, declared | {
+            wrapped[sym] for sym, fn in originals.items() if fn in declared})
     return dataclasses.replace(model, key_products=products, key_coproducts=coproducts)
 
 
@@ -226,3 +270,82 @@ def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree(monk
     before = 1 * 1 * k ** 2 + 1 * 2 * k ** 3 + 1 * 5 * k ** 4 + 2 * 1 * k ** 3
     assert report.first_failure[0] == (2, 2)
     assert report.checked_pairs == before + 1 * k ** 2 * 2 * k ** 2 + 1 * k ** 2 + 1 == 153
+
+
+# (model, alphabet, coproduct, product, relation, degree, checkedPairs, the
+# failing pair or None): each pins the direct path's report
+ORBIT_CHECKS = [
+    ("classical", 2, "delta", "mul", "hopf", 6, 516, None),
+    ("classical", 3, "delta", "mul", "hopf", 5, 1278, None),
+    ("zinb", 3, "delta", "left", "nui", 6, 1090, ["1*xx", "1*x"]),
+    ("zinb", 3, "delta", "left", "semi_hopf_left", 6, 4923, None),
+    ("mag", 3, "liv", "mul", "magmatic", 6, 11620, ["1*(.,.):xx", "1*.:x"]),
+    ("mag", 2, "hopf", "mul", "hopf", 5, 548, None),
+]
+
+
+def _standard_pairs(model, top):
+    """The key pairs (a, b), deg a + deg b <= top, whose word a.b is its own relabelling."""
+    keys = {n: [_word_stem(k)[1] for k in model.basis(n)] for n in range(1, top)}
+    return sum(_relabelled(a + b) == a + b
+               for da in keys for db in range(1, top - da + 1) for a in keys[da] for b in keys[db])
+
+
+@pytest.mark.parametrize("name, alphabet, delta, mu, rel, top, pairs, failing", ORBIT_CHECKS)
+def test_orbit_relation_checks_report_what_the_direct_ones_do(name, alphabet, delta, mu, rel, top,
+                                                               pairs, failing, monkeypatch):
+    model = get_model(name, alphabet)
+    assert models.reduction(model, [model.key_coproducts[delta], model.key_products[mu]]) == "orbit"
+    calls = []
+    evaluate = relations.eval_compat
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(relations, "eval_compat", counted)
+    report = check_relation(model, delta, mu, rel, top)
+    evaluated = len(calls)
+    calls.clear()
+    direct = _direct(monkeypatch, check_relation, model, delta, mu, rel, top)
+    assert json.dumps(report.to_json_dict()) == json.dumps(direct.to_json_dict())
+    assert (report.holds, report.checked_pairs) == (failing is None, pairs)
+    if failing:
+        assert report.first_failure[0] == (2, 1)
+        assert [repr(p) for p in report.first_failure[1]] == failing
+    else:  # one evaluated pair per orbit, against every pair on the direct path
+        assert evaluated == _standard_pairs(model, top) < len(calls) == pairs
+
+
+@pytest.mark.parametrize("alphabet, top", [(2, 8), (3, 6)])
+def test_orbit_primitive_part_is_the_direct_one(alphabet, top, monkeypatch):
+    seen = set()
+    model = _recording(get_model("classical", alphabet), seen, monkeypatch)
+    assert models.reduction(model, [model.key_coproducts["delta"]]) == "orbit"
+    for n in range(1, top + 1):
+        seen.clear()
+        orbit = primitive_part(model, n)
+        counts = [[k.count(ch) for ch in LETTERS[:alphabet]] for k in seen]
+        # only the first content of each orbit is eliminated: its counts do not increase
+        assert all(c == sorted(c, reverse=True) for c in counts)
+        direct = _direct(monkeypatch, primitive_part, model, n)
+        assert [(list(v.terms.items()), v.den) for v in orbit] == [
+            (list(v.terms.items()), v.den) for v in direct]
+
+
+def test_a_wrapped_unshuffle_takes_the_direct_path(monkeypatch):
+    seen = set()
+
+    def wrapped(key):
+        seen.add(key)
+        return as_shuffle_coproduct(key)
+    model = get_model("classical", 2)
+    changed = dataclasses.replace(model, key_coproducts={"delta": wrapped})
+    assert models.reduction(changed, [wrapped]) is None
+    prim = primitive_part(changed, 6)
+    assert seen == set(model.basis(6))
+    assert [(list(v.terms.items()), v.den) for v in prim] == [
+        (list(v.terms.items()), v.den) for v in primitive_part(model, 6)]
+    seen.clear()
+    report = check_relation(changed, "delta", "mul", "hopf", 5)
+    assert report.to_json_dict() == check_relation(model, "delta", "mul", "hopf", 5).to_json_dict()
+    assert not all(map(_standard, seen))  # the pair (y, x) too

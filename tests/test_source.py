@@ -1,6 +1,7 @@
 """Source hygiene checked with the standard library alone."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -116,3 +117,16 @@ def test_the_check_sees_an_unused_function(tmp_path):
         "probe.py unused", "probe.py SENTINEL", "probe.py shadowed", "probe.py lent"]
     assert unreferenced([probe], [reader]) == [
         "probe.py unused", "probe.py SENTINEL", "probe.py shadowed"]
+
+
+def test_the_installed_package_ships_its_data_and_its_command():
+    # tier-1 runs from src/; an installed package has only what pyproject.toml lists
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    shipped = {p for glob in config["tool"]["setuptools"]["package-data"]["operads"]
+               for p in SRC.glob(glob)}
+    data = [p for p in (SRC / "data").rglob("*") if p.is_file()]
+    assert data and set(data) <= shipped
+    module, _, attr = config["project"]["scripts"]["operads"].partition(":")
+    assert (module, attr) == ("operads.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attr))
