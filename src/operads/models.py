@@ -470,8 +470,9 @@ def _operations(apply):
 
 
 def _tree_splitting(step, labels, apply, coproducts, products):
-    """A splitting with one tree per label, s(label) = apply(label, slot LinCombs, *products).
+    """A splitting with one tree per label, s(label) = apply(label, slot LinCombs, *extended).
 
+    extended are the product kernels extended to LinCombs, built once.
     step(key, memo, unit, *coproducts) is the cooperad's root recursion: the
     terms of arity >= 2 of a key, read off the memo of its root factors, and
     its arity-1 term on the slot unit(key, those terms).  decompose puts the
@@ -481,9 +482,11 @@ def _tree_splitting(step, labels, apply, coproducts, products):
     splitting's kernels are coproducts + products, what its memos compute
     with.
     """
+    extended = tuple(map(bilinear, products))
+
     def versal_unit(key, higher):
         return LinComb.of(key) - LinComb.sum(
-            (apply(t[0], tuple(map(LinComb.of, t[1:])), *products), c) for t, c in higher)
+            (apply(t[0], tuple(map(LinComb.of, t[1:])), *extended), c) for t, c in higher)
 
     components = _Memo(lambda key, memo: step(key, memo, versal_unit, *coproducts))
 
@@ -492,7 +495,7 @@ def _tree_splitting(step, labels, apply, coproducts, products):
         return _over({t[1]: c for t, c in comps.terms.items() if len(t) == 2}, comps.den)
     return Splitting(
         _Memo(lambda key, memo: step(key, memo, lambda key, _: LinComb.of(key), *coproducts)),
-        labels, _operations(lambda label, slots: apply(label, slots, *products)), versal,
+        labels, _operations(lambda label, slots: apply(label, slots, *extended)), versal,
         components, coproducts + products)
 
 
@@ -617,9 +620,18 @@ def require_keys(model, basis):
                          % model.name)
 
 
-def _is_key(alphabet, extra_leaves=None, top_degree=None):
-    """Keys: words over the alphabet, or tree:word with len(word) + extra_leaves leaves."""
+def _keys(alphabet, extra_leaves=None, top_degree=None):
+    """basis and is_key, as BialgebraModel keywords, of the keys: words over the alphabet,
+    or tree:word with len(word) + extra_leaves leaves (trees first); none past top_degree."""
     letters = set(LETTERS[:alphabet])
+
+    def basis(n):
+        if top_degree is not None and n > top_degree:
+            return []
+        if extra_leaves is None:
+            return words(alphabet, n)
+        return [tree_key(t, w) for t in trees.enumerate_trees(n + extra_leaves)
+                for w in words(alphabet, n)]
 
     def is_key(key):
         t, sep, w = key.partition(":") if extra_leaves is not None else ("", ":", key)
@@ -631,7 +643,7 @@ def _is_key(alphabet, extra_leaves=None, top_degree=None):
                 return False
             return leaf_count(t) == len(w) + extra_leaves
         return ok
-    return is_key
+    return {"basis": basis, "is_key": is_key}
 
 
 def _tree_key_degree(key):
@@ -643,11 +655,10 @@ def as_model(alphabet=1):
     return BialgebraModel(
         name="as",
         alphabet=alphabet,
-        basis=lambda n: words(alphabet, n),
         key_products={"mul": as_concat},
         key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet),
+        **_keys(alphabet),
         splitting=_associative_splitting(as_deconcat, as_concat),
     )
 
@@ -657,11 +668,10 @@ def classical_model(alphabet=2):
     return BialgebraModel(
         name="classical",
         alphabet=alphabet,
-        basis=lambda n: words(alphabet, n),
         key_products={"mul": as_concat},
         key_coproducts={"delta": as_shuffle_coproduct},
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet),
+        **_keys(alphabet),
         splitting=_associative_splitting(as_shuffle_coproduct, as_concat, exponential=True),
         classical=True,
     )
@@ -672,33 +682,21 @@ def zinbiel_model(alphabet=2):
     return BialgebraModel(
         name="zinb",
         alphabet=alphabet,
-        basis=lambda n: words(alphabet, n),
         key_products={"left": zinb_half_shuffle, "star": shuffle_product},
         key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet),
+        **_keys(alphabet),
     )
 
 
-def _tree_basis(alphabet, extra_leaves):
-    """Degree-n keys: trees with n + extra_leaves leaves decorated with words."""
-    def basis(n):
-        return [
-            tree_key(t, w)
-            for t in trees.enumerate_trees(n + extra_leaves)
-            for w in words(alphabet, n)
-        ]
-    return basis
-
-
 def _mag_tree_apply(t, images, product):
-    """The product indexed by a tree with n leaves, on n LinCombs."""
+    """The product indexed by a tree with n leaves, on n LinCombs; product takes LinCombs."""
     if t == LEAF:
         return images[0]
     l, r = trees.split(t)
     nl = leaf_count(l)
-    return bilinear(product)(_mag_tree_apply(l, images[:nl], product),
-                             _mag_tree_apply(r, images[nl:], product))
+    return product(_mag_tree_apply(l, images[:nl], product),
+                   _mag_tree_apply(r, images[nl:], product))
 
 
 def _mag_step(key, memo, unit, delta):
@@ -721,7 +719,6 @@ def mag_model(alphabet=1):
     return BialgebraModel(
         name="mag",
         alphabet=alphabet,
-        basis=_tree_basis(alphabet, 0),
         key_products={"mul": mag_product},
         key_coproducts={
             "delta": mag_dual_coproduct,
@@ -729,7 +726,7 @@ def mag_model(alphabet=1):
             "hopf": mag_hopf_coproduct,
         },
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet, extra_leaves=0),
+        **_keys(alphabet, extra_leaves=0),
         splitting=_tree_splitting(_mag_step, trees.enumerate_trees, _mag_tree_apply,
                                   (mag_dual_coproduct,), (mag_product,)),
     )
@@ -740,7 +737,6 @@ def dup_model(alphabet=1):
     return BialgebraModel(
         name="dup",
         alphabet=alphabet,
-        basis=_tree_basis(alphabet, 1),
         key_products={"left": dup_left, "right": dup_right},
         key_coproducts={
             "delta": dup_coproduct,
@@ -748,24 +744,23 @@ def dup_model(alphabet=1):
             "dright": dup_dright,
         },
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet, extra_leaves=1),
+        **_keys(alphabet, extra_leaves=1),
         splitting=_associative_splitting(dup_coproduct, dup_right),
     )
 
 
-def _dup_tree_apply(t, images, left_kernel, right_kernel):
-    """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs."""
+def _dup_tree_apply(t, images, left, right):
+    """The duplicial monomial indexed by a tree with n+1 leaves, on n LinCombs, by < and >."""
     if t == Y:
         return images[0]
-    left, right = bilinear(left_kernel), bilinear(right_kernel)
     l, r = trees.split(t)
     if r == LEAF:
-        return right(_dup_tree_apply(l, images[:-1], left_kernel, right_kernel), images[-1])
+        return right(_dup_tree_apply(l, images[:-1], left, right), images[-1])
     p = leaf_count(l) - 1  # degree carried by the left factor
-    after = _dup_tree_apply(r, images[p + 1:], left_kernel, right_kernel)
+    after = _dup_tree_apply(r, images[p + 1:], left, right)
     if l == LEAF:
         return left(images[0], after)
-    return left(right(_dup_tree_apply(l, images[:p], left_kernel, right_kernel), images[p]), after)
+    return left(right(_dup_tree_apply(l, images[:p], left, right), images[p]), after)
 
 
 def _bidup_step(key, memo, unit, dleft, dright):
@@ -799,11 +794,10 @@ def bidup_model(alphabet=1):
     return BialgebraModel(
         name="bidup",
         alphabet=alphabet,
-        basis=_tree_basis(alphabet, 1),
         key_products={"left": dup_left, "right": dup_right},
         key_coproducts={"dleft": dup_dleft, "dright": dup_dright},
         generating_coproducts=("dleft", "dright"),
-        is_key=_is_key(alphabet, extra_leaves=1),
+        **_keys(alphabet, extra_leaves=1),
         splitting=_tree_splitting(_bidup_step, lambda n: trees.enumerate_trees(n + 1),
                                   _dup_tree_apply, (dup_dleft, dup_dright), (dup_left, dup_right)),
     )
@@ -829,17 +823,13 @@ def lie_model(alphabet=2):
 
 def nil_model(alphabet=2):
     """Associative algebra truncated at degree 2: triple products vanish."""
-    def basis(n):
-        return words(alphabet, n) if n <= 2 else []
-
     return BialgebraModel(
         name="nil",
         alphabet=alphabet,
-        basis=basis,
         key_products={"mul": nil_concat},
         key_coproducts={"delta": as_deconcat},
         generating_coproducts=("delta",),
-        is_key=_is_key(alphabet, top_degree=2),
+        **_keys(alphabet, top_degree=2),
     )
 
 

@@ -47,20 +47,12 @@ class CompatExpr:
         return den, tuple(t.coeff.numerator * (den // t.coeff.denominator) for t in self.terms)
 
 
-def term_from_dict(d):
-    return Term(
-        coeff=_coef(d["coeff"]),
-        in_coops=tuple(d["inCoops"]),
-        perm=tuple(d["perm"]),
-        out_ops=tuple(d["outOps"]),
-    )
-
-
 def expr_from_dict(d):
     """A relation body: two inputs, and every term's right side in A (x) A."""
     if d.get("arity", 2) != 2:
         raise ValueError("ill-typed relation term: arity %r, not 2" % (d["arity"],))
-    terms = tuple(term_from_dict(t) for t in d["terms"])
+    terms = tuple(Term(coeff=_coef(t["coeff"]), in_coops=tuple(t["inCoops"]),
+                       perm=tuple(t["perm"]), out_ops=tuple(t["outOps"])) for t in d["terms"])
     for t in terms:
         produced = sum(1 if s == "id" else 2 for s in t.in_coops)
         consumed = sum(1 if s == "id" else 2 for s in t.out_ops)
@@ -125,14 +117,6 @@ def _require_symbols(model, name, expr):
                                      % (name, kind, sym, model.name))
 
 
-def _resolve_coop(model, sym, delta_sym):
-    return model.lookup("key_coproducts", delta_sym if sym == "delta" else sym)
-
-
-def _resolve_op(model, sym, mu_sym):
-    return model.lookup("key_products", mu_sym if sym == "mu" else sym)
-
-
 class _Images(dict):
     """One kernel's images, each computed on its first read: a key, or a key
     pair for a product, -> the image's (key, int or Fraction coefficient) items."""
@@ -165,9 +149,11 @@ def _plans(images, expr, model, mu, delta):
     for term, num in zip(expr.terms, expr.numerators[1]):
         plan, pos = [num], 0
         for sym in term.in_coops:
-            plan.append(None if sym == "id" else table(_resolve_coop(model, sym, delta)))
+            plan.append(None if sym == "id" else table(
+                model.lookup("key_coproducts", delta if sym == "delta" else sym)))
         for sym in term.out_ops:
-            op = None if sym == "id" else table(_resolve_op(model, sym, mu))
+            op = None if sym == "id" else table(
+                model.lookup("key_products", mu if sym == "mu" else sym))
             plan.append((op, term.perm[pos], None if op is None else term.perm[pos + 1]))
             pos += 1 if op is None else 2
         plans.append(plan)

@@ -83,13 +83,6 @@ class TruncatedSeries:
         if self.order != other.order:
             raise ValueError("series orders differ")
 
-    def __repr__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs, start=1):
-            if c:
-                parts.append("%s*t^%d" % (c, n))
-        return " + ".join(parts) if parts else "0"
-
 
 def _apply_tail(tail_coeff, u):
     """sum_{k>=1} tail_coeff(k) u^k, truncated at u.order, summed in place."""

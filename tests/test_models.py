@@ -570,8 +570,8 @@ def tree_versal_reference(decompose, apply):
 def test_tree_versal_matches_the_decomposition_reference(name, apply):
     # the versal is the arity-1 part of the components memo; the reference
     # walks a fresh model's raw decomposition
-    kernels = {"mag": {"product": models.mag_product},
-               "bidup": {"left_kernel": models.dup_left, "right_kernel": models.dup_right}}
+    kernels = {"mag": {"product": bilinear(models.mag_product)},
+               "bidup": {"left": bilinear(models.dup_left), "right": bilinear(models.dup_right)}}
     model = get_model(name, 2)
     reference = tree_versal_reference(get_model(name, 2).splitting.decompose,
                                       partial(apply, **kernels[name]))

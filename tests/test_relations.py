@@ -12,7 +12,7 @@ import pytest
 
 from operads import relations
 from operads.linalg import LinComb
-from operads.models import WORD_KERNELS, get_model
+from operads.models import WORD_KERNELS, BialgebraModel, get_model
 from operads.relations import (
     check_nap_colaw,
     check_relation,
@@ -220,11 +220,12 @@ def reference_eval_compat(expr, model, args, mu="mul", delta="delta"):
     def pieces(term):
         inter = LinComb.of(())
         for sym, arg in zip(term.in_coops, args):
-            piece = arg if sym == "id" else arg.map_keys(relations._resolve_coop(model, sym, delta))
+            piece = arg if sym == "id" else arg.map_keys(
+                model.lookup("key_coproducts", delta if sym == "delta" else sym))
             inter = inter.tensor(piece)
             if not inter:
                 return
-        ops = [None if sym == "id" else relations._resolve_op(model, sym, mu)
+        ops = [None if sym == "id" else model.lookup("key_products", mu if sym == "mu" else sym)
                for sym in term.out_ops]
         for key, c in inter.items():
             slots = tuple(key[p] for p in term.perm)
@@ -498,23 +499,25 @@ def test_relations_hold_past_the_pinned_degrees():
 
 def test_check_relation_resolves_each_term_once_per_check(monkeypatch):
     calls = Counter()
-    for name in ("_resolve_coop", "_resolve_op"):
-        def counted(*args, resolve=getattr(relations, name), name=name):
-            calls[name] += 1
-            return resolve(*args)
-        monkeypatch.setattr(relations, name, counted)
+
+    def counted(self, table, sym, lookup=BialgebraModel.lookup):
+        calls[table] += 1
+        return lookup(self, table, sym)
+    monkeypatch.setattr(BialgebraModel, "lookup", counted)
     model = get_model("dup", 1)
     per_check = []
     for top in (4, 6):
         calls.clear()
         assert check_relation(model, "delta", "left", "nui", top).holds
         per_check.append(dict(calls))
-    # nui names delta twice and mu twice, however many pairs the check reaches
-    assert per_check[0] == per_check[1] == {"_resolve_coop": 2, "_resolve_op": 2}
+    # the left side looks up delta and mu once, and nui names each twice,
+    # however many pairs the check reaches
+    assert per_check[0] == per_check[1] == {"key_coproducts": 3, "key_products": 3}
 
 
 def test_an_unlifted_failing_check_keeps_its_pair_count_and_witness():
-    # liv is no word kernel, so mag/2 loops over every pair of the two-letter basis
+    # liv is no word kernel but commutes with renaming the letters, so mag/2
+    # evaluates only the standard pairs; 40269 is the witness's loop position
     model = get_model("mag", 2)
     assert model.key_coproducts["liv"] not in WORD_KERNELS
     report = check_relation(model, "liv", "mul", "magmatic", 8)

@@ -287,6 +287,22 @@ def test_primitive_part_matches_a_gauss_jordan_oracle(name, alphabet, top):
         assert primitive_part(model, n) == gauss_jordan_primitives(model, n), n
 
 
+@pytest.mark.parametrize("name, alphabet, top", [
+    ("dup", 1, 8), ("dup", 2, 5), ("dup", 3, 4), ("as", 2, 5),
+])
+def test_primitive_part_is_the_nonzero_versal_images(name, alphabet, top):
+    # e projects onto Prim along A+.A+, and e(x) - x is on keys that sort before
+    # x, so the nonzero images of e are the echelon kernel vectors, in basis order;
+    # on as they are the letters
+    model = get_model(name, alphabet)
+    e = versal_idempotent(model, top)
+    for n in range(1, top + 1):
+        assert primitive_part(model, n) == [lc for lc in e.cols[n] if lc], n
+    if name == "as":
+        assert [lc for n in e.cols for lc in e.cols[n] if lc] == [
+            LinComb.of(x) for x in LETTERS[:alphabet]]
+
+
 # --- PBW -----------------------------------------------------------------------
 
 def x_(model, c):
