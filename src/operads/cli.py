@@ -32,7 +32,7 @@ from .linalg import (
     lincomb_json,
     same_column_space,
 )
-from .models import get_model, lie_tensor_escape
+from .models import _require_key, get_model, lie_tensor_escape
 from .relations import (
     check_nap_colaw,
     check_relation,
@@ -89,8 +89,7 @@ def parse_element(model, text):
                 raise UsageError("bad coefficient %r" % coeff_text)
         else:
             coeff, key = 1, tok
-        if not model.is_key(key):
-            raise UsageError("key %r is not a basis element of model %s" % (key, model.name))
+        _require_key(model, key)
         terms.append((key, sign * coeff))
     return LinComb(terms)
 

@@ -14,11 +14,12 @@ take a slice built once by `build_bicomplex`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from .errors import UsageError
 from .linalg import LinComb, coords, exact_rank
-from .models import get_model
+from .models import _key_items, get_model
 
 
 def _degree_tuples(n, slots):
@@ -32,8 +33,14 @@ def _degree_tuples(n, slots):
 class BicomplexSlice:
     n: int
     bases: dict          # m -> ordered list of (m+1)-tuples of Dup keys
-    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1; a key kernel
-    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p; a key kernel
+    # the two product kernels; Dup's are one-key products, read off their key maps
+    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1
+    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p
+
+    @cached_property
+    def _merges(self):
+        """(right, left) as (key, key) -> (key, coefficient) items, resolved once per slice."""
+        return _key_items(self.right), _key_items(self.left)
 
     def tot_dim(self, m):
         return (m + 1) * len(self.bases[m])
@@ -45,12 +52,12 @@ class BicomplexSlice:
     def d(self, key):
         """D(p, tuple) = sum over i of (-1)^i (..., a_i * a_{i+1}, ...) in Tot_{m-1}."""
         p, tup = key
+        right, left = self._merges
         terms = []
         for i in range(len(tup) - 1):
-            product, block = (self.right, p - 1) if i < p else (self.left, p)
-            merged = product(tup[i], tup[i + 1])
+            merge, block = (right, p - 1) if i < p else (left, p)
             terms.extend(((block, tup[:i] + (k,) + tup[i + 2:]), (-1) ** i * c)
-                         for k, c in merged.items())
+                         for k, c in merge(tup[i], tup[i + 1]))
         return LinComb(terms)
 
 

@@ -7,10 +7,15 @@ magmatic and duplicial algebras.  On trees every product is one graft
 family: the root split, the path cuts, or the right or left edge cuts.
 Every named product and reduced coproduct is defined once, on basis keys,
 as in the paper: a product is a kernel (key, key) -> LinComb and a
-coproduct a kernel key -> LinComb, under its module-level name.  Each
-model packages its graded basis and its kernels behind one interface, and
-BialgebraModel extends the kernels to LinCombs in one place, so the
-relation checker and the idempotent engine can treat them uniformly.
+coproduct a kernel key -> LinComb, under its module-level name.  As, Mag
+and Dup are set operads, so concatenation and the three graftings send two
+keys to one key with coefficient 1: each of them is declared as its key map
+(k1, k2) -> key (see _monomial), and a product extended to LinCombs, the
+left side of a relation check and the bicomplex differential add c1 c2 at
+that key without building a LinComb per pair.  Each model packages its
+graded basis and its kernels behind one interface, and BialgebraModel
+extends the kernels to LinCombs in one place, so the relation checker and
+the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting keeps per-key memos of each key's
 labeled cooperations and of its PBW components (the same with the versal
 idempotent in every slot), and looks up the splitting operation of each
@@ -34,7 +39,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from math import factorial
 from typing import Callable
 
@@ -54,13 +59,63 @@ def words(alphabet, n):
     return ["".join(w) for w in itertools.product(LETTERS[:alphabet], repeat=n)]
 
 
+# One-key product kernels -> their key maps (k1, k2) -> key, filled by _monomial.
+# Keyed on the kernel object: a kernel wrapped or replaced is not declared.
+_KEY_MAPS = {}
+
+
+def _monomial(key_map):
+    """The product kernel (k1, k2) -> LinComb.of(key_map(k1, k2)), declared in _KEY_MAPS.
+
+    As, Mag and Dup are set operads: the product of two basis keys is one
+    basis key with coefficient 1, so a reader with keys in hand adds c1 c2
+    at key_map(k1, k2) and builds no LinComb.
+    """
+    @wraps(key_map)
+    def kernel(k1, k2):
+        return LinComb.of(key_map(k1, k2))
+    _KEY_MAPS[kernel] = key_map
+    return kernel
+
+
+def _key_items(kernel):
+    """(k1, k2) -> the (key, coefficient) items of kernel(k1, k2).
+
+    A kernel declared in _KEY_MAPS is resolved here, once: its items are
+    its key map's one key with coefficient 1, and no LinComb is built.
+    """
+    key_map = _KEY_MAPS.get(kernel)
+    if key_map is None:
+        return lambda k1, k2: kernel(k1, k2).items()
+    return lambda k1, k2: ((key_map(k1, k2), 1),)
+
+
 def bilinear(key_fn):
     """Extend a key-level binary map returning LinCombs to LinComb pairs.
 
     The image of each key pair, times c1 c2, goes straight into one dict of
     int numerators over a.den b.den; a non-integral image sends all the
-    pairs through LinComb.sum instead.
+    pairs through LinComb.sum instead.  A one-key product declared in
+    _KEY_MAPS adds c1 c2 at its key map's key(k1, k2) and calls no kernel;
+    any other kernel, a wrapped one too, is called once per pair.
     """
+    key_map = _KEY_MAPS.get(key_fn)
+    if key_map is not None:
+        def ext(a, b):
+            right = b.terms.items()
+            out = {}
+            get = out.get
+            for k1, c1 in a.terms.items():
+                for k2, c2 in right:
+                    k = key_map(k1, k2)
+                    x = get(k, 0) + c1 * c2
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+            return _over(out, a.den * b.den)
+        return ext
+
     def ext(a, b):
         right = b.terms.items()
         out = {}
@@ -142,9 +197,10 @@ def _lifted(fn):
 
 # --- free associative algebra ----------------------------------------------
 
+@_monomial
 def as_concat(u, v):
     """Concatenation of two words."""
-    return LinComb.of(u + v)
+    return u + v
 
 
 def as_deconcat(w):
@@ -201,8 +257,10 @@ def _vee_keys(k1, k2):
     return _graft_keys(trees.vee, k1, k2)
 
 
+@_monomial
 def mag_product(k1, k2):
-    return LinComb.of(_vee_keys(k1, k2))
+    """The vee grafting t v s, decorated with the two words joined."""
+    return _vee_keys(k1, k2)
 
 
 def mag_split(key):
@@ -261,14 +319,17 @@ def mag_hopf_coproduct(key):
 
 # --- free duplicial algebra --------------------------------------------------
 
+# the graftings are looked up at call time, so a traced trees.under/over counts each one
+@_monomial
 def dup_left(k1, k2):
     """x < y, realized by the Under grafting t\\s."""
-    return LinComb.of(_graft_keys(trees.under, k1, k2))
+    return _graft_keys(trees.under, k1, k2)
 
 
+@_monomial
 def dup_right(k1, k2):
     """x > y, realized by the Over grafting t/s."""
-    return LinComb.of(_graft_keys(trees.over, k1, k2))
+    return _graft_keys(trees.over, k1, k2)
 
 
 def dup_coproduct(key):
@@ -561,7 +622,10 @@ class BialgebraModel:
     a kernel (key, key) -> LinComb, key_coproducts to a kernel
     key -> LinComb.  products and coproducts are their linear extensions to
     LinCombs, built here and nowhere else; a caller with keys in hand calls
-    the kernel.  The versal idempotent, primitive_part and check_relation
+    the kernel.  A product kernel declared as a one-key product (see
+    _monomial) is extended through its key map, one dict entry per pair of
+    terms and no kernel call; any other one, a wrapper of one too, is called
+    once per pair.  The versal idempotent, primitive_part and check_relation
     read a map made only of kernels in WORD_KERNELS off the one-letter keys,
     and primitive_part and check_relation answer one orbit of the letter
     permutations at a time where its kernels are in EQUIVARIANT_KERNELS (see
@@ -611,6 +675,12 @@ def reduction(model, kernels):
     if all(k in WORD_KERNELS for k in kernels):
         return "lift"
     return "orbit" if all(k in EQUIVARIANT_KERNELS for k in kernels) else None
+
+
+def _require_key(model, key):
+    """Refuse a key that is not a basis element of the model."""
+    if not (isinstance(key, str) and model.is_key(key)):
+        raise UsageError("key %r is not a basis element of model %s" % (key, model.name))
 
 
 def require_keys(model, basis):

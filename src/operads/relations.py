@@ -24,7 +24,7 @@ from math import lcm
 
 from .errors import UsageError
 from .linalg import LinComb, _coef, as_slots
-from .models import _standard, _word_stem, iterated_coproduct, reduction
+from .models import _key_items, _standard, _word_stem, iterated_coproduct, reduction
 from .structure import _one_letter_basis
 
 
@@ -291,6 +291,7 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
     _require_symbols(model, relation_name, expr)
     if max_degree < 2:
         raise UsageError("a relation needs max degree >= 2")
+    product = _key_items(key_product)  # a one-key product builds no LinComb per pair
     images, neg_den = {}, -expr.numerators[0]  # the tables live and die with this call
     _plans(images, expr, model, mu_sym, delta_sym)  # a table for each kernel the terms name
     coproduct = images.setdefault(key_coproduct, _Images(key_coproduct))
@@ -320,7 +321,7 @@ def check_relation(model, delta_sym, mu_sym, relation_name, max_degree):
                     diff = {}
                     for a, x in la.terms.items():
                         for b, y in lb.terms.items():
-                            for k, c in key_product(a, b).items():
+                            for k, c in product(a, b):
                                 c *= neg_den * x * y
                                 for t, z in coproduct[k]:
                                     diff[t] = diff.get(t, 0) + c * z

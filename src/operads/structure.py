@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
-from .models import (LETTERS, _relabel, _stems, _word_stem, by_label, key_parts, reduction,
-                     require_keys, require_splitting, tree_key, words)
+from .models import (LETTERS, _relabel, _require_key, _stems, _word_stem, by_label, key_parts,
+                     reduction, require_keys, require_splitting, tree_key, words)
 from .series import gen_series
 from .trees import enumerate_trees, leaf_count
 
@@ -234,9 +234,13 @@ def pbw_expand(model, a):
     lists a key's nonzero components only, so the cost follows the output.
     Components come by arity, then in cooperad basis order (sorted labels),
     and reassembling them through the splitting operations returns the
-    input exactly; see pbw_reassemble.
+    input exactly; see pbw_reassemble.  A key that is not a basis element
+    of the model is refused.
     """
-    parts = by_label(a.map_keys(require_splitting(model).components))
+    components = require_splitting(model).components
+    for key in a.terms:
+        _require_key(model, key)
+    parts = by_label(a.map_keys(components))
     return [PbwComponent(arity=k, label=label, tensor=parts[k][label])
             for k in sorted(parts) for label in sorted(parts[k])]
 

@@ -162,6 +162,8 @@ PARITY = [
     ("convolution product", ["idempotent", "--model", "dup", "--kind", "geometric"],
      lambda: ConvolutionContext(get_model("dup"))),
     ("tree listing", ["trees", "enumerate", "--leaves", "1100"], lambda: enumerate_trees(1100)),
+    ("pbw key", ["pbw", "--model", "dup", "--element", "garbage"],
+     lambda: pbw_expand(get_model("dup"), LinComb.of("garbage"))),
 ]
 
 

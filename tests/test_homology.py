@@ -54,6 +54,23 @@ def test_swapped_products_fail_the_differential_check(n):
     assert check_differentials(swapped) is False
 
 
+def test_wrapped_products_take_the_generic_path_to_the_same_differential():
+    bc = build_bicomplex(5)
+    calls = []
+
+    def plain(fn):
+        def merged(k1, k2):
+            calls.append((k1, k2))
+            return fn(k1, k2)
+        return merged
+    wrapped = dataclasses.replace(bc, right=plain(bc.right), left=plain(bc.left))
+    for m in range(1, 5):
+        for key in bc.tot_keys(m):
+            assert list(wrapped.d(key).terms.items()) == list(bc.d(key).terms.items())
+    # D merges m adjacent slot pairs of each key of Tot_m
+    assert len(calls) == sum(m * bc.tot_dim(m) for m in range(1, 5))
+
+
 def test_total_matrix_composes_to_zero():
     bc = build_bicomplex(4)
     for m in range(1, 4):

@@ -3,7 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from math import factorial
 
 import pytest
@@ -156,6 +156,62 @@ def test_bilinear_matches_the_sum_of_its_pair_images():
         assert (got.terms, got.den) == (want.terms, want.den), (key_fn.__name__, a, b)
     assert bilinear(half_bracket)(x_plus_y, x_plus_y) == LinComb.zero()
     assert bilinear(lie_bracket)(x_plus_y, x_plus_y) == LinComb.zero()
+
+    # a declared one-key product adds c1 c2 at its key map's key; the generic path,
+    # taken by any wrapper of it, calls the kernel once per pair of terms
+    def combination(model, top):
+        return LinComb((k, Fraction((-1) ** i * (i + 1), 3))
+                       for i, (_, k) in enumerate(keys_through(model, top)))
+    mag, dup = get_model("mag", 2), get_model("dup", 2)
+    # x.yx and xy.x both give xyx, and cancel
+    cancelling = LinComb((("x", 1), ("xy", -1))), LinComb((("yx", 1), ("x", 1)))
+    assert not bilinear(as_concat)(*cancelling).coeff("xyx")
+    declared_cases = [
+        (as_concat, LinComb((("x", 2), ("xy", Fraction(-1, 4)))),
+         LinComb((("yy", Fraction(6, 5)), ("x", 3)))),
+        (as_concat, x_plus_y, LinComb.zero()),
+        (as_concat, LinComb.zero(), x_plus_y),
+        (as_concat, *cancelling),
+        (mag_product, combination(mag, 2), combination(mag, 2).scale(Fraction(7, 2))),
+        (dup_left, combination(dup, 2), combination(dup, 1)),
+        (dup_right, combination(dup, 1), combination(dup, 2).scale(-3)),
+    ]
+    for key_fn, a, b in declared_cases:
+        assert key_fn in models._KEY_MAPS
+        calls = []
+
+        def plain(u, v, key_fn=key_fn):
+            calls.append((u, v))
+            return key_fn(u, v)
+        wrapped = wraps(key_fn)(plain)
+        got = bilinear(key_fn)(a, b)
+        for generic in (plain, wrapped):
+            calls.clear()
+            want = bilinear(generic)(a, b)
+            assert (list(got.terms.items()), got.den) == (list(want.terms.items()), want.den), (
+                key_fn.__name__, a, b)
+            assert len(calls) == len(a) * len(b)
+        assert got == reference(key_fn, a, b)
+
+
+def test_one_key_products_are_declared_by_their_key_maps():
+    declared = set()
+    for name in ("as", "classical", "mag", "dup", "bidup"):
+        for alphabet in (1, 2):
+            model = get_model(name, alphabet)
+            keys = keys_through(model, 3)
+            for kernel in model.key_products.values():
+                key_map = models._KEY_MAPS[kernel]
+                declared.add(kernel)
+                for (n1, k1), (n2, k2) in itertools.product(keys, repeat=2):
+                    if n1 + n2 <= 4:
+                        got, want = kernel(k1, k2), LinComb.of(key_map(k1, k2))
+                        assert (got.terms, got.den) == (want.terms, want.den), (k1, k2)
+                        # one basis key of degree n1 + n2: a set operad's product
+                        assert model.is_key(key_map(k1, k2)), (name, k1, k2)
+    assert declared == set(models._KEY_MAPS) == {as_concat, mag_product, dup_left, dup_right}
+    for kernel in (shuffle_product, zinb_half_shuffle, lie_bracket, models.nil_concat):
+        assert kernel not in models._KEY_MAPS
 
 
 def test_shuffle_coproduct_is_coassociative_and_cocommutative():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -399,6 +400,15 @@ def test_pbw_of_zero_has_no_components():
         model = get_model(name)
         assert pbw_expand(model, LinComb.zero()) == []
         assert pbw_reassemble(model, []) == LinComb.zero()
+
+
+def test_pbw_expand_refuses_a_key_outside_the_basis():
+    model = get_model("dup", 1)
+    # a leaf carries no letter in dup, a word on two letters is not in dup/1
+    for key in (".:x", "garbage", "(.,.):y", "(.,.):"):
+        message = "key %r is not a basis element of model dup" % key
+        with pytest.raises(UsageError, match=re.escape(message)):
+            pbw_expand(model, LinComb.of("(.,.):x") + LinComb.of(key))
 
 
 def test_mag_pbw_roundtrip_with_dual_scheme():
