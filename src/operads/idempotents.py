@@ -15,6 +15,10 @@ powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the sum of
 c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct (k1, k2, c) of the
 key.  The reduced coproduct lowers degree and vanishes on generators, so a
 key of degree d has at most d powers and no list needs a degree bound.
+The versal, Eulerian and geometric maps are read through
+models._standardized, in the mode models.reduction gives the kernels they
+are made of: on more than one letter, one key per class that renaming the
+letters identifies is computed, and the rest renamed from it.
 
 On the classical model the Eulerian family needs no powers of its own.
 There the convolution is associative, so e^(1) = log(1 + J) for
@@ -36,8 +40,8 @@ from math import factorial
 
 from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import (BialgebraModel, _lifted, by_label, get_model, left_nested_bracket, reduction,
-                     require_keys, require_splitting)
+from .models import (BialgebraModel, _standardized, by_label, get_model, left_nested_bracket,
+                     reduction, require_keys, require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
@@ -62,6 +66,12 @@ class ConvolutionContext:
         if splitting is not None and splitting.cuts and splitting.cuts[0] is delta:
             return splitting.cuts[1]
         return _Memo(lambda key, _: delta(key))
+
+    @property
+    def mode(self):
+        """models.reduction of its delta and mul kernels: how its per-key maps read letters."""
+        model = self.model
+        return reduction(model, (model.key_coproducts["delta"], model.key_products["mul"]))
 
     @cached_property
     def identity_powers(self):
@@ -135,8 +145,8 @@ def eulerian(ctx, i, max_degree):
         raise UsageError("eulerian index must be >= 1")
     # the family is fetched at the first key, so a call materialize refuses caches nothing
     family, scale = cache(partial(eulerian_family, ctx)), factorial(i)
-    return materialize(ctx.model, lambda key: LinComb.sum(
-        ((p, 1) for p in family()(key)[i - 1:i]), scale), max_degree)
+    return materialize(ctx.model, _standardized(lambda key: LinComb.sum(
+        ((p, 1) for p in family()(key)[i - 1:i]), scale), ctx.mode), max_degree)
 
 
 def dynkin(max_degree, alphabet=2):
@@ -148,8 +158,8 @@ def dynkin(max_degree, alphabet=2):
 def geometric_idempotent(ctx, max_degree):
     """e = sum_{n>=1} (-1)^{n-1} Id*^n, read per key off the context's Id powers."""
     powers = ctx.identity_powers
-    return materialize(ctx.model, lambda key: LinComb.sum(
-        (p, (-1) ** n) for n, p in enumerate(powers(key))), max_degree)
+    return materialize(ctx.model, _standardized(lambda key: LinComb.sum(
+        (p, (-1) ** n) for n, p in enumerate(powers(key))), ctx.mode), max_degree)
 
 
 def omega(model, n, max_degree):
@@ -172,11 +182,12 @@ def omega(model, n, max_degree):
 def versal_idempotent(model, max_degree=6):
     """The versal idempotent through max_degree, read off the model's versal memo.
 
-    Where the model declares the splitting's kernels word-preserving (on more
-    than one letter), the image of t:w is the memo's image of t:x...x with w
-    put back, so the memo holds one-letter keys only.
+    The memo is read through models._standardized, in the mode reduction
+    gives the splitting's kernels from the one _RENAMING table: on more
+    than one letter, the memo holds only one-letter keys where the kernels
+    all keep words, and only standard keys of the top degree where some
+    one of them only commutes with renaming the letters.
     """
     splitting = require_splitting(model)
-    lifted = reduction(model, splitting.kernels) == "lift"
-    versal = _lifted(splitting.versal) if lifted else splitting.versal
-    return materialize(model, versal, max_degree)
+    return materialize(model, _standardized(splitting.versal, reduction(model, splitting.kernels)),
+                       max_degree)

@@ -20,17 +20,18 @@ A model with a coalgebra splitting keeps per-key memos of each key's
 labeled cooperations and of its PBW components (the same with the versal
 idempotent in every slot), and looks up the splitting operation of each
 label; the associative cooperad is the case of one label, whose two memos
-are one builder over the reduced coproduct memo.  WORD_KERNELS
-are the kernels that keep words: a coproduct that only slices a key's word,
-or a product that joins two words in slot order.  A map made of those is
-the alphabet-1 map times the identity on words, so the nonsymmetric models
-declare them, and such a map is read on the one-letter keys (stem x...x)
-with the word put back.  A free algebra is a Schur functor, so renaming
-the letters commutes with every product and coproduct of a free model:
-EQUIVARIANT_KERNELS are the word kernels and the ones that move letters
-within a key's letter content (the shuffle kernels, mag's liv and hopf),
-and a map made of those is answered once per orbit of the letter
-permutations (see reduction).
+are one builder over the reduced coproduct memo.  A free algebra is a
+Schur functor, so renaming the letters commutes with every product and
+coproduct of a free model, and one table, _RENAMING, says how each kernel
+does.  A "lift" kernel keeps words: a coproduct that only slices a key's
+word, or a product that joins two words in slot order.  A map made of
+those is the alphabet-1 map times the identity on words, so it is read on
+the one-letter keys (stem x...x) with the word put back.  An "orbit"
+kernel moves letters within a key's letter content (the shuffle kernels,
+mag's liv and hopf), and a map made of those and lift kernels is answered
+once per orbit of the letter permutations.  reduction reads the table;
+_standardized reads a per-key map of one output slot (the versal,
+Eulerian and geometric idempotents) in the mode it gives.
 """
 
 from __future__ import annotations
@@ -179,20 +180,6 @@ def _stems(lc):
 def _relabel(stems, word):
     """The LinComb over stem + word of stems, a LinComb over key stems."""
     return _over({s + word: c for s, c in stems.terms.items()}, stems.den)
-
-
-def _lifted(fn):
-    """key -> fn(key) for a word-preserving key map fn of one output slot.
-
-    Read off fn at the key's one-letter twin, with the key's word put back;
-    the stems of each twin's image are kept for the next word.
-    """
-    stems = _Memo(lambda twin, _: _stems(fn(twin)))
-
-    def lifted(key):
-        stem, word = _word_stem(key)
-        return _relabel(stems(stem + LETTERS[0] * len(word)), word)
-    return lifted
 
 
 # --- free associative algebra ----------------------------------------------
@@ -430,21 +417,19 @@ def lie_tensor_escape(alphabet, n):
     return exact_rank(coords(span + images)) > exact_rank(coords(span))
 
 
-# The kernels that keep words, as objects: each image of t:w is that of
-# t:x...x with w put back by position.  mag's liv and hopf move letters out
-# of their order, the shuffle kernels and lie's permute them.  A kernel
-# wrapped or replaced, before or after a model is built, is not one of these.
-WORD_KERNELS = frozenset({as_concat, as_deconcat, nil_concat, mag_product, mag_dual_coproduct,
-                          dup_left, dup_right, dup_coproduct, dup_dleft, dup_dright})
-
-# The kernels that commute with renaming the letters, as objects: a
-# permutation s of the letters, put on the word of every key in every slot,
-# sends the image of k to the image of s(k), and a key's letter content to
-# s of it.  The word kernels do, and so do the shuffle kernels and mag's liv
-# and hopf, which move letters within that content.  lie's are left out:
-# its basis entries are LinCombs, not keys.
-EQUIVARIANT_KERNELS = WORD_KERNELS | {as_shuffle_coproduct, shuffle_product, zinb_half_shuffle,
-                                      mag_livernet_coproduct, mag_hopf_coproduct}
+# How each kernel commutes with renaming the letters, keyed on the kernel
+# object: a kernel wrapped or replaced, before or after a model is built, is
+# not in the table.  "lift": it keeps words, each image of t:w being that of
+# t:x...x with w put back by position.  "orbit": a permutation s of the
+# letters, put on the word of every key in every slot, sends the image of k
+# to the image of s(k), and a key's letter content to s of it; the shuffle
+# kernels and mag's liv and hopf move letters within that content.  A lift
+# kernel commutes with renaming too.  lie's are left out: its basis entries
+# are LinCombs, not keys.
+_RENAMING = {**dict.fromkeys((as_concat, as_deconcat, nil_concat, mag_product, mag_dual_coproduct,
+                              dup_left, dup_right, dup_coproduct, dup_dleft, dup_dright), "lift"),
+             **dict.fromkeys((as_shuffle_coproduct, shuffle_product, zinb_half_shuffle,
+                              mag_livernet_coproduct, mag_hopf_coproduct), "orbit")}
 
 
 def _standard(word):
@@ -453,6 +438,37 @@ def _standard(word):
     Such a word is the least, in basis order, of its relabellings.
     """
     return LETTERS.startswith("".join(dict.fromkeys(word)))
+
+
+def _standardized(fn, mode):
+    """key -> fn(key) for a key map fn of one output slot, read once per class of keys.
+
+    mode is reduction's answer for the kernels fn is made of.  None: fn
+    itself.  "lift": fn read at the key's one-letter twin (stem x...x),
+    with the key's word put back; the stems of each twin's image are kept
+    for the next word.  "orbit": a standard key is read as it is, any other
+    at its first-occurrence relabelling (its letters renamed x, y, ... in
+    order of first appearance), with the image's letters renamed back; a
+    stem holds no letter, so the whole key is renamed.
+    """
+    if mode is None:
+        return fn
+    if mode == "lift":
+        stems = _Memo(lambda twin, _: _stems(fn(twin)))
+
+        def lifted(key):
+            stem, word = _word_stem(key)
+            return _relabel(stems(stem + LETTERS[0] * len(word)), word)
+        return lifted
+
+    def standardized(key):
+        seen = "".join(dict.fromkeys(_word_stem(key)[1]))
+        if _standard(seen):
+            return fn(key)
+        image = fn(key.translate(str.maketrans(seen, LETTERS[:len(seen)])))
+        back = str.maketrans(LETTERS[:len(seen)], seen)
+        return _over({k.translate(back): c for k, c in image.terms.items()}, image.den)
+    return standardized
 
 
 # --- model plumbing -----------------------------------------------------------
@@ -492,8 +508,9 @@ class Splitting:
     reads the reduced coproduct, and cuts is (its kernel, its per-key memo),
     the memo that convolution on that coproduct and both of its cooperation
     memos share (see _associative_splitting).  kernels are the
-    coproduct and product kernels the memos compute with: the versal memo
-    lifts where all of them are in WORD_KERNELS (see reduction).
+    coproduct and product kernels the memos compute with: reduction of
+    them, read off the _RENAMING table, is the mode in which the versal
+    memo is read through _standardized.
     """
     decompose: Callable[[object], LinComb]
     labels: Callable[[int], list]
@@ -625,13 +642,13 @@ class BialgebraModel:
     the kernel.  A product kernel declared as a one-key product (see
     _monomial) is extended through its key map, one dict entry per pair of
     terms and no kernel call; any other one, a wrapper of one too, is called
-    once per pair.  The versal idempotent, primitive_part and check_relation
-    read a map made only of kernels in WORD_KERNELS off the one-letter keys,
-    and primitive_part and check_relation answer one orbit of the letter
-    permutations at a time where its kernels are in EQUIVARIANT_KERNELS (see
-    reduction): the kernel objects a model holds decide, not their names,
-    so a model holding another kernel under the same name takes the direct
-    path.
+    once per pair.  The versal, Eulerian and geometric idempotents,
+    primitive_part and check_relation read a map made only of "lift"
+    kernels of the _RENAMING table off the one-letter keys, and answer one
+    orbit of the letter permutations at a time where its kernels are all
+    in the table and some one is an "orbit" kernel (see reduction): the
+    kernel objects a model holds decide, not their names, so a model
+    holding another kernel under the same name takes the direct path.
     """
     name: str
     alphabet: int
@@ -662,19 +679,19 @@ class BialgebraModel:
 
 
 def reduction(model, kernels):
-    """How a map made of these kernels is computed on more than one letter.
+    """How a map made of these kernels is computed on more than one letter (see _standardized).
 
-    "lift" when every kernel is in WORD_KERNELS: read it on the one-letter
-    keys and put the word back.  "orbit" when every one is in
-    EQUIVARIANT_KERNELS: answer one representative of each orbit of the
-    letter permutations.  None on one letter, or when some kernel is in
-    neither set: the direct computation.
+    Read off the _RENAMING entry of each kernel: "lift" when every one is a
+    lift kernel, read it on the one-letter keys and put the word back;
+    "orbit" when every one is in the table and some one is not a lift
+    kernel, answer one representative of each orbit of the letter
+    permutations.  None on one letter, or when some kernel is not in the
+    table: the direct computation.
     """
-    if model.alphabet < 2:
+    modes = {_RENAMING.get(k) for k in kernels}
+    if model.alphabet < 2 or None in modes:
         return None
-    if all(k in WORD_KERNELS for k in kernels):
-        return "lift"
-    return "orbit" if all(k in EQUIVARIANT_KERNELS for k in kernels) else None
+    return "orbit" if "orbit" in modes else "lift"
 
 
 def _require_key(model, key):

@@ -2,14 +2,17 @@
 one pair or block per orbit of the letter permutations, against the direct ones."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 
 import pytest
 
 from operads import models, primitive_part, relations, versal_idempotent
+from operads.cli import main
+from operads.idempotents import ConvolutionContext, eulerian, geometric_idempotent
 from operads.linalg import LinComb, _Memo, as_slots
-from operads.models import (EQUIVARIANT_KERNELS, LETTERS, WORD_KERNELS, _standard, _word_stem,
+from operads.models import (LETTERS, _RENAMING, _standard, _word_stem, as_concat,
                             as_shuffle_coproduct, get_model, lie_bracket, lie_cobracket, words)
 from operads.relations import check_relation, get_relation, relation_names
 
@@ -52,8 +55,8 @@ def _mismatches(kernel, arity, keys):
 @pytest.mark.parametrize("alphabet", [2, 3])
 def test_declared_kernels_keep_words(name, alphabet):
     model = get_model(name, alphabet)
-    coproducts = [fn for fn in model.key_coproducts.values() if fn in WORD_KERNELS]
-    products = [fn for fn in model.key_products.values() if fn in WORD_KERNELS]
+    coproducts = [fn for fn in model.key_coproducts.values() if _RENAMING.get(fn) == "lift"]
+    products = [fn for fn in model.key_products.values() if _RENAMING.get(fn) == "lift"]
     assert products and coproducts
     if name == "mag":
         assert set(model.key_coproducts) - {"delta"} == {"hopf", "liv"}
@@ -74,7 +77,7 @@ def test_letter_moving_kernels_are_not_declared(name, syms):
     # classical's product and zinb's coproduct are as's, and are declared
     model = get_model(name, 2)
     ops = {**model.key_coproducts, **model.key_products}
-    assert {sym for sym, fn in ops.items() if fn not in WORD_KERNELS} == set(syms)
+    assert {sym for sym, fn in ops.items() if _RENAMING.get(fn) != "lift"} == set(syms)
     for sym in syms:
         arity = 1 if sym in model.key_coproducts else 2
         assert _mismatches(ops[sym], arity, _keys(model, 3 if arity == 1 else 2))
@@ -83,7 +86,7 @@ def test_letter_moving_kernels_are_not_declared(name, syms):
 def test_lie_kernels_move_letters_and_are_not_declared():
     model = get_model("lie", 2)
     kernels = {*model.key_products.values(), *model.key_coproducts.values()}
-    assert not kernels & WORD_KERNELS and not kernels & EQUIVARIANT_KERNELS
+    assert not kernels & _RENAMING.keys()
     assert _mismatches(lie_bracket, 2, ["x", "y"]) and _mismatches(lie_cobracket, 1, ["xy"])
 
 
@@ -101,7 +104,7 @@ def _content(keys):
 def test_declared_kernels_commute_with_renaming_the_letters_and_keep_content(name):
     model = get_model(name, 3)
     coproducts, products = model.key_coproducts.values(), model.key_products.values()
-    assert {*coproducts, *products} <= EQUIVARIANT_KERNELS
+    assert {*coproducts, *products} <= _RENAMING.keys()
     renamings = [str.maketrans("xyz", "".join(p)) for p in itertools.permutations("xyz")]
     keys = {n: model.basis(n) for n in range(1, 6)}
     cases = [(fn, (k,)) for fn in coproducts for n in keys for k in keys[n]]
@@ -129,8 +132,7 @@ def test_a_word_is_standard_exactly_when_it_is_its_first_occurrence_relabelling(
 def _direct(monkeypatch, fn, *args):
     """fn(*args) on the direct path: with no kernel declared word-preserving or renaming."""
     with monkeypatch.context() as patch:
-        patch.setattr(models, "WORD_KERNELS", frozenset())
-        patch.setattr(models, "EQUIVARIANT_KERNELS", frozenset())
+        patch.setattr(models, "_RENAMING", {})
         return fn(*args)
 
 
@@ -138,19 +140,56 @@ def _one_letter(key):
     return not _word_stem(key)[1].strip(LETTERS[0])
 
 
-@pytest.mark.parametrize("name", ["as", "mag", "dup", "bidup"])
+def _same_terms(endo, other):
+    """Equal GradedEndos, with the same terms in the same order in every column."""
+    assert endo == other
+    for n, col in endo.cols.items():
+        assert [list(lc.terms.items()) for lc in col] == [
+            list(lc.terms.items()) for lc in other.cols[n]]
+
+
+def _top_keys_standard(memo, top):
+    """Does memo hold keys of degree top, each of them standard?"""
+    keys = [k for k in memo.values if len(_word_stem(k)[1]) == top]
+    return bool(keys) and all(_standard(_word_stem(k)[1]) for k in keys)
+
+
+@pytest.mark.parametrize("name", ["as", "mag", "dup", "bidup", "classical"])
 @pytest.mark.parametrize("alphabet, top", [(2, 5), (3, 5)])
 def test_lifted_versal_idempotent_is_the_direct_one(name, alphabet, top, monkeypatch):
     model = get_model(name, alphabet)
     lifted = versal_idempotent(model, top)
-    direct = _direct(monkeypatch, versal_idempotent, get_model(name, alphabet), top)
-    assert lifted == direct
-    for n, col in lifted.cols.items():  # the same terms in the same order
-        assert [list(lc.terms.items()) for lc in col] == [
-            list(lc.terms.items()) for lc in direct.cols[n]]
+    _same_terms(lifted, _direct(monkeypatch, versal_idempotent, get_model(name, alphabet), top))
     memo = model.splitting.versal
+    if name == "classical":  # orbit: the power memo behind e holds standard keys at the top
+        assert models.reduction(model, model.splitting.kernels) == "orbit"
+        assert _top_keys_standard(inspect.getclosurevars(memo).nonlocals["powers"], top)
+        return
     memo = memo if isinstance(memo, _Memo) else model.splitting.components
     assert memo.values and all(map(_one_letter, memo.values))
+
+
+@pytest.mark.parametrize("name, alphabet, mode", [
+    ("classical", 2, "orbit"), ("classical", 3, "orbit"),
+    ("as", 2, "lift"), ("nil", 2, "lift"), ("mag", 2, "lift"),
+])
+def test_eulerian_and_geometric_idempotents_are_the_direct_ones(name, alphabet, mode,
+                                                                  monkeypatch):
+    top = 5
+    ctx = ConvolutionContext(get_model(name, alphabet))
+    assert ctx.mode == mode
+
+    def maps(ctx):
+        return [eulerian(ctx, i, top) for i in range(1, top + 1)] + [
+            geometric_idempotent(ctx, top)]
+    direct = _direct(monkeypatch, maps, ConvolutionContext(get_model(name, alphabet)))
+    for endo, other in zip(maps(ctx), direct):
+        _same_terms(endo, other)
+    powers = ctx.identity_powers
+    if mode == "lift":
+        assert powers.values and all(map(_one_letter, powers.values))
+    else:
+        assert _top_keys_standard(powers, top)
 
 
 def _recording(model, seen, monkeypatch):
@@ -164,10 +203,9 @@ def _recording(model, seen, monkeypatch):
     coproducts = {sym: record(fn) for sym, fn in model.key_coproducts.items()}
     originals = {**model.key_products, **model.key_coproducts}
     wrapped = {**products, **coproducts}
-    for name in ("WORD_KERNELS", "EQUIVARIANT_KERNELS"):
-        declared = getattr(models, name)
-        monkeypatch.setattr(models, name, declared | {
-            wrapped[sym] for sym, fn in originals.items() if fn in declared})
+    for sym, fn in originals.items():
+        if fn in models._RENAMING:
+            monkeypatch.setitem(models._RENAMING, wrapped[sym], models._RENAMING[fn])
     return dataclasses.replace(model, key_products=products, key_coproducts=coproducts)
 
 
@@ -211,8 +249,8 @@ def test_lifted_relation_checks_report_what_the_direct_ones_do(name, alphabet, t
         assert json.dumps(report) == json.dumps(direct), (delta, mu, rel)
         seen.clear()
         check_relation(model, delta, mu, rel, top)
-        lifted = rel in QUALIFYING and {model.key_coproducts[delta], model.key_products[mu]} <= (
-            models.WORD_KERNELS)
+        lifted = rel in QUALIFYING and {models._RENAMING.get(model.key_coproducts[delta]),
+                                        models._RENAMING.get(model.key_products[mu])} == {"lift"}
         if lifted or report["holds"]:  # a check that fails early may see one-letter keys only
             assert all(map(_one_letter, seen)) == lifted, (delta, mu, rel)
         qualifying += lifted
@@ -262,7 +300,7 @@ def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree(monk
         image = left(k1, k2)
         return image.scale(2) if k1.startswith(second + ":") and k2.startswith(second + ":") else image
     broken = dataclasses.replace(model, key_products={"left": doubled})
-    monkeypatch.setattr(models, "WORD_KERNELS", WORD_KERNELS | {doubled})
+    monkeypatch.setitem(models._RENAMING, doubled, "lift")
     report = check_relation(broken, "delta", "left", "nui", 4)
     assert report.to_json_dict() == _direct(
         monkeypatch, check_relation, broken, "delta", "left", "nui", 4).to_json_dict()
@@ -339,7 +377,24 @@ def test_a_wrapped_unshuffle_takes_the_direct_path(monkeypatch):
         seen.add(key)
         return as_shuffle_coproduct(key)
     model = get_model("classical", 2)
-    changed = dataclasses.replace(model, key_coproducts={"delta": wrapped})
+
+    def wrapped_model():  # its splitting's memos are new, so each map reads the wrapper again
+        return dataclasses.replace(model, key_coproducts={"delta": wrapped},
+                                   splitting=models._associative_splitting(
+                                       wrapped, as_concat, exponential=True))
+    every = {k for n in range(1, 6) for k in model.basis(n)}
+    versal = versal_idempotent(wrapped_model(), 5)
+    assert seen == every
+    _same_terms(versal, versal_idempotent(model, 5))
+    for i in (1, 2):
+        seen.clear()
+        ctx = ConvolutionContext(wrapped_model())
+        assert ctx.mode is None
+        e = eulerian(ctx, i, 5)
+        assert seen == every
+        _same_terms(e, eulerian(ConvolutionContext(model), i, 5))
+    seen.clear()
+    changed = wrapped_model()
     assert models.reduction(changed, [wrapped]) is None
     prim = primitive_part(changed, 6)
     assert seen == set(model.basis(6))
@@ -349,3 +404,17 @@ def test_a_wrapped_unshuffle_takes_the_direct_path(monkeypatch):
     report = check_relation(changed, "delta", "mul", "hopf", 5)
     assert report.to_json_dict() == check_relation(model, "delta", "mul", "hopf", 5).to_json_dict()
     assert not all(map(_standard, seen))  # the pair (y, x) too
+
+
+@pytest.mark.parametrize("kind", ["versal", "eulerian:2", "geometric"])
+def test_orbit_idempotent_matrices_print_the_direct_bytes(kind, capsys, monkeypatch):
+    argv = ["idempotent", "--model", "classical", "--alphabet", "3", "--max-degree", "5",
+            "--kind", kind, "--report", "matrix"]
+
+    def printed(run, *args):
+        with pytest.raises(SystemExit) as stop:
+            run(*args)
+        return stop.value.code, capsys.readouterr()
+    orbit = printed(main, argv)
+    assert orbit == printed(_direct, monkeypatch, main, argv)
+    assert orbit[0] == 0 and orbit[1].out

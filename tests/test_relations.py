@@ -12,7 +12,7 @@ import pytest
 
 from operads import relations
 from operads.linalg import LinComb
-from operads.models import WORD_KERNELS, BialgebraModel, get_model
+from operads.models import _RENAMING, BialgebraModel, get_model
 from operads.relations import (
     check_nap_colaw,
     check_relation,
@@ -519,7 +519,7 @@ def test_an_unlifted_failing_check_keeps_its_pair_count_and_witness():
     # liv is no word kernel but commutes with renaming the letters, so mag/2
     # evaluates only the standard pairs; 40269 is the witness's loop position
     model = get_model("mag", 2)
-    assert model.key_coproducts["liv"] not in WORD_KERNELS
+    assert _RENAMING[model.key_coproducts["liv"]] == "orbit"
     report = check_relation(model, "liv", "mul", "magmatic", 8)
     assert not report.holds and report.checked_pairs == 40269
     degrees, pair, lhs, rhs = report.first_failure
