@@ -264,6 +264,8 @@ def cmd_verify(args):
 
 
 def cmd_series(args):
+    if args.show and (args.check or args.names):
+        raise UsageError("series --show takes no --check or --names")
     if args.show:
         names = [args.show]
     elif args.check:

@@ -6,7 +6,9 @@ numerators over one positive denominator in lowest terms.  `LinComb.sum`
 is the one accumulator of linear combinations: it brings its summands to
 one denominator, adds ints and divides out the gcd once.  A Fraction is
 built only at the boundary: `items` of a non-integral combination,
-`coeff`, `frac_str`.  A matrix on its way to elimination is a list of
+`coeff`, `frac_str`; the truncated series of `series` are stored and
+summed the same way and build Fractions only when their coefficients
+are read.  A matrix on its way to elimination is a list of
 sparse rows, {column: coefficient} dicts of the nonzero entries: `coords`
 is the one way from LinCombs to such rows, and one sparse fraction-free
 integer elimination (`_echelon`, behind `exact_rank`, `kernel_basis` and

@@ -4,12 +4,17 @@ Series are stored in the exponential convention, coefficient of t^n equal
 to dim(n)/n!.  For the nonsymmetric operads modelled here dim(n) is n!
 times the graded dimension, so the coefficients coincide with the
 nonsymmetric dimension counts and no second bookkeeping is needed.
+
+A series is stored as LinComb is: int numerators `nums` (t^n at index
+n - 1) over one positive `den` in lowest terms, a unique form, so ==
+compares fields.  Arithmetic is on ints, with one gcd per result; a
+Fraction is built only when `coeffs`, `coeff` or `dims` is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import UsageError
 
@@ -20,64 +25,67 @@ class TruncatedSeries:
     It has what the identities use: scaling, products, t -> -t and composition.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coeffs=()):
         if order < 1:
             raise UsageError("order must be >= 1")
         cs = [Fraction(c) for c in coeffs][:order]
-        cs += [Fraction(0)] * (order - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))  # the reduced numerators are coprime to it
+        self.order, self.den = order, den
+        self.nums = [c.numerator * (den // c.denominator) for c in cs] + [0] * (order - len(cs))
+
+    @classmethod
+    def _reduced(cls, order, nums, den):
+        """The series nums / den, for den > 0, with the gcd divided out once."""
+        res, g = cls.__new__(cls), gcd(den, *nums)
+        res.order, res.nums, res.den = order, [a // g for a in nums] if g > 1 else nums, den // g
+        return res
 
     @classmethod
     def t(cls, order):
         return cls(order, [1])
 
+    @property
+    def coeffs(self):
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
     def coeff(self, n):
         """Coefficient of t^n, n >= 1."""
         if not 1 <= n <= self.order:
             raise IndexError("coefficient index out of range")
-        return self.coeffs[n - 1]
+        return Fraction(self.nums[n - 1], self.den)
 
     def dims(self):
         """n! times the coefficients: the symmetric dimension counts."""
-        return [self.coeffs[n - 1] * factorial(n) for n in range(1, self.order + 1)]
+        return [Fraction(a * factorial(n), self.den) for n, a in enumerate(self.nums, start=1)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, TruncatedSeries) and (
+            (self.order, self.den, self.nums) == (other.order, other.den, other.nums))
 
     def scale(self, c):
-        c = Fraction(c)
-        return TruncatedSeries(self.order, [c * a for a in self.coeffs])
+        num, den = Fraction(c).as_integer_ratio()
+        return self._reduced(self.order, [num * a for a in self.nums], den * self.den)
 
     def __mul__(self, other):
         self._match(other)
-        n = self.order
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs, start=1):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs, start=1):
-                if i + j > n:
-                    break
-                out[i + j - 1] += a * b
-        return TruncatedSeries(n, out)
+        n, out = self.order, [0] * self.order
+        for i, a in enumerate(self.nums[:n - 1]):
+            if a:
+                for j, b in enumerate(other.nums[:n - 1 - i], start=i + 1):
+                    out[j] += a * b
+        return self._reduced(n, out, self.den * other.den)
 
     def alt(self):
         """f(-t), negated: the substitution t -> -t with an outer minus."""
-        return TruncatedSeries(
-            self.order, [-c if n % 2 == 0 else c for n, c in enumerate(self.coeffs, start=1)]
-        )
+        return self._reduced(self.order, [-a if i % 2 else a for i, a in enumerate(self.nums)],
+                             self.den)
 
     def compose(self, inner):
         """self(inner(t)); inner has zero constant term by construction."""
         self._match(inner)
-        return _apply_tail(lambda k: self.coeffs[k - 1], inner)
+        return _apply_tail(lambda k: (self.nums[k - 1], self.den), inner)
 
     def _match(self, other):
         if self.order != other.order:
@@ -85,39 +93,41 @@ class TruncatedSeries:
 
 
 def _apply_tail(tail_coeff, u):
-    """sum_{k>=1} tail_coeff(k) u^k, truncated at u.order, summed in place."""
+    """sum_{k>=1} tail_coeff(k) u^k to u.order, tail_coeff(k) a pair (numerator, den > 0),
+    summed as LinComb.sum sums: over a common denominator, raised to an lcm as needed.
+    """
     n = u.order
-    out = [Fraction(0)] * n
-    power = u
+    out, common, power = [0] * n, 1, u
     for k in range(1, n + 1):
-        c = tail_coeff(k)
-        if c:
-            for i, p in enumerate(power.coeffs):
-                out[i] += c * p
+        num, den = tail_coeff(k)
+        if num:
+            den *= power.den
+            if common % den:
+                m = lcm(common, den) // common
+                common *= m
+                out = [a * m for a in out]
+            num *= common // den
+            for i, p in enumerate(power.nums):
+                out[i] += num * p
         if k < n:
             power = power * u
-    return TruncatedSeries(n, out)
+    return TruncatedSeries._reduced(n, out, common)
 
 
 def sqrt1m(u):
     """sqrt(1 - u) - 1 as a series with zero constant term."""
-    def coeff(k):
-        # binomial(1/2, k) * (-1)^k
-        num = Fraction(1)
-        for i in range(k):
-            num *= Fraction(1, 2) - i
-        return num / factorial(k) * (-1) ** k
-    return _apply_tail(coeff, u)
+    # binomial(1/2, k) * (-1)^k = -binomial(2k, k) / ((2k - 1) 4^k)
+    return _apply_tail(lambda k: (-comb(2 * k, k), (2 * k - 1) * 4 ** k), u)
 
 
 def log1p(u):
     """log(1 + u)."""
-    return _apply_tail(lambda k: Fraction((-1) ** (k + 1), k), u)
+    return _apply_tail(lambda k: ((-1) ** (k + 1), k), u)
 
 
 def expm1(u):
     """exp(u) - 1."""
-    return _apply_tail(lambda k: Fraction(1, factorial(k)), u)
+    return _apply_tail(lambda k: (1, factorial(k)), u)
 
 
 def catalan_series(order):
@@ -133,7 +143,7 @@ _SERIES = {
     "Com": lambda t: expm1(t),
     "Lie": lambda t: TruncatedSeries(t.order, [Fraction(1, n) for n in range(1, t.order + 1)]),
     "Mag": lambda t: catalan_series(t.order),
-    "Dup": lambda t: _apply_tail(lambda k: Fraction(1), catalan_series(t.order)),  # c / (1 - c)
+    "Dup": lambda t: _apply_tail(lambda k: (1, 1), catalan_series(t.order)),  # c / (1 - c)
     "Dup!": lambda t: TruncatedSeries(t.order, list(range(1, t.order + 1))),
     "Nil": lambda t: TruncatedSeries(t.order, [1, 1]),
     "Sab": lambda t: log1p(catalan_series(t.order)),

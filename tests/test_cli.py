@@ -171,6 +171,10 @@ def test_exit_two_on_usage_errors(capsys):
         (["trees", "cut", "--tree", "((.,.),.)", "--index", "0"],
          "cut index 0 out of range for a tree with 3 leaves"),
         (["series", "--show", "Dup", "--order", "0"], "order must be >= 1"),
+        (["series", "--show", "Dup", "--check", "triple", "--names", "As"],
+         "series --show takes no --check or --names"),
+        (["series", "--show", "Dup", "--names", "Dup,Nil"],
+         "series --show takes no --check or --names"),
         (["series", "--check", "triple", "--names", "Com,As,Lie", "--order", "0"],
          "order must be >= 1"),
         (["series", "--check", "koszul", "--names", "Dup,Nil", "--order", "-1"],

@@ -786,6 +786,7 @@ def test_iterated_coproduct_of_a_non_integral_coproduct():
 )
 def test_structure_iso_dimension_counts(name, c, p):
     assert _STRUCTURE_TRIPLES[name] == (c, p)
-    report = verify_structure_iso(get_model(name), 6)
+    report = verify_structure_iso(get_model(name), 9)
     assert report.ok
+    assert [n for (n, _, _) in report.per_degree] == list(range(1, 10))
     assert all(da == comp for (_, da, comp) in report.per_degree)
