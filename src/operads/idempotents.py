@@ -5,7 +5,15 @@ Every idempotent is a map from a basis key to its image LinComb, which
 (GradedEndo); only materializing takes a degree bound.  The versal
 idempotent is the model's own memo, built by the PBW recursion of its
 splitting (see models.Splitting); on an associative splitting that memo
-reads the reduced coproduct of each key once and never decompose.  The
+reads the reduced coproduct of each key once and never decompose.  On
+`as` and `dup` it answers a product key with zero: e(x) = 0 as soon as a
+term a x b of Delta(x) has mu(a, b) = x.  That needs mu associative and
+the nui relation Delta(uv) = u x v + Delta(u) v + u Delta(v), so x = uv
+puts u x v in Delta(x); by induction on the degree,
+e(uv) = uv - e(u) v - sum e(u_1)(u_2 v) - sum e(u v_1) v_2
+      = uv - e(u) v - (u - e(u)) v - 0 = 0.
+The exponential recursion of `classical` (e(xy) = (xy - yx)/2), the tree
+splittings and a wrapped product kernel take the whole recursion.  The
 product formula over the omega^[n], read off decompose (on an associative
 splitting the per-key memo of tensor powers that its components share a
 builder with), and, on the classical model, the Eulerian idempotent

@@ -594,6 +594,22 @@ def _associative_splitting(coproduct, product, exponential=False):
     c e(a) b.  With 1/n! the arity-n terms of x add up to e^{*n}(x) / n!, so
     e(x) = x - sum over n >= 2 of e^{*n}(x) / n!, read off the per-key list
     [e, e*e, ...] of convolution powers.
+
+    With scalar 1 and a product declared in _KEY_MAPS, e kills products:
+    e(x) = 0 as soon as a term a x b of Delta(x) has key_map(a, b) = x, and
+    a left factor a with e(a) = 0 adds nothing.  The rule needs the product
+    associative and the nui relation Delta(uv) = u x v + Delta(u) v +
+    u Delta(v), which hold for (as_deconcat, as_concat) and
+    (dup_coproduct, dup_right).  By nui, x = uv puts u x v in Delta(x) with
+    coefficient 1, and by induction on the degree
+        e(uv) = uv - e(u) v - sum e(u_1)(u_2 v) - sum e(u v_1) v_2
+              = uv - e(u) v - (u - e(u)) v - 0 = 0,
+    the middle sum being (u - e(u)) v by the recursion at u and the last
+    one zero by induction.  The test is read off the key's own terms of
+    Delta, so the coproduct memo is filled for every key the versal memo
+    reads.  It does not cover the exponential branch (classical, where
+    e(xy) = (xy - yx)/2), the tree splittings, or a product kernel not in
+    _KEY_MAPS (a wrapped one): these take the whole recursion.
     """
     # pieces are interned: the memo keeps one string per distinct key
     delta = _Memo(lambda key, _: LinComb(
@@ -620,12 +636,20 @@ def _associative_splitting(coproduct, product, exponential=False):
         def versal(key):
             return powers(key)[0]
     else:
+        key_map = _KEY_MAPS.get(kernel)
+
         def step(key, e):
             rests = {}  # the terms c a x b of Delta(key), grouped by a
             for (a, b), c in delta(key).items():
+                if key_map is not None and key_map(a, b) == key:
+                    return LinComb.zero()  # key = ab, and e kills products
                 rests.setdefault(a, {})[b] = c
-            return LinComb.sum([(LinComb.of(key), 1)] + [
-                (product(e(a), LinComb(rest)), -1) for a, rest in rests.items()])
+            terms = [(LinComb.of(key), 1)]
+            for a, rest in rests.items():
+                left = e(a)
+                if left:
+                    terms.append((product(left, LinComb(rest)), -1))
+            return LinComb.sum(terms)
         versal = _Memo(step)
     return Splitting(cooperations(LinComb.of), lambda n: [None], _operations(fold), versal,
                      cooperations(versal), (coproduct, kernel), (coproduct, delta))

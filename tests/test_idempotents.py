@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from operads import idempotents
+from operads import idempotents, models
 from operads.idempotents import (
     ConvolutionContext,
     dynkin,
@@ -184,6 +184,58 @@ def test_versal_equals_first_eulerian_on_classical(alphabet, deg):
     model = get_model("classical", alphabet)
     ctx = ConvolutionContext(model)
     assert versal_idempotent(model, max_degree=deg) == eulerian(ctx, 1, deg)
+
+
+@pytest.mark.parametrize("name, alphabet, step", [
+    ("as", 1, 1), ("as", 2, 1), ("dup", 1, 1), ("dup", 2, 1),
+    # every 50th degree-6 key pair and key, as in the tower reference test
+    ("dup", 3, 50),
+])
+def test_the_versal_memo_kills_products_and_fixes_the_free_keys(name, alphabet, step):
+    # e(mu(a, b)) = 0 on every key pair; a key outside the image of mu on key
+    # pairs has coefficient 1 at itself, and those keys are the nonzero images
+    model = get_model(name, alphabet)
+    e = model.splitting.versal
+    key_map = models._KEY_MAPS[model.splitting.kernels[1]]
+    for n in range(1, 7):
+        sample = step if n == 6 else 1
+        pairs = [(a, b) for p in range(1, n) for a in model.basis(p) for b in model.basis(n - p)]
+        products = {key_map(a, b) for a, b in pairs}
+        for a, b in pairs[::sample]:
+            assert not e(key_map(a, b)), (a, b)
+        keys = model.basis(n)[::sample]
+        free = [key for key in keys if key not in products]
+        assert all(e(key).coeff(key) == 1 for key in free)
+        assert [key for key in keys if e(key)] == free
+        if sample == 1:
+            assert len(free) == (catalan(n - 1) * alphabet ** n if name == "dup"
+                                 else alphabet if n == 1 else 0)
+
+
+@pytest.mark.parametrize("name, alphabet, degree", [
+    ("dup", 1, 6), ("dup", 2, 5), ("as", 2, 5), ("classical", 2, 5),
+])
+def test_the_product_skip_changes_no_versal_value(name, alphabet, degree, monkeypatch):
+    # with the splitting's product kernel undeclared, the versal memo takes the
+    # whole recursion on every key: the values and their term order are the same
+    skip = get_model(name, alphabet)
+    kernel = skip.splitting.kernels[1]
+    keys = skip.basis(degree)
+    on = [skip.splitting.versal(key) for key in keys]
+    monkeypatch.delitem(models._KEY_MAPS, kernel)
+    full = get_model(name, alphabet).splitting.versal
+    assert [(list(v.terms.items()), v.den) for v in on] == [
+        (list(full(key).terms.items()), full(key).den) for key in keys]
+    if isinstance(full, _Memo):
+        for key, value in skip.splitting.versal.values.items():
+            assert value == full(key), key
+        # the skip is taken: a product key reads none of its left factors
+        assert len(skip.splitting.versal.values) < len(full.values)
+    else:
+        # classical keeps its exponential path: xy = x y has a nonzero image,
+        # e(xy) = (xy - yx)/2, so a key taking the skip would differ
+        assert skip.splitting.versal("xy") == LinComb([("xy", Fraction(1, 2)),
+                                                       ("yx", Fraction(-1, 2))])
 
 
 def test_eulerian_family_is_a_complete_orthogonal_system():

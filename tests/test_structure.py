@@ -504,10 +504,15 @@ def count_cuts(monkeypatch, kernel):
 
 
 def test_versal_idempotent_cuts_each_key_once(monkeypatch):
-    # every arity and every key of one model's versal memo read one coproduct memo
+    # every arity and every key of one model's versal memo read one coproduct
+    # memo; a product key, whose image is zero, is cut too, so the memo that
+    # check_h2 and pbw_expand read next holds every basis key
     seen = count_cuts(monkeypatch, "dup_coproduct")
-    versal_idempotent(get_model("dup", 1), 6)
-    assert seen and set(seen.values()) == {1}
+    model = get_model("dup", 1)
+    versal_idempotent(model, 6)
+    every = {key for n in range(1, 7) for key in model.basis(n)}
+    assert set(seen) == every and set(seen.values()) == {1}
+    assert set(model.splitting.cuts[1].values) == every
 
 
 def without_decompose(model, reader):
