@@ -225,7 +225,7 @@ def test_the_product_skip_changes_no_versal_value(name, alphabet, degree, monkey
     monkeypatch.delitem(models._KEY_MAPS, kernel)
     full = get_model(name, alphabet).splitting.versal
     assert [(list(v.terms.items()), v.den) for v in on] == [
-        (list(full(key).terms.items()), full(key).den) for key in keys]
+        (list(v.terms.items()), v.den) for v in map(full, keys)]
     if isinstance(full, _Memo):
         for key, value in skip.splitting.versal.values.items():
             assert value == full(key), key
