@@ -151,19 +151,22 @@ def key_parts(key):
 
 def _graft_keys(graft, k1, k2):
     """The key of graft(tree1, tree2), decorated with the two words joined."""
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return tree_key(graft(t1, t2), w1 + w2)
+    t1, _, w1 = k1.partition(":")
+    t2, _, w2 = k2.partition(":")
+    return graft(t1, t2) + ":" + w1 + w2
 
 
 def _cut_keys(key, cuts, extra):
-    """Sum of (t1:w[:p]) x (t2:w[p:]) over (t1, t2) in cuts(t), p = leaves(t1) - extra."""
-    t, w = key_parts(key)
-    out = []
+    """Sum of (t1:w[:p]) x (t2:w[p:]) over (t1, t2) in cuts(t), p = leaves(t1) - extra.
+
+    Each cut is one term with coefficient 1: every cut family passed here lists distinct
+    cuts (path cut i has i + 1 left leaves, edge cuts' factors strictly shrink, one root split)."""
+    t, _, w = key.partition(":")
+    out = {}
     for t1, t2 in cuts(t):
-        p = leaf_count(t1) - extra
-        out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
-    return LinComb(out)
+        p = t1.count(LEAF) - extra
+        out[t1 + ":" + w[:p], t2 + ":" + w[p:]] = 1
+    return _over(out, 1)
 
 
 def _word_stem(key):
@@ -252,10 +255,10 @@ def mag_product(k1, k2):
 
 def mag_split(key):
     """The unique factorization of a non-generator Mag basis key."""
-    t, w = key_parts(key)
+    t, _, w = key.partition(":")
     l, r = trees.split(t)
-    nl = leaf_count(l)
-    return tree_key(l, w[:nl]), tree_key(r, w[nl:])
+    nl = l.count(LEAF)
+    return l + ":" + w[:nl], r + ":" + w[nl:]
 
 
 def mag_dual_coproduct(key):
@@ -265,8 +268,7 @@ def mag_dual_coproduct(key):
 
 @lru_cache(maxsize=None)
 def _mag_liv_key(key):
-    t, _ = key_parts(key)
-    if t == LEAF:
+    if key[0] == LEAF:  # a generator, .:letter
         return LinComb.zero()
     ka, kb = mag_split(key)
     terms = [((ka, kb), 1)]
@@ -282,8 +284,7 @@ def mag_livernet_coproduct(key):
 
 @lru_cache(maxsize=None)
 def _mag_hopf_key(key):
-    t, _ = key_parts(key)
-    if t == LEAF:
+    if key[0] == LEAF:  # a generator, .:letter
         return LinComb.zero()
     ka, kb = mag_split(key)
     da = _mag_hopf_key(ka)
@@ -306,7 +307,7 @@ def mag_hopf_coproduct(key):
 
 # --- free duplicial algebra --------------------------------------------------
 
-# the graftings are looked up at call time, so a traced trees.under/over counts each one
+# keys split inline, graftings looked up as trees.under/over at call time: a trace counts each
 @_monomial
 def dup_left(k1, k2):
     """x < y, realized by the Under grafting t\\s."""

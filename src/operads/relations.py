@@ -23,7 +23,7 @@ from importlib import resources
 from math import lcm
 
 from .errors import UsageError
-from .linalg import LinComb, _coef, as_slots
+from .linalg import LinComb, _coef
 from .models import _key_items, _standard, _word_stem, iterated_coproduct, reduction
 from .structure import _one_letter_basis
 
@@ -119,14 +119,15 @@ def _require_symbols(model, name, expr):
 
 class _Images(dict):
     """One kernel's images, each computed on its first read: a key, or a key
-    pair for a product, -> the image's (key, int or Fraction coefficient) items."""
+    pair for a product, unpacked into its two arguments, -> the image's items."""
     __slots__ = ("fn",)
 
     def __init__(self, fn):
         self.fn = fn
 
     def __missing__(self, keys):
-        items = self[keys] = tuple(self.fn(*as_slots(keys)).items())
+        image = self.fn(*keys) if type(keys) is tuple else self.fn(keys)
+        items = self[keys] = tuple(image.items())
         return items
 
 
@@ -140,7 +141,7 @@ def _plans(images, expr, model, mu, delta):
     reads them without resolving a symbol or hashing expr.
     """
     last = images.get(None)
-    if last and last[0] is expr and last[1] is model and last[2:4] == (mu, delta):
+    if last and last[0] is expr and last[1] is model and last[2] == mu and last[3] == delta:
         return last[4]
 
     def table(fn):
@@ -163,11 +164,11 @@ def _plans(images, expr, model, mu, delta):
 
 def _pair(plans, a, b, scale, out):
     """Add scale * RHS(a, b), for basis keys a and b, into out: (u, v) -> numerator."""
-    get = out.get
+    get, ida, idb = out.get, (((a,), 1),), (((b,), 1),)
     for num, ta, tb, (t1, i1, j1), (t2, i2, j2) in plans:
         num *= scale
-        for sa, x in (((a,), 1),) if ta is None else ta[a]:
-            for sb, y in (((b,), 1),) if tb is None else tb[b]:
+        for sa, x in ida if ta is None else ta[a]:
+            for sb, y in idb if tb is None else tb[b]:
                 flat, c = sa + sb, num * x * y
                 first = ((flat[i1], 1),) if t1 is None else t1[flat[i1], flat[j1]]
                 second = ((flat[i2], 1),) if t2 is None else t2[flat[i2], flat[j2]]
@@ -195,8 +196,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
     """
     if len(args) != 2:
         raise ValueError("expected 2 arguments, got %d" % len(args))
-    images = {} if images is None else images
-    plans = _plans(images, expr, model, mu, delta)
+    plans = _plans({} if images is None else images, expr, model, mu, delta)
     out = {} if into is None else into
     la, lb = args
     for a, x in la.terms.items():
@@ -240,9 +240,7 @@ def check_nap_colaw(model, delta_sym, max_degree):
         for key in model.basis(n):
             lc = _as_lincomb(key)
             lhs = twice(lc)
-            rhs = LinComb(
-                ((k[0], k[2], k[1]), c) for k, c in lhs.items()
-            )
+            rhs = LinComb(((k[0], k[2], k[1]), c) for k, c in lhs.items())
             checked += 1
             if lhs != rhs:
                 return RelationReport(

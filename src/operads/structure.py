@@ -34,7 +34,8 @@ def multilinear_basis(model, n, letters=LETTERS):
 
 def _one_letter_basis(model, n):
     """The degree-n basis keys on the word x...x, in basis order, built without listing basis(n)."""
-    return [k for k in multilinear_basis(model, n, LETTERS[0] * n) if model.is_key(k)]
+    keys = multilinear_basis(model, n, LETTERS[0] * n)
+    return keys if model.is_key(keys[0]) else []  # one shared word: nil's degree bound decides all
 
 
 def generator_key(model, letter):

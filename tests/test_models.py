@@ -318,10 +318,20 @@ def test_dup_coproduct_is_coassociative_to_degree_6():
 
 # --- the graft and cut kernels against one kernel per operation ----------------
 
-def ref_mag_prod_key(k1, k2):
+def ref_cut_keys(key, cuts, extra):
+    """The cut image rebuilt through key_parts, tree_key, leaf_count and LinComb(list)."""
+    t, w = key_parts(key)
+    out = []
+    for t1, t2 in cuts(t):
+        p = trees.leaf_count(t1) - extra
+        out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
+    return LinComb(out)
+
+
+def ref_graft_keys(graft, k1, k2):
     t1, w1 = key_parts(k1)
     t2, w2 = key_parts(k2)
-    return lc(tree_key(trees.vee(t1, t2), w1 + w2))
+    return LinComb([(tree_key(graft(t1, t2), w1 + w2), 1)])
 
 
 def ref_vee_keys(k1, k2):
@@ -330,16 +340,10 @@ def ref_vee_keys(k1, k2):
     return tree_key(trees.vee(t1, t2), w1 + w2)
 
 
-def ref_dup_left_key(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return lc(tree_key(trees.under(t1, t2), w1 + w2))
-
-
-def ref_dup_right_key(k1, k2):
-    t1, w1 = key_parts(k1)
-    t2, w2 = key_parts(k2)
-    return lc(tree_key(trees.over(t1, t2), w1 + w2))
+def ref_mag_split(key):
+    t, w = key_parts(key)
+    l, r = trees.split(t)
+    return tree_key(l, w[:trees.leaf_count(l)]), tree_key(r, w[trees.leaf_count(l):])
 
 
 def ref_mag_dual_key(key):
@@ -358,19 +362,11 @@ def ref_dup_coproduct_key(key):
     return LinComb(out)
 
 
-def _ref_edge_cut_key(cuts):
-    def kernel(key):
-        t, w = key_parts(key)
-        out = []
-        for t1, t2 in cuts(t):
-            p = trees.leaf_count(t1) - 1
-            out.append(((tree_key(t1, w[:p]), tree_key(t2, w[p:])), 1))
-        return LinComb(out)
-    return kernel
-
-
-ref_dup_dleft_key = _ref_edge_cut_key(models._right_edge_cuts)
-ref_dup_dright_key = _ref_edge_cut_key(models._left_edge_cuts)
+ref_mag_prod_key = partial(ref_graft_keys, trees.vee)
+ref_dup_left_key = partial(ref_graft_keys, trees.under)
+ref_dup_right_key = partial(ref_graft_keys, trees.over)
+ref_dup_dleft_key = partial(ref_cut_keys, cuts=models._right_edge_cuts, extra=1)
+ref_dup_dright_key = partial(ref_cut_keys, cuts=models._left_edge_cuts, extra=1)
 
 
 def keys_through(model, degree):
@@ -387,7 +383,7 @@ def test_tree_kernels_match_one_kernel_per_operation():
         (models.dup_dright, ref_dup_dright_key, dup),
     ]:
         for _, k in keys_through(model, 4):
-            assert key_fn(k) == ref(k), (ref.__name__, k)
+            assert key_fn(k) == ref(k), (ref, k)
     for product, ref, model in [
         (mag_product, ref_mag_prod_key, mag),
         (dup_left, ref_dup_left_key, dup),
@@ -396,9 +392,41 @@ def test_tree_kernels_match_one_kernel_per_operation():
         keys = keys_through(model, 4)
         for (n1, k1), (n2, k2) in itertools.product(keys, repeat=2):
             if n1 + n2 <= 5:
-                assert product(k1, k2) == ref(k1, k2), (ref.__name__, k1, k2)
+                assert product(k1, k2) == ref(k1, k2), (ref, k1, k2)
                 if model is mag:
                     assert models._vee_keys(k1, k2) == ref_vee_keys(k1, k2)
+
+
+def _root_split(t):
+    return [] if t == LEAF else [trees.split(t)]
+
+
+@pytest.mark.parametrize("name,alphabet,top", [("dup", 1, 8), ("dup", 2, 5), ("mag", 2, 5)])
+def test_one_pass_tree_kernels_match_the_split_and_rebuild_reference(name, alphabet, top):
+    model = get_model(name, alphabet)
+    keys = keys_through(model, top)
+    cut_kernels = {
+        "dup": [(dup_coproduct, lambda t: trees.path_cuts(t)[1:-1], 1),
+                (models.dup_dleft, models._right_edge_cuts, 1),
+                (models.dup_dright, models._left_edge_cuts, 1)],
+        "mag": [(mag_dual_coproduct, _root_split, 0)],
+    }[name]
+    for _, k in keys:
+        t, _ = key_parts(k)
+        for kernel, cuts, extra in cut_kernels:
+            got, want = kernel(k), ref_cut_keys(k, cuts, extra)
+            # the same terms in the same order, and one term per cut: no two cuts merge
+            assert (list(got.items()), got.den) == (list(want.items()), want.den), (k, kernel)
+            assert len(got) == len(cuts(t)), (k, kernel)
+        if name == "mag" and t != LEAF:
+            assert models.mag_split(k) == ref_mag_split(k), k
+    grafts = {"dup": [(dup_left, trees.under), (dup_right, trees.over)],
+              "mag": [(mag_product, trees.vee)]}[name]
+    for (n1, k1), (n2, k2) in itertools.product(keys, repeat=2):
+        if n1 + n2 <= top:
+            for product, graft in grafts:
+                got, want = product(k1, k2), ref_graft_keys(graft, k1, k2)
+                assert (got.terms, got.den) == (want.terms, want.den), (k1, k2, product)
 
 
 # --- Lie -----------------------------------------------------------------------

@@ -455,6 +455,49 @@ def test_check_relation_computes_each_coproduct_image_once_on_both_sides():
     assert sum(calls.values()) <= 2 + 4 + 8 + 16 + 32 == 62
 
 
+def test_check_relation_calls_eval_compat_once_per_checked_pair(monkeypatch):
+    calls = []
+
+    def counted(*args, evaluate=relations.eval_compat, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(relations, "eval_compat", counted)
+    report = check_relation(get_model("dup", 1), "delta", "left", "nui", 5)
+    assert report.holds
+    assert report.checked_pairs == _pairs_up_to(lambda d: comb(2 * d, d) // (d + 1), 5)
+    assert len(calls) == report.checked_pairs
+
+
+def test_a_shared_images_dict_resolves_the_plans_again_when_mu_or_delta_changes():
+    model, expr = get_model("dup", 1), get_relation("nui")
+    a, b = (relations._as_lincomb(k) for k in model.basis(2))
+    shared, last = {}, None
+    # each step changes only mu or only delta, for the same expr and model
+    for mu, delta in [("left", "delta"), ("right", "delta"), ("right", "dleft"),
+                      ("right", "dright"), ("left", "dright"), ("left", "delta")]:
+        want = reference_eval_compat(expr, model, (a, b), mu, delta)
+        assert want != last  # stale plans would give the last pair's sum
+        assert eval_compat(expr, model, (a, b), mu, delta, images=shared) == want, (mu, delta)
+        last = want
+
+
+def test_eval_compat_on_scaled_single_keys_matches_the_lincomb_evaluation():
+    for name in ("as", "dup", "mag"):
+        model = get_model(name, 2)
+        a = LinComb.of(model.basis(2)[1], 3)
+        b = LinComb.of(model.basis(1)[0], Fraction(1, 2))
+        for rel in ("nui", "hopf", "magmatic"):
+            expr = get_relation(rel)
+            delta, mu = next(iter(model.key_coproducts)), next(iter(model.key_products))
+            for la, lb in [(a, b), (b, a), (a, a), (b, b)]:
+                want = reference_eval_compat(expr, model, (la, lb), mu, delta)
+                assert eval_compat(expr, model, (la, lb), mu, delta) == want, (name, rel)
+                into = {}
+                assert eval_compat(expr, model, (la, lb), mu, delta, into=into) is None
+                den = expr.numerators[0] * la.den * lb.den
+                assert LinComb(into).scale(Fraction(1, den)) == want, (name, rel)
+
+
 def test_check_relation_images_table_dies_with_the_call():
     model = get_model("dup", 1)
     calls = Counter()

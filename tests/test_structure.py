@@ -39,6 +39,17 @@ def test_multilinear_basis_sizes():
     assert len(multilinear_basis(get_model("mag", 1), 4)) == catalan(3)
 
 
+def test_one_letter_basis_checks_one_key_per_degree():
+    assert structure._one_letter_basis(get_model("nil", 2), 3) == []
+    for name in models.model_names():
+        model = get_model(name, 2)
+        if not isinstance(model.basis(1)[0], str):  # lie: no basis keys
+            continue
+        for n in range(1, 8):
+            every = [k for k in multilinear_basis(model, n, "x" * n) if model.is_key(k)]
+            assert structure._one_letter_basis(model, n) == every, (name, n)
+
+
 def test_generator_key_shapes():
     assert generator_key(get_model("as", 2), "y") == "y"
     assert generator_key(get_model("mag", 1), "y") == tree_key(".", "y")
