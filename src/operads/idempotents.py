@@ -7,17 +7,13 @@ idempotent is the model's own memo, built by the PBW recursion of its
 splitting (see models.Splitting); on an associative splitting that memo
 reads the reduced coproduct of each key once and never decompose.  On
 `as` and `dup` it answers a product key with zero: e(x) = 0 as soon as a
-term a x b of Delta(x) has mu(a, b) = x.  That needs mu associative and
-the nui relation Delta(uv) = u x v + Delta(u) v + u Delta(v), so x = uv
-puts u x v in Delta(x); by induction on the degree,
-e(uv) = uv - e(u) v - sum e(u_1)(u_2 v) - sum e(u v_1) v_2
-      = uv - e(u) v - (u - e(u)) v - 0 = 0.
-The exponential recursion of `classical` (e(xy) = (xy - yx)/2), the tree
-splittings and a wrapped product kernel take the whole recursion.  The
-product formula over the omega^[n], read off decompose (on an associative
-splitting the per-key memo of tensor powers that its components share a
-builder with), and, on the classical model, the Eulerian idempotent
-e^(1) = log*(Id) are independent constructions of the same map.
+term a x b of Delta(x) has mu(a, b) = x, by the nui relation; the proof,
+and the cases that take the whole recursion, are in
+models._associative_splitting.  The product formula over the omega^[n],
+read off decompose (on an associative splitting the per-key memo of tensor
+powers that its components share a builder with), and, on the classical
+model, the Eulerian idempotent e^(1) = log*(Id) are independent
+constructions of the same map.
 Convolution powers are kept per key by linalg._power_memo:
 powers(key) = [f(key), f*f(key), ...], where f^{*n}(key) is the sum of
 c mul(f(k1), f^{*(n-1)}(k2)) over the reduced coproduct (k1, k2, c) of the

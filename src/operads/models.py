@@ -10,12 +10,12 @@ as in the paper: a product is a kernel (key, key) -> LinComb and a
 coproduct a kernel key -> LinComb, under its module-level name.  As, Mag
 and Dup are set operads, so concatenation and the three graftings send two
 keys to one key with coefficient 1: each of them is declared as its key map
-(k1, k2) -> key (see _monomial), and a product extended to LinCombs, the
-left side of a relation check and the bicomplex differential add c1 c2 at
-that key without building a LinComb per pair.  Each model packages its
-graded basis and its kernels behind one interface, and BialgebraModel
-extends the kernels to LinCombs in one place, so the relation checker and
-the idempotent engine can treat them uniformly.
+(k1, k2) -> key (see _monomial): a product extended to LinCombs, a relation
+check's left side and product tables and the bicomplex differential read
+that key (through _key_items on keys) and build no LinComb per pair.  Each
+model packages its graded basis and its kernels behind one interface, and
+BialgebraModel extends the kernels to LinCombs in one place, so the
+relation checker and the idempotent engine can treat them uniformly.
 A model with a coalgebra splitting keeps per-key memos of each key's
 labeled cooperations and of its PBW components (the same with the versal
 idempotent in every slot), and looks up the splitting operation of each
@@ -80,10 +80,11 @@ def _monomial(key_map):
 
 
 def _key_items(kernel):
-    """(k1, k2) -> the (key, coefficient) items of kernel(k1, k2).
+    """(k1, k2) -> the (key, coefficient) items of the product kernel(k1, k2).
 
-    A kernel declared in _KEY_MAPS is resolved here, once: its items are
-    its key map's one key with coefficient 1, and no LinComb is built.
+    The one reader of product kernels on keys (relation checks, the bicomplex
+    differential).  A kernel declared in _KEY_MAPS is never called: its items
+    are its key map's one key with coefficient 1, and no LinComb is built.
     """
     key_map = _KEY_MAPS.get(kernel)
     if key_map is None:
@@ -92,30 +93,17 @@ def _key_items(kernel):
 
 
 def bilinear(key_fn):
-    """Extend a key-level binary map returning LinCombs to LinComb pairs.
+    """Extend a product kernel (key, key) -> LinComb to LinComb pairs.
 
-    The image of each key pair, times c1 c2, goes straight into one dict of
-    int numerators over a.den b.den; a non-integral image sends all the
-    pairs through LinComb.sum instead.  A one-key product declared in
-    _KEY_MAPS adds c1 c2 at its key map's key(k1, k2) and calls no kernel;
-    any other kernel, a wrapped one too, is called once per pair.
+    A one-key product declared in _KEY_MAPS adds c1 c2 at its key map's
+    key(k1, k2) in one dict of int numerators over a.den b.den and calls
+    no kernel.  Any other kernel, a wrapped one too, is called once per
+    pair, and its images, times c1 c2, go through one LinComb.sum.
     """
     key_map = _KEY_MAPS.get(key_fn)
-    if key_map is not None:
-        def ext(a, b):
-            right = b.terms.items()
-            out = {}
-            get = out.get
-            for k1, c1 in a.terms.items():
-                for k2, c2 in right:
-                    k = key_map(k1, k2)
-                    x = get(k, 0) + c1 * c2
-                    if x:
-                        out[k] = x
-                    else:
-                        del out[k]
-            return _over(out, a.den * b.den)
-        return ext
+    if key_map is None:
+        return lambda a, b: LinComb.sum(((key_fn(k1, k2), c1 * c2) for k1, c1 in a.terms.items()
+                                         for k2, c2 in b.terms.items()), a.den * b.den)
 
     def ext(a, b):
         right = b.terms.items()
@@ -123,17 +111,12 @@ def bilinear(key_fn):
         get = out.get
         for k1, c1 in a.terms.items():
             for k2, c2 in right:
-                image = key_fn(k1, k2)
-                if image.den != 1:
-                    return LinComb.sum(((key_fn(u, v), d * e) for u, d in a.terms.items()
-                                        for v, e in right), a.den * b.den)
-                c = c1 * c2
-                for k, d in image.terms.items():
-                    x = get(k, 0) + c * d
-                    if x:
-                        out[k] = x
-                    else:
-                        del out[k]
+                k = key_map(k1, k2)
+                x = get(k, 0) + c1 * c2
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
         return _over(out, a.den * b.den)
     return ext
 
@@ -664,10 +647,10 @@ class BialgebraModel:
     a kernel (key, key) -> LinComb, key_coproducts to a kernel
     key -> LinComb.  products and coproducts are their linear extensions to
     LinCombs, built here and nowhere else; a caller with keys in hand calls
-    the kernel.  A product kernel declared as a one-key product (see
-    _monomial) is extended through its key map, one dict entry per pair of
-    terms and no kernel call; any other one, a wrapper of one too, is called
-    once per pair.  The versal, Eulerian and geometric idempotents,
+    a coproduct kernel and reads a product through _key_items.  Both read a
+    one-key product (see _monomial) through its key map, one key per pair
+    of terms and no kernel call; any other one, a wrapper of one too, is
+    called once per pair.  The versal, Eulerian and geometric idempotents,
     primitive_part and check_relation read a map made only of "lift"
     kernels of the _RENAMING table off the one-letter keys, and answer one
     orbit of the letter permutations at a time where its kernels are all

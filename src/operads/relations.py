@@ -118,16 +118,16 @@ def _require_symbols(model, name, expr):
 
 
 class _Images(dict):
-    """One kernel's images, each computed on its first read: a key, or a key
-    pair for a product, unpacked into its two arguments, -> the image's items."""
+    """One kernel's images, each computed on its first read: a key -> the items
+    of fn(key) for a coproduct, a key pair -> fn(k1, k2) for a product, whose
+    fn is _key_items of its kernel: a one-key product builds no LinComb."""
     __slots__ = ("fn",)
 
     def __init__(self, fn):
         self.fn = fn
 
     def __missing__(self, keys):
-        image = self.fn(*keys) if type(keys) is tuple else self.fn(keys)
-        items = self[keys] = tuple(image.items())
+        items = self[keys] = tuple(self.fn(*keys) if type(keys) is tuple else self.fn(keys).items())
         return items
 
 
@@ -144,17 +144,18 @@ def _plans(images, expr, model, mu, delta):
     if last and last[0] is expr and last[1] is model and last[2] == mu and last[3] == delta:
         return last[4]
 
-    def table(fn):
-        return images.setdefault(fn, _Images(fn))
+    def table(kind, sym, read=lambda fn: fn):
+        fn = model.lookup(kind, sym)
+        return images.setdefault(fn, _Images(read(fn)))
     plans = []
     for term, num in zip(expr.terms, expr.numerators[1]):
         plan, pos = [num], 0
         for sym in term.in_coops:
             plan.append(None if sym == "id" else table(
-                model.lookup("key_coproducts", delta if sym == "delta" else sym)))
+                "key_coproducts", delta if sym == "delta" else sym))
         for sym in term.out_ops:
             op = None if sym == "id" else table(
-                model.lookup("key_products", mu if sym == "mu" else sym))
+                "key_products", mu if sym == "mu" else sym, _key_items)
             plan.append((op, term.perm[pos], None if op is None else term.perm[pos + 1]))
             pos += 1 if op is None else 2
         plans.append(plan)

@@ -136,5 +136,6 @@ def test_the_suite_builds_each_slice_once(monkeypatch):
 def test_degree_tuples_are_the_compositions_in_lexicographic_order():
     for n in range(1, 9):
         for k in range(1, n + 1):
+            # each of k positive parts summing to n is at most n - k + 1
             assert homology._degree_tuples(n, k) == [
-                t for t in itertools.product(range(1, n + 1), repeat=k) if sum(t) == n], (n, k)
+                t for t in itertools.product(range(1, n - k + 2), repeat=k) if sum(t) == n], (n, k)

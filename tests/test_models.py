@@ -133,7 +133,7 @@ def test_concat_is_associative_and_deconcat_coassociative():
 
 
 def test_bilinear_matches_the_sum_of_its_pair_images():
-    # the reference adds one LinComb per pair of terms; bilinear adds numerators in one dict
+    # the reference sums one LinComb per pair of terms, term order and denominator included
     def half_bracket(u, v):  # non-integral: (uv - vu) / 2
         return LinComb(((u + v, Fraction(1, 2)), (v + u, Fraction(-1, 2))))
 

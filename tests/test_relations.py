@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from operads import relations
+from operads import models, relations
 from operads.linalg import LinComb
 from operads.models import _RENAMING, BialgebraModel, get_model
 from operads.relations import (
@@ -466,6 +466,22 @@ def test_check_relation_calls_eval_compat_once_per_checked_pair(monkeypatch):
     assert report.holds
     assert report.checked_pairs == _pairs_up_to(lambda d: comb(2 * d, d) // (d + 1), 5)
     assert len(calls) == report.checked_pairs
+
+
+def test_a_declared_one_key_product_fills_the_product_tables_without_a_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(k1, k2):
+        calls.append((k1, k2))
+        return models.dup_right(k1, k2)
+    monkeypatch.setitem(models._KEY_MAPS, counted, models._KEY_MAPS[models.dup_right])
+    plain = get_model("dup", 1)
+    stand_in = dataclasses.replace(plain, key_products={**plain.key_products, "right": counted})
+    report = check_relation(stand_in, "dleft", "right", "bidup_dleft_right", 5)
+    # the left side and the right side's product tables both read the key map
+    assert calls == []
+    want = check_relation(plain, "dleft", "right", "bidup_dleft_right", 5)
+    assert report.to_json_dict() == want.to_json_dict()
 
 
 def test_a_shared_images_dict_resolves_the_plans_again_when_mu_or_delta_changes():
