@@ -15,6 +15,7 @@ classical model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -301,14 +302,14 @@ def cmd_homology(args):
 
 # --- the suite ----------------------------------------------------------------
 
-def _suite_catalan():
+def _suite_catalan(get_model):
     expected = [1, 2, 5, 14, 42, 132]
-    model = get_model("dup", 1)
+    model = get_model("dup")
     got = [len(model.basis(n)) for n in range(1, 7)]
     yield "catalan dup dims 1..6", got == expected
 
 
-def _suite_relations():
+def _suite_relations(get_model):
     checks = [
         ("as", "delta", "mul", "nui", 6),
         ("dup", "delta", "left", "nui", 6),
@@ -329,7 +330,7 @@ def _suite_relations():
     yield "nap colaw on mag liv coproduct deg 5", nap.holds
 
 
-def _suite_idempotents():
+def _suite_idempotents(get_model):
     jobs = [("dup", 6), ("as", 6), ("mag", 6), ("classical", 5)]
     for mname, deg in jobs:
         model = get_model(mname)
@@ -346,7 +347,7 @@ def _suite_idempotents():
             yield "classical Prim dims 2,1,2,3,6", prim == [2, 1, 2, 3, 6]
 
 
-def _suite_eulerian():
+def _suite_eulerian(get_model):
     model = get_model("classical")
     deg = 5
     ctx = ConvolutionContext(model)
@@ -370,7 +371,7 @@ def _dot(model, a, b):
     return model.products["left"](a, b) - model.products["right"](a, b)
 
 
-def _suite_pbw_tables():
+def _suite_pbw_tables(get_model):
     model = get_model("dup", 3)
     lt = model.products["left"]
     rt = model.products["right"]
@@ -414,7 +415,7 @@ def _suite_pbw_tables():
     yield "classical pbw degree 3", ok3
 
 
-def _suite_lily():
+def _suite_lily(get_model):
     model = get_model("lie")
     yield ("lie cobracket lands in Lie x Lie deg 2..3",
            not any(lie_tensor_escape(2, n) for n in (2, 3)))
@@ -427,7 +428,7 @@ def _suite_lily():
            not report.holds and report.first_failure[0] == (1, 3))
 
 
-def _suite_series():
+def _suite_series(get_model):
     yield "series f^As = f^Com o f^Lie order 12", check_triple_identity("Com", "As", "Lie", 12)
     yield "series f^Dup = f^As o f^Mag order 12", check_triple_identity("As", "Dup", "Mag", 12)
     yield "series koszul Dup/Dup! order 12", check_koszul_dual("Dup", "Dup!", 12)
@@ -440,7 +441,7 @@ def _suite_series():
     )
 
 
-def _suite_homology():
+def _suite_homology(get_model):
     slices = [build_bicomplex(n) for n in range(1, 6)]
     for bc in slices:
         yield "bicomplex differentials internal degree %d" % bc.n, check_differentials(bc)
@@ -449,7 +450,7 @@ def _suite_homology():
         yield "homology vanishes internal degree %d" % bc.n, total_homology_dims(bc) == [0] * bc.n
 
 
-def _suite_h2():
+def _suite_h2(get_model):
     expected = {
         "as": "iso",
         "mag": "iso",
@@ -461,9 +462,12 @@ def _suite_h2():
         yield "h2 verdict %s for %s deg 6" % (verdict, name), report.verdict == verdict
 
 
-# The suite: (bundle name, generator of (label, verdict) pairs), in the order
-# of the `suite --<name>` flags and of the printed report.  The acceptance
-# tests run these same generators.
+# The suite: (bundle name, bundle), in the order of the `suite --<name>`
+# flags and of the printed report.  A bundle is a generator function of the
+# run's model getter (get_model's signature, cached by cmd_suite, so a model
+# and its memos live for one run); it yields (label, verdict) pairs and asks
+# for a given model always with the same arguments.  The acceptance tests
+# run these same generators.
 SUITE_BUNDLES = [
     ("catalan", _suite_catalan),
     ("relations", _suite_relations),
@@ -482,13 +486,16 @@ def cmd_suite(args):
                 if args.all or getattr(args, name.replace("-", "_"))]
     if not selected:
         raise UsageError("suite needs at least one bundle flag (or --all)")
+    # one getter per run: each (name, alphabet) is built once and shared, with
+    # its memos, by every bundle of the run, and freed when the run returns
+    shared = functools.cache(get_model)
     failures = 0
     total = 0
     for name, bundle in SUITE_BUNDLES:
         if name not in selected:
             continue
         print("[%s]" % name)
-        for label, ok in bundle():
+        for label, ok in bundle(shared):
             total += 1
             if not ok:
                 failures += 1

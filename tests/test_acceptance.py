@@ -1,12 +1,14 @@
 """End-to-end acceptance: every bundle of `operads suite` passes, run in process.
 
-The checks are the suite's own (`operads.cli.SUITE_BUNDLES`), so the suite
-and its acceptance test cannot drift apart.  Every check is exact rational
+The checks are the suite's own (`operads.cli.SUITE_BUNDLES`), run on one
+shared model getter as in one `suite --all` run, so the suite and its
+acceptance test cannot drift apart.  Every check is exact rational
 arithmetic with tolerance zero.  The full degree <= 4 lie cobracket claim is
 a known defect and is marked xfail; see the test docstring there for the
 precise witnesses.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -22,10 +24,16 @@ def verdict(num, label, ok):
     assert ok, label
 
 
+@pytest.fixture(scope="module")
+def shared_models():
+    # one model getter for all nine bundles, as one `suite --all` run has
+    return functools.cache(get_model)
+
+
 @pytest.mark.parametrize("bundle", [b for _, b in SUITE_BUNDLES],
                          ids=[name for name, _ in SUITE_BUNDLES])
-def test_suite_bundle(bundle):
-    failed = [label for label, ok in bundle() if not ok]
+def test_suite_bundle(bundle, shared_models):
+    failed = [label for label, ok in bundle(shared_models) if not ok]
     assert not failed, failed
 
 

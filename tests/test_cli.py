@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from operads import models
+from operads import cli, models
 from operads.cli import SUITE_BUNDLES, UsageError, main, parse_element
 from operads.idempotents import (ConvolutionContext, eulerian, geometric_idempotent,
                                  versal_idempotent)
@@ -616,6 +616,38 @@ def test_suite_single_bundle():
     assert proc.returncode == 0
     assert "[catalan]" in proc.stdout
     assert "[series]" not in proc.stdout
+
+
+def test_the_suite_builds_each_model_once(monkeypatch, capsys):
+    # the bundles of one run share one model per (name, alphabet); the library's
+    # own get_model calls (dynkin, build_bicomplex) are not counted here
+    built = []
+
+    def counted(name, alphabet=None):
+        model = get_model(name, alphabet)
+        built.append((model.name, model.alphabet))
+        return model
+    monkeypatch.setattr(cli, "get_model", counted)
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--all"])
+    assert exc.value.code == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sorted(built) == [("as", 1), ("bidup", 1), ("classical", 2), ("classical", 3),
+                             ("dup", 1), ("dup", 3), ("lie", 2), ("mag", 1), ("zinb", 2)]
+
+
+def test_shared_models_change_no_verdict(capsys):
+    # a single-bundle run builds its own models; the full run shares them
+    def report(*flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", *flags])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("suite: ")
+        return lines[:-1]
+    alone = [line for name, _ in SUITE_BUNDLES for line in report("--" + name)]
+    assert report("--all") == alone
+    assert len(alone) == 69
 
 
 def test_main_exits_with_code(capsys):

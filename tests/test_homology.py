@@ -15,6 +15,7 @@ from operads.homology import (
     total_matrix,
 )
 from operads.linalg import exact_rank
+from operads.models import get_model
 from operads.trees import catalan
 
 
@@ -128,7 +129,7 @@ def test_the_suite_builds_each_slice_once(monkeypatch):
         return build_bicomplex(n)
     monkeypatch.setattr(homology, "build_bicomplex", counted)
     monkeypatch.setattr(cli, "build_bicomplex", counted)
-    verdicts = [ok for _, ok in cli._suite_homology()]
+    verdicts = [ok for _, ok in cli._suite_homology(get_model)]
     assert len(verdicts) == 10 and all(verdicts)
     assert built == [1, 2, 3, 4, 5]
 

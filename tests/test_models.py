@@ -133,13 +133,18 @@ def test_concat_is_associative_and_deconcat_coassociative():
 
 
 def test_bilinear_matches_the_sum_of_its_pair_images():
-    # the reference sums one LinComb per pair of terms, term order and denominator included
+    # the reference adds c1 c2 c as Fractions, key by key, in a plain dict and
+    # builds one LinComb from it: no LinComb.sum, no key map
     def half_bracket(u, v):  # non-integral: (uv - vu) / 2
         return LinComb(((u + v, Fraction(1, 2)), (v + u, Fraction(-1, 2))))
 
     def reference(key_fn, a, b):
-        return LinComb.sum((key_fn(k1, k2), c1 * c2)
-                           for k1, c1 in a.items() for k2, c2 in b.items())
+        out = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                for k, c in key_fn(k1, k2).items():
+                    out[k] = out.get(k, Fraction(0)) + c1 * c2 * c
+        return LinComb(out)
 
     x_plus_y = LinComb((("x", 1), ("y", 1)))
     cases = [
