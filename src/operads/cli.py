@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from . import trees
@@ -622,6 +621,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         code = 2
     except Exception as exc:  # a bug in this program, not in its input
+        import traceback  # only here: start-up does not pay for it
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         traceback.print_exc()
         code = 3

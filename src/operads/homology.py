@@ -13,7 +13,6 @@ take a slice built once by `build_bicomplex`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
@@ -29,13 +28,13 @@ def _degree_tuples(n, slots):
             for cuts in combinations(range(1, n), slots - 1)]
 
 
-@dataclass
 class BicomplexSlice:
-    n: int
-    bases: dict          # m -> ordered list of (m+1)-tuples of Dup keys
-    # the two product kernels; Dup's are one-key products, read off their key maps
-    right: object        # d^h: merges slots i < p, (p, tuple) -> block p-1
-    left: object         # d^v: merges slots i >= p, (p, tuple) -> block p
+    def __init__(self, n, bases, right, left):
+        self.n = n
+        self.bases = bases  # m -> ordered list of (m+1)-tuples of Dup keys
+        # the two product kernels; Dup's are one-key products, read off their key maps
+        self.right = right  # d^h: merges slots i < p, (p, tuple) -> block p-1
+        self.left = left    # d^v: merges slots i >= p, (p, tuple) -> block p
 
     @cached_property
     def _merges(self):

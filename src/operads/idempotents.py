@@ -37,27 +37,24 @@ the e^(1)-power recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import factorial
 
 from .errors import UsageError
 from .linalg import GradedEndo, LinComb, _Memo, _power_memo
-from .models import (BialgebraModel, _standardized, by_label, get_model, left_nested_bracket,
-                     reduction, require_keys, require_splitting)
+from .models import (_standardized, by_label, get_model, left_nested_bracket, reduction,
+                     require_keys, require_splitting)
 from .models import iterated_coproduct  # noqa: F401  (re-exported)
 
 
-@dataclass(frozen=True)
 class ConvolutionContext:
     """Convolution on a model: its product "mul" after its reduced coproduct "delta"."""
 
-    model: BialgebraModel
-
-    def __post_init__(self):
-        self.model.lookup("products", "mul")
-        self.model.lookup("coproducts", "delta")
+    def __init__(self, model):
+        self.model = model
+        model.lookup("products", "mul")
+        model.lookup("coproducts", "delta")
 
     @property
     def product(self):

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, wraps
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import UsageError
 from .linalg import (LinComb, _Memo, _echelon, _over, _power_memo, as_slots, coords, exact_rank,
@@ -476,8 +475,7 @@ def iterated_coproduct(coproduct, k):
     return iterate
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """The cooperad side C of a model, with its splitting s: C -> A.
 
     decompose sends a basis key to all of its labeled cooperations of every
@@ -639,7 +637,6 @@ def _associative_splitting(coproduct, product, exponential=False):
                      cooperations(versal), (coproduct, kernel), (coproduct, delta))
 
 
-@dataclass(frozen=True)
 class BialgebraModel:
     """A graded basis, named products and coproducts, and an optional Splitting.
 
@@ -658,16 +655,18 @@ class BialgebraModel:
     kernel objects a model holds decide, not their names, so a model
     holding another kernel under the same name takes the direct path.
     """
-    name: str
-    alphabet: int
-    basis: Callable[[int], list]
-    key_products: dict
-    key_coproducts: dict
-    generating_coproducts: tuple
-    # structural basis membership of a key string, without listing a basis
-    is_key: Callable[[str], bool]
-    splitting: Splitting | None = None
-    classical: bool = False
+
+    def __init__(self, name, alphabet, basis, key_products, key_coproducts,
+                 generating_coproducts, is_key, splitting=None, classical=False):
+        self.name = name
+        self.alphabet = alphabet
+        self.basis = basis  # n -> the degree-n basis keys
+        self.key_products = key_products
+        self.key_coproducts = key_coproducts
+        self.generating_coproducts = generating_coproducts
+        self.is_key = is_key  # structural basis membership of a key string, without listing a basis
+        self.splitting = splitting
+        self.classical = classical
 
     @cached_property
     def products(self):

@@ -16,11 +16,11 @@ renaming the letters, on one pair per orbit of the letter permutations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from importlib import resources
 from math import lcm
+from typing import NamedTuple
 
 from .errors import UsageError
 from .linalg import LinComb, _coef
@@ -28,27 +28,28 @@ from .models import _key_items, _standard, _word_stem, iterated_coproduct, reduc
 from .structure import _one_letter_basis
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: int | Fraction
     in_coops: tuple   # one symbol per input: "id", "delta", or a model symbol
     perm: tuple       # output slot j reads input slot perm[j]
     out_ops: tuple    # "id" (1 slot), "mu" or a model symbol (2 slots)
 
 
-@dataclass(frozen=True)
-class CompatExpr:
-    terms: tuple
+class CompatExpr(NamedTuple):
+    """A relation body: its terms, and their numerators, computed once at parse time.
 
-    @cached_property
-    def numerators(self):
-        """(den, an int per term): the terms' coefficients over the lcm of their denominators."""
-        den = lcm(*(t.coeff.denominator for t in self.terms))
-        return den, tuple(t.coeff.numerator * (den // t.coeff.denominator) for t in self.terms)
+    numerators is (den, an int per term): the terms' coefficients over the
+    lcm of their denominators.
+    """
+    terms: tuple
+    numerators: tuple
 
 
 def expr_from_dict(d):
-    """A relation body: two inputs, and every term's right side in A (x) A."""
+    """A relation body: two inputs, and every term's right side in A (x) A.
+
+    The terms' numerators over one denominator are computed here, once.
+    """
     if d.get("arity", 2) != 2:
         raise ValueError("ill-typed relation term: arity %r, not 2" % (d["arity"],))
     terms = tuple(Term(coeff=_coef(t["coeff"]), in_coops=tuple(t["inCoops"]),
@@ -59,7 +60,9 @@ def expr_from_dict(d):
         if (len(t.in_coops) != 2 or len(t.out_ops) != 2 or produced != consumed
                 or sorted(t.perm) != list(range(produced))):
             raise ValueError("ill-typed relation term: %r" % (t,))
-    return CompatExpr(terms)
+    den = lcm(*(t.coeff.denominator for t in terms))
+    return CompatExpr(terms, (den, tuple(t.coeff.numerator * (den // t.coeff.denominator)
+                                         for t in terms)))
 
 
 def _library_text():
@@ -208,8 +211,7 @@ def eval_compat(expr, model, args, mu="mul", delta="delta", *, images=None, into
     return LinComb.sum(((LinComb(out), 1),), expr.numerators[0] * la.den * lb.den)
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     holds: bool
     checked_pairs: int
     first_failure: tuple | None = None  # (degrees, pair, lhs, rhs)

@@ -9,7 +9,7 @@ the PBW-analogue expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import UsageError
 from .linalg import LinComb, _Memo, _over, coords, exact_rank, kernel_basis
@@ -88,10 +88,9 @@ def phi_map(model, n):
     return coords(map(part, keys), splitting.labels(n)), len(keys)
 
 
-@dataclass
-class H2Report:
+class H2Report(NamedTuple):
     verdict: str  # "iso", "epi-with-splitting" or "fail"; check_h2 refuses any other model
-    per_degree: list = field(default_factory=list)
+    per_degree: list
 
     def to_json_dict(self):
         return {
@@ -220,8 +219,7 @@ def _orbit_kernel(rows, basis, alphabet):
     return sorted(vectors, key=lambda v: max(map(index.__getitem__, v.terms)))
 
 
-@dataclass(frozen=True)
-class PbwComponent:
+class PbwComponent(NamedTuple):
     arity: int
     label: object  # None for the associative cooperad, a tree for dual bases
     tensor: LinComb
@@ -251,8 +249,7 @@ def pbw_reassemble(model, comps):
     return LinComb.sum((operation(comp.label)(comp.tensor), 1) for comp in comps)
 
 
-@dataclass
-class StructureIsoReport:
+class StructureIsoReport(NamedTuple):
     ok: bool
     per_degree: list
 

@@ -1,6 +1,5 @@
 """The duplicial Koszul bicomplex and its total-complex homology."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -17,6 +16,7 @@ from operads.homology import (
 from operads.linalg import exact_rank
 from operads.models import get_model
 from operads.trees import catalan
+from records import replace
 
 
 def alternating_sum(dims):
@@ -50,7 +50,7 @@ def test_swapped_products_fail_the_differential_check(n):
     # negative control: with right and left exchanged, d^h and d^v no
     # longer anticommute, and the check must say so
     bc = build_bicomplex(n)
-    swapped = dataclasses.replace(bc, right=bc.left, left=bc.right)
+    swapped = replace(bc, right=bc.left, left=bc.right)
     assert check_differentials(bc) is True
     assert check_differentials(swapped) is False
 
@@ -64,7 +64,7 @@ def test_wrapped_products_take_the_generic_path_to_the_same_differential():
             calls.append((k1, k2))
             return fn(k1, k2)
         return merged
-    wrapped = dataclasses.replace(bc, right=plain(bc.right), left=plain(bc.left))
+    wrapped = replace(bc, right=plain(bc.right), left=plain(bc.left))
     for m in range(1, 5):
         for key in bc.tot_keys(m):
             assert list(wrapped.d(key).terms.items()) == list(bc.d(key).terms.items())

@@ -1,6 +1,5 @@
 """Idempotents: versal, Eulerian family, Dynkin, geometric."""
 
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +23,7 @@ from operads.linalg import GradedEndo, LinComb, _Memo, exact_rank, mat_mul, same
 from operads.models import as_concat, get_model, lie_subspace
 from operads.structure import primitive_part
 from operads.trees import catalan
+from records import replace
 
 
 def is_zero_endo(endo):
@@ -106,7 +106,7 @@ def test_classical_eulerian_family_calls_the_product_only_where_the_identity_pow
         def mul(a, b):
             calls.append(1)
             return as_concat(a, b)
-        model = dataclasses.replace(get_model("classical", 2), key_products={"mul": mul})
+        model = replace(get_model("classical", 2), key_products={"mul": mul})
         return ConvolutionContext(model), calls
 
     monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
@@ -270,7 +270,7 @@ def test_eulerian_family_is_rebuilt_for_a_model_with_another_product(monkeypatch
     # a copy with its product halved keeps the original's name and alphabet
     model = get_model("classical", 2)
     product = model.key_products["mul"]
-    halved = dataclasses.replace(
+    halved = replace(
         model, key_products={"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))})
     monkeypatch.setattr(idempotents, "_EULERIAN_CACHE", {})
     alone = eulerian(ConvolutionContext(halved), 1, 4)

@@ -1,7 +1,6 @@
 """Word-preserving and letter-renaming kernels, and the answers read off one-letter keys or
 one pair or block per orbit of the letter permutations, against the direct ones."""
 
-import dataclasses
 import inspect
 import itertools
 import json
@@ -15,6 +14,7 @@ from operads.linalg import LinComb, _Memo, as_slots
 from operads.models import (LETTERS, _RENAMING, _standard, _word_stem, as_concat,
                             as_shuffle_coproduct, get_model, lie_bracket, lie_cobracket, words)
 from operads.relations import check_relation, get_relation, relation_names
+from records import replace
 
 NONSYMMETRIC = ("as", "nil", "dup", "bidup", "mag")
 QUALIFYING = ("nui", "bidup_dleft_left", "bidup_dright_right", "magmatic", "nil",
@@ -206,7 +206,7 @@ def _recording(model, seen, monkeypatch):
     for sym, fn in originals.items():
         if fn in models._RENAMING:
             monkeypatch.setitem(models._RENAMING, wrapped[sym], models._RENAMING[fn])
-    return dataclasses.replace(model, key_products=products, key_coproducts=coproducts)
+    return replace(model, key_products=products, key_coproducts=coproducts)
 
 
 @pytest.mark.parametrize("name", NONSYMMETRIC + ("zinb",))
@@ -266,7 +266,7 @@ def test_lifted_answers_list_the_one_letter_keys_not_the_basis():
     def basis(n):
         degrees.append(n)
         return model.basis(n)
-    counted = dataclasses.replace(model, basis=basis)
+    counted = replace(model, basis=basis)
     assert len(primitive_part(counted, 5)) == len(primitive_part(model, 5))
     assert check_relation(counted, "delta", "left", "nui", 5).holds
     assert set(degrees) == {1}
@@ -299,7 +299,7 @@ def test_lifted_checks_count_the_pairs_before_a_failure_past_the_first_tree(monk
     def doubled(k1, k2):
         image = left(k1, k2)
         return image.scale(2) if k1.startswith(second + ":") and k2.startswith(second + ":") else image
-    broken = dataclasses.replace(model, key_products={"left": doubled})
+    broken = replace(model, key_products={"left": doubled})
     monkeypatch.setitem(models._RENAMING, doubled, "lift")
     report = check_relation(broken, "delta", "left", "nui", 4)
     assert report.to_json_dict() == _direct(
@@ -379,7 +379,7 @@ def test_a_wrapped_unshuffle_takes_the_direct_path(monkeypatch):
     model = get_model("classical", 2)
 
     def wrapped_model():  # its splitting's memos are new, so each map reads the wrapper again
-        return dataclasses.replace(model, key_coproducts={"delta": wrapped},
+        return replace(model, key_coproducts={"delta": wrapped},
                                    splitting=models._associative_splitting(
                                        wrapped, as_concat, exponential=True))
     every = {k for n in range(1, 6) for k in model.basis(n)}

@@ -1,6 +1,5 @@
 """Compatibility relation DSL: library entries, the checker, controls."""
 
-import dataclasses
 import gc
 import json
 import tracemalloc
@@ -21,6 +20,7 @@ from operads.relations import (
     load_library,
     relation_names,
 )
+from records import replace
 
 
 def test_library_loads_all_expected_entries():
@@ -75,18 +75,24 @@ def _one_term_body(in_coops, perm, out_ops, arity=2):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body",  # (the body, its refusal past "ill-typed relation term: ")
     [
-        _one_term_body(["id", "id"], [0, 1], ["mu"]),  # right side in A
-        _one_term_body(["delta", "id"], [0, 1, 2], ["id", "id", "id"]),  # in A (x) A (x) A
-        _one_term_body(["id", "id", "id"], [0, 1, 2], ["id", "mu"], arity=3),  # three inputs
+        (_one_term_body(["id", "id"], [0, 1], ["mu"]),  # right side in A
+         "Term(coeff=1, in_coops=('id', 'id'), perm=(0, 1), out_ops=('mu',))"),
+        (_one_term_body(["delta", "id"], [0, 1, 2], ["id", "id", "id"]),  # in A (x) A (x) A
+         "Term(coeff=1, in_coops=('delta', 'id'), perm=(0, 1, 2), out_ops=('id', 'id', 'id'))"),
+        (_one_term_body(["id", "id", "id"], [0, 1, 2], ["id", "mu"], arity=3),  # three inputs
+         "arity 3, not 2"),
     ],
 )
 def test_library_rejects_bodies_the_checker_cannot_compare(monkeypatch, body):
-    # each body is consistent on its own, but delta(mu(a, b)) of two inputs is in A (x) A
-    monkeypatch.setattr(relations, "_library_text", lambda: json.dumps({"a": body}))
-    with pytest.raises(ValueError, match="ill-typed relation term"):
+    # each body is consistent on its own, but delta(mu(a, b)) of two inputs is in A (x) A;
+    # the refusal shows the term as its repr, field by field
+    raw, message = body
+    monkeypatch.setattr(relations, "_library_text", lambda: json.dumps({"a": raw}))
+    with pytest.raises(ValueError) as exc:
         load_library()
+    assert str(exc.value) == "ill-typed relation term: " + message
 
 
 def test_lily_coefficients():
@@ -284,7 +290,7 @@ def test_eval_compat_on_keys_matches_the_lincomb_evaluation(name, alphabet):
 def test_eval_compat_with_non_integral_images_matches_the_lincomb_evaluation():
     # (co)products with coefficients off the integers: the sum holds Fractions
     model = get_model("as", 2)
-    halved = dataclasses.replace(
+    halved = replace(
         model,
         key_products={"mul": lambda u, v: model.key_products["mul"](u, v).scale(Fraction(1, 2))},
         key_coproducts={"delta": lambda w: model.key_coproducts["delta"](w).scale(Fraction(2, 3))})
@@ -319,7 +325,7 @@ def _rescaled_as2(mul, delta):
     """as/2 with its product times `mul` and its coproduct times `delta`, on keys."""
     model = get_model("as", 2)
     product, coproduct = model.key_products["mul"], model.key_coproducts["delta"]
-    return dataclasses.replace(model, key_products={"mul": lambda u, v: product(u, v).scale(mul)},
+    return replace(model, key_products={"mul": lambda u, v: product(u, v).scale(mul)},
                                key_coproducts={"delta": lambda w: coproduct(w).scale(delta)})
 
 
@@ -327,7 +333,7 @@ def test_check_relation_left_side_on_keys_matches_the_lincomb_left_side():
     model = get_model("as", 2)
     product, coproduct = model.key_products["mul"], model.key_coproducts["delta"]
     halved = [  # a non-integral product image, coproduct image, or both
-        dataclasses.replace(model, **changes) for changes in (
+        replace(model, **changes) for changes in (
             {"key_products": {"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))}},
             {"key_coproducts": {"delta": lambda w: coproduct(w).scale(Fraction(2, 3))}},
             {"key_products": {"mul": lambda u, v: product(u, v).scale(Fraction(1, 2))},
@@ -429,7 +435,7 @@ def _pairs_up_to(dim, n):
 def test_check_relation_computes_each_image_once_per_check():
     model = get_model("classical", 2)
     coproduct_calls, product_calls = Counter(), Counter()
-    counted = dataclasses.replace(
+    counted = replace(
         model, key_coproducts=_counting(model.key_coproducts, coproduct_calls),
         key_products=_counting(model.key_products, product_calls))
     report = check_relation(counted, "delta", "mul", "hopf", 5)
@@ -446,7 +452,7 @@ def test_check_relation_computes_each_image_once_per_check():
 def test_check_relation_computes_each_coproduct_image_once_on_both_sides():
     model = get_model("classical", 2)
     calls = Counter()
-    counted = dataclasses.replace(
+    counted = replace(
         model, key_coproducts=_counting(model.key_coproducts, calls))
     report = check_relation(counted, "delta", "mul", "hopf", 5)
     assert report.holds and report.checked_pairs == 196
@@ -476,7 +482,7 @@ def test_a_declared_one_key_product_fills_the_product_tables_without_a_kernel_ca
         return models.dup_right(k1, k2)
     monkeypatch.setitem(models._KEY_MAPS, counted, models._KEY_MAPS[models.dup_right])
     plain = get_model("dup", 1)
-    stand_in = dataclasses.replace(plain, key_products={**plain.key_products, "right": counted})
+    stand_in = replace(plain, key_products={**plain.key_products, "right": counted})
     report = check_relation(stand_in, "dleft", "right", "bidup_dleft_right", 5)
     # the left side and the right side's product tables both read the key map
     assert calls == []
@@ -517,7 +523,7 @@ def test_eval_compat_on_scaled_single_keys_matches_the_lincomb_evaluation():
 def test_check_relation_images_table_dies_with_the_call():
     model = get_model("dup", 1)
     calls = Counter()
-    counted = dataclasses.replace(
+    counted = replace(
         model, key_coproducts=_counting(model.key_coproducts, calls),
         key_products=_counting(model.key_products, calls))
 

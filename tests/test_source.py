@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,37 @@ def test_the_installed_package_ships_its_data_and_its_command():
     module, _, attr = config["project"]["scripts"]["operads"].partition(":")
     assert (module, attr) == ("operads.cli", "main")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def imported_modules(path):
+    """The top-level names of the modules that path's absolute imports name, anywhere in it."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_generates_record_code_at_import():
+    # dataclasses generates and execs every record's methods on each start;
+    # the records are NamedTuples and plain classes instead
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "dataclasses" in imported_modules(p)] == []
+
+
+def _loaded_modules(code):
+    """The names in sys.modules once `python -c code` has run on src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_starting_the_command_loads_neither_dataclasses_nor_traceback():
+    # each costs milliseconds of every run's start-up; only the internal-error
+    # handler needs traceback, and it imports it there.  inspect and typing are
+    # left out: importlib.resources imports inspect on Python 3.12, and
+    # NamedTuple is typing's
+    loaded = _loaded_modules("import operads.cli") - _loaded_modules("pass")
+    assert "operads.cli" in loaded
+    assert {"dataclasses", "traceback"} & loaded == set()

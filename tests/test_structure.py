@@ -1,6 +1,5 @@
 """The map phi, primitives, PBW expansions, composite dimension counts."""
 
-import dataclasses
 import gc
 import re
 from collections import Counter
@@ -31,6 +30,7 @@ from operads.structure import (
     verify_structure_iso,
 )
 from operads.trees import LEAF, Y, catalan, enumerate_trees
+from records import replace
 
 
 def test_multilinear_basis_sizes():
@@ -113,7 +113,7 @@ def test_splitting_is_a_section_of_phi(name):
 def _with_operation(model, change):
     """The model with its splitting operations replaced by change(splitting)."""
     sp = model.splitting
-    return dataclasses.replace(model, splitting=dataclasses.replace(sp, operation=change(sp)))
+    return replace(model, splitting=replace(sp, operation=change(sp)))
 
 
 def test_section_check_rejects_wrong_splittings():
@@ -529,12 +529,12 @@ def test_versal_idempotent_cuts_each_key_once(monkeypatch):
 def without_decompose(model, reader):
     """A copy of model whose splitting's decompose raises: reader must not read it.
 
-    The Splitting is frozen, so the copy is made with dataclasses.replace.
+    The Splitting is a NamedTuple, so the copy is a new one, made with replace.
     """
     def boom(key):
         raise AssertionError("%s read decompose" % reader)
-    splitting = dataclasses.replace(model.splitting, decompose=boom)
-    return dataclasses.replace(model, splitting=splitting)
+    splitting = replace(model.splitting, decompose=boom)
+    return replace(model, splitting=splitting)
 
 
 @pytest.mark.parametrize("name, alphabet, reads", [
@@ -548,8 +548,8 @@ def test_versal_idempotent_reads_the_versal_memo_once_per_one_letter_key(name, a
     def counted(key):
         seen[key] += 1
         return model.splitting.versal(key)
-    splitting = dataclasses.replace(model.splitting, versal=counted)
-    counting = dataclasses.replace(model, splitting=splitting)
+    splitting = replace(model.splitting, versal=counted)
+    counting = replace(model, splitting=splitting)
     assert versal_idempotent(counting, 5) == versal_idempotent(model, 5)
     assert len(seen) == sum(seen.values()) == reads
     assert all(set(key.rpartition(":")[2]) == {models.LETTERS[0]} for key in seen)
